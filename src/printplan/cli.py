@@ -100,15 +100,6 @@ def _prepare(source, seed, machines, parts_prefix, jobs):
     return inst
 
 
-def _solve_params(time_limit, gap, threads, deterministic) -> SolveParams:
-    return SolveParams(
-        time_limit_s=time_limit,
-        gap_tolerance=gap,
-        worker_count=max(1, threads),
-        deterministic=deterministic,
-    )
-
-
 def _resolve_solver(flag: str | None, n_binaries: int) -> str:
     choice = os.environ.get("PRINTPLAN_SOLVER") or flag
     if choice in ("builtin", "external"):
@@ -172,21 +163,22 @@ def _instance_options(fn):
     return fn
 
 
-def _solver_options(fn):
-    fn = click.option("--deterministic/--no-deterministic", default=True, show_default=True,
-                      help="Reproducible, byte-stable outputs.")(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Worker threads (solver workers, or parallel sweep cells).")(fn)
+def _search_options(fn):
     fn = click.option("--gap", type=float, default=1e-6, show_default=True, help="Relative optimality gap.")(fn)
     fn = click.option("--time-limit", type=float, default=None, help="Per-solve wall clock limit in seconds.")(fn)
-    fn = click.option("--solution-in", type=click.Path(exists=False, path_type=Path), default=None,
-                      help="Solution file from an external solver to read back.")(fn)
-    fn = click.option("--lp-out", type=click.Path(path_type=Path), default=None,
-                      help="Where to write the LP file on the external path.")(fn)
-    fn = click.option("--solver", type=click.Choice(["builtin", "external"]), default=None,
-                      help="Force the solver path (default: auto by model size; "
-                           "PRINTPLAN_SOLVER env var wins).")(fn)
     return fn
+
+
+def _solver_option(fn):
+    return click.option("--solver", type=click.Choice(["builtin", "external"]), default=None,
+                        help="Force the solver path (default: auto by model size; "
+                             "PRINTPLAN_SOLVER env var wins).")(fn)
+
+
+def _cell_options(fn):
+    fn = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+                      help="Cells solved in parallel; the CSV is the same for any count.")(fn)
+    return _solver_option(_search_options(fn))
 
 
 @click.group()
@@ -197,28 +189,25 @@ def main():
 
 @main.command()
 @_instance_options
-@_solver_options
-@click.option("--objective", type=click.Choice(["z", "zz", "pareto"]), default="z",
-              show_default=True, help="Minimize timing cost (z), unused area (zz), or sweep the front.")
+@_search_options
+@_solver_option
+@click.option("--solution-in", type=click.Path(exists=False, path_type=Path), default=None,
+              help="Solution file from an external solver to read back.")
+@click.option("--lp-out", type=click.Path(path_type=Path), default=None,
+              help="Where to write the LP file on the external path.")
+@click.option("--objective", type=click.Choice(["z", "zz"]), default="z",
+              show_default=True, help="Minimize timing cost (z) or unused area (zz).")
 @click.option("--fixed-orientation", is_flag=True, help="Pin every part to its as-delivered pose.")
-@click.option("--epsilon-count", type=int, default=10, show_default=True,
-              help="Grid size when --objective pareto.")
-def solve(source, seed, jobs, machines, out, objective, fixed_orientation, epsilon_count,
-          solver, lp_out, solution_in, time_limit, gap, threads, deterministic):
+def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
+          solver, lp_out, solution_in, time_limit, gap):
     """Solve one model and write schedule plus evaluation CSVs."""
     try:
         inst = _prepare(source, seed, machines, None, jobs)
     except (InstanceError, ValueError, OSError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
 
-    if objective == "pareto":
-        _run_pareto(inst, out, epsilon_count, fixed_orientation,
-                    _solve_params(time_limit, gap, threads, deterministic),
-                    {"cmd": "solve", "objective": "pareto", "instance": source})
-        return
-
     out.mkdir(parents=True, exist_ok=True)
-    params = _solve_params(time_limit, gap, threads, deterministic)
+    params = SolveParams(time_limit_s=time_limit, gap_tolerance=gap)
     model = build_model(inst, Objective(objective), fixed_orientation=fixed_orientation)
     provenance = _provenance({
         "instance": instance_hash(inst),
@@ -260,12 +249,23 @@ def solve(source, seed, jobs, machines, out, objective, fixed_orientation, epsil
     click.echo(f"wrote {out / 'schedule.csv'} and {out / 'evaluation.csv'}")
 
 
-def _run_pareto(inst, out: Path, epsilon_count, fixed_orientation, params, meta):
-    out.mkdir(parents=True, exist_ok=True)
-    provenance = _provenance({**meta, "instance": instance_hash(inst), "K": epsilon_count})
+@main.command()
+@_instance_options
+@_search_options
+@click.option("--epsilon-count", type=click.IntRange(min=1), default=10, show_default=True,
+              help="Epsilon grid size.")
+@click.option("--fixed-orientation", is_flag=True, help="Pin every part to its as-delivered pose.")
+def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, time_limit, gap):
+    """Sweep the area cap and write the trade-off front (builtin solver only)."""
     try:
-        front = pareto_front(inst, params, grid_count=epsilon_count,
-                             fixed_orientation=fixed_orientation)
+        inst = _prepare(source, seed, machines, None, jobs)
+    except (InstanceError, ValueError, OSError) as exc:
+        _fail(EXIT_VALIDATION, str(exc))
+    out.mkdir(parents=True, exist_ok=True)
+    provenance = _provenance({"cmd": "pareto", "instance": instance_hash(inst), "K": epsilon_count})
+    try:
+        front = pareto_front(inst, SolveParams(time_limit_s=time_limit, gap_tolerance=gap),
+                             grid_count=epsilon_count, fixed_orientation=fixed_orientation)
     except FrontError as exc:
         code = EXIT_INFEASIBLE if "infeasible" in str(exc) else EXIT_TIME_LIMIT
         _fail(code, str(exc))
@@ -286,23 +286,6 @@ def _run_pareto(inst, out: Path, epsilon_count, fixed_orientation, params, meta)
     for point in front.points:
         click.echo(f"front point: zz={point.zz:.6f} z={point.z:.6f} [{point.status.value}]")
     click.echo(f"wrote {out / 'front.csv'} ({len(front.points)} nondominated points)")
-
-
-@main.command()
-@_instance_options
-@_solver_options
-@click.option("--epsilon-count", type=int, default=10, show_default=True, help="Epsilon grid size.")
-@click.option("--fixed-orientation", is_flag=True, help="Pin every part to its as-delivered pose.")
-def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation,
-           solver, lp_out, solution_in, time_limit, gap, threads, deterministic):
-    """Sweep the area cap and write the trade-off front."""
-    try:
-        inst = _prepare(source, seed, machines, None, jobs)
-    except (InstanceError, ValueError, OSError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-    _run_pareto(inst, out, epsilon_count, fixed_orientation,
-                _solve_params(time_limit, gap, threads, deterministic),
-                {"cmd": "pareto", "instance": source})
 
 
 def _solve_cell(inst, fixed_orientation, params, mode, lp_path: Path):
@@ -343,11 +326,10 @@ def _parse_float_list(text: str) -> list[float]:
 
 @main.command()
 @_instance_options
-@_solver_options
+@_cell_options
 @click.option("--parts-prefix", "prefixes", required=True,
               help="Comma-separated prefix sizes to compare, e.g. 2,4,6.")
-def scenario(source, seed, jobs, machines, out, prefixes,
-             solver, lp_out, solution_in, time_limit, gap, threads, deterministic):
+def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit, gap, threads):
     """Compare free-orientation and fixed-orientation cost per part count.
 
     Solves the cost-only model twice per prefix size.  Free orientation
@@ -364,7 +346,7 @@ def scenario(source, seed, jobs, machines, out, prefixes,
     except (InstanceError, ValueError, OSError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     out.mkdir(parents=True, exist_ok=True)
-    params = _solve_params(time_limit, gap, 1, deterministic)
+    params = SolveParams(time_limit_s=time_limit, gap_tolerance=gap)
     mode = os.environ.get("PRINTPLAN_SOLVER") or solver or "auto"
 
     cells = []
@@ -381,7 +363,7 @@ def scenario(source, seed, jobs, machines, out, prefixes,
         tag = "fixed" if fixed else "free"
         return _solve_cell(inst, fixed, params, mode, out / f"scenario_p{n}_{tag}.lp")
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(run, cells))
 
     rows = []
@@ -506,7 +488,7 @@ def run_sweep(base: ProblemInstance, spec: SweepSpec, params: SolveParams,
         lp_path = out / f"sweep_{spec.parameter}_{value:g}_{tag}.lp"
         return _solve_cell(inst, fixed, params, mode, lp_path)
 
-    with ThreadPoolExecutor(max_workers=max(1, threads)) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(run, cells))
 
     rows = []
@@ -550,7 +532,7 @@ def _check_sweep_dominance(spec: SweepSpec, rows) -> None:
 
 @main.command()
 @_instance_options
-@_solver_options
+@_cell_options
 @click.option("--parameter", type=click.Choice(list(SWEEP_PARAMETERS)), required=True,
               help="Which knob to sweep.")
 @click.option("--values", required=True, help="Comma-separated values, e.g. 0.1,0.01,0.001.")
@@ -559,7 +541,7 @@ def _check_sweep_dominance(spec: SweepSpec, rows) -> None:
 @click.option("--parts-prefix", type=int, default=None,
               help="Restrict to the first N parts before sweeping.")
 def sweep(source, seed, jobs, machines, out, parameter, values, scenario, parts_prefix,
-          solver, lp_out, solution_in, time_limit, gap, threads, deterministic):
+          solver, time_limit, gap, threads):
     """Sensitivity analysis: re-solve the cost model along one parameter."""
     value_list = _parse_float_list(values)
     try:
@@ -568,7 +550,7 @@ def sweep(source, seed, jobs, machines, out, parameter, values, scenario, parts_
         _fail(EXIT_VALIDATION, str(exc))
     out.mkdir(parents=True, exist_ok=True)
     spec = SweepSpec(parameter, tuple(value_list), scenario, machines)
-    params = _solve_params(time_limit, gap, 1, deterministic)
+    params = SolveParams(time_limit_s=time_limit, gap_tolerance=gap)
     mode = os.environ.get("PRINTPLAN_SOLVER") or solver or "auto"
     try:
         rows = run_sweep(base, spec, params, mode, out, threads=threads)

@@ -12,10 +12,6 @@ first: its binaries are rounded, the LP is re-solved with them fixed, and
 the result counts only if it is feasible as it stands.  A point whose
 binaries are merely within tolerance of integral can otherwise sit below
 any objective its decisions attain, by up to big-M times the tolerance.
-
-With ``worker_count`` above one (and determinism waived) several
-threads pull nodes from a shared queue under a lock; the incumbent is
-shared, so the search stays exact either way.
 """
 
 from __future__ import annotations
@@ -23,7 +19,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import threading
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -46,9 +41,6 @@ class SolveParams:
     time_limit_s: float | None = None
     gap_tolerance: float = 1e-6
     integrality_tolerance: float = 1e-6
-    worker_count: int = 1
-    deterministic: bool = True
-    branching: str = "most_fractional"  # or "pseudo_cost"
 
 
 @dataclass
@@ -92,9 +84,6 @@ class _Node:
     neg_seq: int  # newer nodes first on bound ties, so plunges stay deep
     fixings: dict[int, float] = field(compare=False)
     start: tuple | None = field(compare=False, default=None)
-    depth: int = field(compare=False, default=0)
-    # (column, direction, fractional distance, parent objective)
-    branch_info: tuple | None = field(compare=False, default=None)
 
 
 class _Propagator:
@@ -165,28 +154,6 @@ class _Propagator:
         return True
 
 
-class _PseudoCosts:
-    """Average objective degradation per unit of fractionality, per column."""
-
-    def __init__(self, n_cols: int):
-        self.sums = np.zeros((n_cols, 2))
-        self.counts = np.zeros((n_cols, 2), dtype=int)
-
-    def record(self, col: int, direction: int, frac_moved: float, degradation: float):
-        if frac_moved <= 1e-12:
-            return
-        self.sums[col, direction] += max(degradation, 0.0) / frac_moved
-        self.counts[col, direction] += 1
-
-    def score(self, col: int, frac: float) -> float | None:
-        cd, cu = self.counts[col]
-        if cd == 0 or cu == 0:
-            return None
-        down = self.sums[col, 0] / cd * frac
-        up = self.sums[col, 1] / cu * (1.0 - frac)
-        return max(down, 1e-9) * max(up, 1e-9)
-
-
 def solve_milp(
     model: MilpModel,
     params: SolveParams | None = None,
@@ -215,10 +182,6 @@ def solve_milp(
             rank = family_rank.get(d.family, len(family_rank))
             col_rank[d.column] = min(rank, 2)  # b and f branch at one level
     int_tol = params.integrality_tolerance
-    pseudo = _PseudoCosts(model.registry.n_columns) if params.branching == "pseudo_cost" else None
-
-    state = _SearchState()
-    lock = threading.Lock()
     propagator = _Propagator(a, senses, rhs, binary_cols)
 
     def lp_solve(fixings: dict[int, float], start):
@@ -258,11 +221,16 @@ def solve_milp(
             return None
         return float(cost @ values), values
 
+    incumbent_obj: float | None = None
+    incumbent_x: np.ndarray | None = None
+    node_count = 0
+    seq = itertools.count(1)
+
     def offer(obj: float, values: np.ndarray) -> None:
-        with lock:
-            if state.incumbent_obj is None or obj < state.incumbent_obj - 1e-12:
-                state.incumbent_obj = obj
-                state.incumbent_x = values
+        nonlocal incumbent_obj, incumbent_x
+        if incumbent_obj is None or obj < incumbent_obj - 1e-12:
+            incumbent_obj = obj
+            incumbent_x = values
 
     for cand in warm_values or []:
         cand = np.asarray(cand, dtype=float)
@@ -298,12 +266,7 @@ def solve_milp(
             frac = min(v, 1.0 - v)
             if frac <= int_tol:
                 continue
-            score = None
-            if pseudo is not None:
-                score = pseudo.score(col, v)
-            if score is None:
-                score = frac
-            key = (col_rank[col], -score, col)
+            key = (col_rank[col], -frac, col)
             if best_key is None or key < best_key:
                 best_key = key
                 best = col
@@ -322,26 +285,22 @@ def solve_milp(
         return col, x[col] >= 0.5
 
     def cutoff() -> float:
-        if state.incumbent_obj is None:
+        if incumbent_obj is None:
             return math.inf
-        return state.incumbent_obj - params.gap_tolerance * max(1.0, abs(state.incumbent_obj))
+        return incumbent_obj - params.gap_tolerance * max(1.0, abs(incumbent_obj))
 
     def process(node: _Node) -> list[_Node]:
+        nonlocal node_count
         res = lp_solve(node.fixings, node.start)
-        with lock:
-            state.node_count += 1
+        node_count += 1
         if res is None or res.status is LpStatus.INFEASIBLE:
             return []
         if res.status is LpStatus.UNBOUNDED:
             raise RuntimeError("LP relaxation unbounded; model is missing a bound")
         bound = max(res.objective, node.est) if math.isfinite(node.est) else res.objective
-        if pseudo is not None and node.branch_info is not None:
-            col, direction, frac_moved, parent_obj = node.branch_info
-            pseudo.record(col, direction, frac_moved, res.objective - parent_obj)
         if bound >= cutoff():
             return []
-        picked = pick_branch(res.x, dive=state.incumbent_obj is None)
-        learn = pseudo is not None
+        picked = pick_branch(res.x, dive=incumbent_obj is None)
         if picked is None:
             polished = polish(res.x, res.start_with_binv)
             if polished is not None:
@@ -353,19 +312,10 @@ def solve_milp(
             picked = least_integral(res.x)
             if picked is None:
                 return []
-            learn = False  # sub-tolerance moves would swamp the pseudo-costs
         col, prefer_high = picked
-        v = res.x[col]
         children = [
-            _Node(
-                est=bound,
-                neg_seq=-state.next_seq(),
-                fixings={**node.fixings, col: val},
-                start=res.start,
-                depth=node.depth + 1,
-                branch_info=(col, direction, frac_moved, res.objective) if learn else None,
-            )
-            for val, direction, frac_moved in ((0.0, 0, v), (1.0, 1, 1.0 - v))
+            _Node(est=bound, neg_seq=-next(seq), fixings={**node.fixings, col: val}, start=res.start)
+            for val in (0.0, 1.0)
         ]
         if prefer_high:
             children.reverse()  # preferred side first in the list
@@ -374,42 +324,54 @@ def solve_milp(
         children[0].start = res.start_with_binv
         return children
 
-    root = _Node(est=-math.inf, neg_seq=-state.next_seq(), fixings={})
-
-    if params.worker_count > 1 and not params.deterministic:
-        _search_parallel(root, process, state, lock, deadline, cutoff, params.worker_count)
-    else:
-        _search_serial(root, process, state, deadline, cutoff)
+    # best-first on the bound, newest node on ties, and every popped node
+    # is plunged: its preferred child chain runs to a leaf while the
+    # siblings are parked, so incumbents keep turning up
+    heap = [_Node(est=-math.inf, neg_seq=-next(seq), fixings={})]
+    timed_out = False
+    while heap and not timed_out:
+        node = heapq.heappop(heap)
+        if node.est >= cutoff():
+            continue
+        while node is not None:
+            if deadline is not None and time.perf_counter() > deadline:
+                heapq.heappush(heap, node)
+                timed_out = True
+                break
+            children = process(node)
+            node = children[0] if children else None
+            for extra in children[1:]:
+                heapq.heappush(heap, extra)
 
     runtime = time.perf_counter() - t0
-    if state.timed_out:
-        best_open = min((n.est for n in state.heap_nodes()), default=math.inf)
-        if state.incumbent_obj is not None:
-            bound = min(best_open, state.incumbent_obj)
-            gap = (state.incumbent_obj - bound) / max(1.0, abs(state.incumbent_obj))
+    if timed_out:
+        best_open = min((n.est for n in heap), default=math.inf)
+        if incumbent_obj is not None:
+            bound = min(best_open, incumbent_obj)
+            gap = (incumbent_obj - bound) / max(1.0, abs(incumbent_obj))
             return MilpSolution(
                 SolveStatus.TimeLimit,
-                state.incumbent_obj,
-                state.incumbent_x,
+                incumbent_obj,
+                incumbent_x,
                 bound,
                 max(gap, 0.0),
-                state.node_count,
+                node_count,
                 runtime,
             )
         return MilpSolution(
-            SolveStatus.TimeLimit, None, None, best_open, math.inf, state.node_count, runtime
+            SolveStatus.TimeLimit, None, None, best_open, math.inf, node_count, runtime
         )
-    if state.incumbent_obj is None:
+    if incumbent_obj is None:
         return MilpSolution(
-            SolveStatus.Infeasible, None, None, math.inf, math.inf, state.node_count, runtime
+            SolveStatus.Infeasible, None, None, math.inf, math.inf, node_count, runtime
         )
     return MilpSolution(
         SolveStatus.Optimal,
-        state.incumbent_obj,
-        state.incumbent_x,
-        state.incumbent_obj,
+        incumbent_obj,
+        incumbent_x,
+        incumbent_obj,
         0.0,
-        state.node_count,
+        node_count,
         runtime,
     )
 
@@ -431,88 +393,6 @@ def _is_feasible(values, a, senses, rhs, lo, up, binary_cols, int_tol, row_tol=1
         if sense == "=" and abs(gap) > row_tol * scale[r]:
             return False
     return True
-
-
-class _SearchState:
-    def __init__(self):
-        self.incumbent_obj: float | None = None
-        self.incumbent_x: np.ndarray | None = None
-        self.node_count = 0
-        self.timed_out = False
-        self._seq = itertools.count(1)
-        self._heap: list[_Node] = []
-
-    def next_seq(self) -> int:
-        return next(self._seq)
-
-    def heap_nodes(self):
-        return self._heap
-
-
-def _search_serial(root, process, state, deadline, cutoff):
-    # best-first on the bound, newest node on ties, and every popped
-    # node is plunged: its preferred child chain runs to a leaf while
-    # the siblings are parked, so incumbents keep turning up
-    heap = state._heap
-    heapq.heappush(heap, root)
-    while heap:
-        node = heapq.heappop(heap)
-        if node.est >= cutoff():
-            continue
-        while node is not None:
-            if deadline is not None and time.perf_counter() > deadline:
-                heapq.heappush(heap, node)
-                state.timed_out = True
-                return
-            children = process(node)
-            node = children[0] if children else None
-            for extra in children[1:]:
-                heapq.heappush(heap, extra)
-
-
-def _search_parallel(root, process, state, lock, deadline, cutoff, workers):
-    heap = state._heap
-    heapq.heappush(heap, root)
-    active = [0]
-    stop = [False]
-
-    def worker():
-        while True:
-            with lock:
-                if stop[0]:
-                    return
-                if heap:
-                    node = heapq.heappop(heap)
-                    active[0] += 1
-                elif active[0] == 0:
-                    return
-                else:
-                    node = None
-            if node is None:
-                time.sleep(1e-4)
-                continue
-            try:
-                while node is not None:
-                    if deadline is not None and time.perf_counter() > deadline:
-                        with lock:
-                            heapq.heappush(heap, node)
-                            state.timed_out = True
-                            stop[0] = True
-                        return
-                    children = process(node) if node.est < cutoff() else []
-                    node = children[0] if children else None
-                    with lock:
-                        for extra in children[1:]:
-                            heapq.heappush(heap, extra)
-            finally:
-                with lock:
-                    active[0] -= 1
-
-    threads = [threading.Thread(target=worker, daemon=True) for _ in range(workers)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
 
 
 _STATUS_TOKENS = {

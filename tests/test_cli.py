@@ -91,6 +91,18 @@ def test_unknown_builtin_is_treated_as_path(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("args, option", [
+    (["pareto", "--instance", "nine_parts", "--epsilon-count", "0"], "--epsilon-count"),
+    (["sweep", "--instance", "random", "--parameter", "layer_time", "--values", "0.1",
+      "--threads", "0"], "--threads"),
+], ids=["epsilon-count", "threads"])
+def test_count_below_one_exits_2_before_solving(runner, tmp_path, args, option):
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert option in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
 # solve command
 
 
@@ -249,6 +261,18 @@ def test_pareto_infeasible_instance_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_pareto_has_no_external_solver_path(runner, tmp_path):
+    # the front always runs the builtin solver, so it takes no --solver
+    result = runner.invoke(
+        main,
+        ["pareto", "--instance", "random", "--seed", "0", "--solver", "external",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2
+    assert "--solver" in result.output
+    assert not list(tmp_path.glob("*.lp"))
+
+
 # scenario command
 
 
@@ -304,14 +328,21 @@ def test_sweep_matches_direct_solve(runner, tmp_path):
 
 
 def test_sweep_layer_time_cost_shrinks(runner, tmp_path):
-    result = runner.invoke(
-        main,
-        ["sweep", "--instance", "fifteen_parts_time_study", "--machines", "1",
-         "--parts-prefix", "3", "--parameter", "layer_time", "--values", "0.1,0.001",
-         "--scenario", "both", "--threads", "2", "--out", str(tmp_path)],
-    )
-    assert result.exit_code == 0, result.output
-    rows = [l.split(",") for l in (tmp_path / "sweep.csv").read_text().splitlines()[2:]]
+    bodies = {}
+    for threads in ("2", "1"):
+        out = tmp_path / f"threads{threads}"
+        result = runner.invoke(
+            main,
+            ["sweep", "--instance", "fifteen_parts_time_study", "--machines", "1",
+             "--parts-prefix", "3", "--parameter", "layer_time", "--values", "0.1,0.001",
+             "--scenario", "both", "--threads", threads, "--out", str(out)],
+        )
+        assert result.exit_code == 0, result.output
+        lines = (out / "sweep.csv").read_text().splitlines()
+        bodies[threads] = [l for l in lines if not l.startswith("#")]
+    # parallel cells write exactly what serial cells write
+    assert bodies["2"] == bodies["1"]
+    rows = [l.split(",") for l in bodies["2"][1:]]
     z = {(r[1], r[2]): float(r[3]) for r in rows}
     assert z[("0.001", "free_orientation")] <= z[("0.1", "free_orientation")]
     assert z[("0.1", "free_orientation")] <= z[("0.1", "fixed_orientation")] + 1e-6

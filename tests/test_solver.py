@@ -105,25 +105,6 @@ def test_wrong_objective_warm_vector_is_ignored():
     assert sol.status is SolveStatus.Optimal
 
 
-@pytest.mark.parametrize("branching", ["most_fractional", "pseudo_cost"])
-def test_branching_rules_agree_on_the_optimum(branching):
-    inst = random_instance(6)
-    model = build_model(inst, Objective.Z)
-    reference = solve_milp(model)
-    sol = solve_milp(model, SolveParams(branching=branching))
-    assert sol.status is SolveStatus.Optimal
-    assert sol.objective == pytest.approx(reference.objective, abs=1e-9)
-
-
-def test_parallel_workers_agree_on_the_optimum():
-    inst = random_instance(8)
-    model = build_model(inst, Objective.ZZ)
-    serial = solve_milp(model)
-    parallel = solve_milp(model, SolveParams(worker_count=2))
-    assert parallel.status is SolveStatus.Optimal
-    assert parallel.objective == pytest.approx(serial.objective, abs=1e-9)
-
-
 def test_warm_vector_leaking_through_big_m_rows_is_polished():
     # one job and both parts due before it can finish: each part is late,
     # so pulling its lc column below jc lowers the cost
