@@ -18,7 +18,6 @@ import csv
 import io
 import math
 import os
-import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -50,26 +49,8 @@ class SweepSpec:
     machines_override: int | None = None
 
 
-def _git_describe() -> str:
-    try:
-        out = subprocess.run(
-            ["git", "describe", "--always"],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            cwd=Path(__file__).parent,
-        )
-        if out.returncode == 0:
-            return out.stdout.strip()
-    except OSError:
-        pass
-    return "unreleased"
-
-
 def _provenance(extra: dict) -> str:
-    bits = [f"{k}={v}" for k, v in extra.items() if v is not None]
-    bits.append(f"git={_git_describe()}")
-    return " ".join(bits)
+    return " ".join(f"{k}={v}" for k, v in extra.items() if v is not None)
 
 
 def _load(source: str, seed: int) -> ProblemInstance:
@@ -239,7 +220,7 @@ def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
 
     schedule = decode(sol, inst)
     ev = evaluate(schedule, inst)
-    write_schedule_csv(schedule, ev, out / "schedule.csv", inst, params=provenance)
+    write_schedule_csv(schedule, ev, out / "schedule.csv", params=provenance)
     _write_evaluation_csv(ev, out / "evaluation.csv", provenance)
     click.echo(f"status: {sol.status.value}")
     click.echo(f"z_hours: {ev.z:.6f}")
@@ -262,7 +243,7 @@ def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, 
     except (InstanceError, ValueError, OSError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     out.mkdir(parents=True, exist_ok=True)
-    provenance = _provenance({"cmd": "pareto", "instance": instance_hash(inst), "K": epsilon_count})
+    provenance = _provenance({"instance": instance_hash(inst), "cmd": "pareto", "K": epsilon_count})
     try:
         front = pareto_front(inst, SolveParams(time_limit_s=time_limit, gap_tolerance=gap),
                              grid_count=epsilon_count, fixed_orientation=fixed_orientation)
@@ -275,11 +256,10 @@ def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, 
         if point.schedule is None:
             continue
         name = f"point_{idx}_schedule.csv"
-        write_schedule_csv(point.schedule, point.evaluation, out / name, inst,
-                           params=provenance)
+        write_schedule_csv(point.schedule, point.evaluation, out / name, params=provenance)
         names[idx] = name
     front = attach_schedule_files(front, names)
-    write_front_csv(front, out / "front.csv", inst, params=provenance)
+    write_front_csv(front, out / "front.csv", params=provenance)
     write_front_gnuplot(front, out / "front.dat")
     click.echo(f"payoff: z in [{front.payoff.z_ideal:.6f}, {front.payoff.z_nadir_est:.6f}], "
                f"zz in [{front.payoff.zz_ideal:.6f}, {front.payoff.zz_nadir_est:.6f}]")

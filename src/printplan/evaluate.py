@@ -379,7 +379,7 @@ def write_schedule_csv(
     if instance is not None:
         stamp += f" instance={instance_hash(instance)}"
     if params:
-        stamp += f" params={params}"
+        stamp += f" {params}"
     due = {rep.part_id: rep for rep in evaluation.parts}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -95,13 +95,5 @@ def max_base_area(part: Part) -> float:
     return max(o.base_area_mm2 for o in orientations(part))
 
 
-def max_feasible_base_area(part: Part, machine: MachineSpec) -> float | None:
-    """Largest footprint among orientations that fit the machine, or None."""
-    feas = feasible_orientations(part, machine)
-    if not feas:
-        return None
-    return max(o.base_area_mm2 for o in feas)
-
-
 def total_min_footprint(parts: Iterable[Part]) -> float:
     return sum(min_base_area(p) for p in parts)

@@ -1,10 +1,10 @@
 """Independent brute-force optimizer used as ground truth in tests.
 
 Everything here is deliberately redundant with the MILP path: schedules
-are enumerated outright, job timing is solved as a tiny LP, and costs
-come from the evaluator.  Agreement between this module and the
-branch-and-bound solver on small instances is the central correctness
-check of the whole package.
+are enumerated outright, job timing is solved exactly by a dynamic
+program over candidate completions, and costs come from the evaluator.
+Agreement between this module and the branch-and-bound solver on small
+instances is the central correctness check of the whole package.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from .evaluate import Evaluation, Placement, Schedule, evaluate
 from .geometry import feasible_orientations, volume_mm3
 from .instance import MachineSpec, ProblemInstance
-from .simplex import LpStatus, solve_lp
 
 
 @dataclass(frozen=True)
@@ -44,56 +43,52 @@ class TimingProblem:
 
 
 def _chain_timing(jobs: tuple[TimingJob, ...]) -> tuple[tuple[float, ...], float]:
-    """Optimal completions for one machine's job chain, via an LP.
+    """Optimal completions for one machine's job chain, by an exact DP.
 
-    Variables are the completions C_k plus one earliness and one
-    tardiness variable per member part; the chain spacing and the
-    one-sided deviation definitions are the rows.
+    With ``ends_k = P_1 + ... + P_k`` the chain rows ``C_1 >= P_1`` and
+    ``C_k >= C_{k-1} + P_k`` say that ``S_k = C_k - ends_k`` is
+    nonnegative and nondecreasing, and each job's cost is convex
+    piecewise linear in it.  So some optimum puts every ``S_k`` at 0 or
+    at a breakpoint ``d_i - ends_j`` of a part i in any job j.  A forward
+    pass over those candidate completions, each priced with its cheapest
+    feasible predecessor, is therefore exact.  Cost ties (within 1e-15)
+    go to the lowest completion.
     """
     if not jobs:
         return (), 0.0
-    k = len(jobs)
-    n_parts = sum(len(job.parts) for job in jobs)
-    n_cols = k + 2 * n_parts
-    cost = [0.0] * n_cols
-    rows = []
-    senses = []
-    rhs = []
-    # chain spacing: C_k - C_{k-1} >= P_k
-    for idx in range(1, k):
-        row = [0.0] * n_cols
-        row[idx] = 1.0
-        row[idx - 1] = -1.0
-        rows.append(row)
-        senses.append(">")
-        rhs.append(jobs[idx].processing_h)
-    col = k
-    for idx, job in enumerate(jobs):
-        for part in job.parts:
-            e_col, t_col = col, col + 1
-            col += 2
-            cost[e_col] = part.earliness_weight
-            cost[t_col] = part.tardiness_weight
-            early = [0.0] * n_cols
-            early[idx] = 1.0
-            early[e_col] = 1.0
-            rows.append(early)
-            senses.append(">")
-            rhs.append(part.due_h)
-            late = [0.0] * n_cols
-            late[idx] = -1.0
-            late[t_col] = 1.0
-            rows.append(late)
-            senses.append(">")
-            rhs.append(-part.due_h)
-    lower = [0.0] * n_cols
-    lower[0] = jobs[0].processing_h
-    upper = [math.inf] * n_cols
-    res = solve_lp(cost, rows, senses, rhs, lower, upper)
-    if res.status is not LpStatus.OPTIMAL:
-        raise RuntimeError(f"timing LP ended {res.status}, expected optimal")
-    completions = tuple(float(res.x[idx]) for idx in range(k))
-    return completions, float(res.objective)
+    ends = list(itertools.accumulate(job.processing_h for job in jobs))
+    breaks = [(part.due_h, j) for j, job in enumerate(jobs) for part in job.parts]
+    layers = []  # per job, ascending: (completion, cost through it, predecessor)
+    prev = [(-math.inf, 0.0, -1)]
+    for k, job in enumerate(jobs):
+        candidates = sorted({ends[k], *(max(ends[k], d + (ends[k] - ends[j])) for d, j in breaks)})
+        layer = []
+        best, best_at, pos = math.inf, -1, 0
+        for c in candidates:
+            # cheapest predecessor ending by c - P_k, the lowest on ties; the
+            # slack absorbs rounding, as both ends are rounded sums
+            limit = c - job.processing_h + 1e-9 * max(1.0, abs(c))
+            while pos < len(prev) and prev[pos][0] <= limit:
+                if prev[pos][1] < best - 1e-15:
+                    best, best_at = prev[pos][1], pos
+                pos += 1
+            own = sum(
+                p.earliness_weight * max(0.0, p.due_h - c) + p.tardiness_weight * max(0.0, c - p.due_h)
+                for p in job.parts
+            )
+            layer.append((c, best + own, best_at))
+        layers.append(layer)
+        prev = layer
+    at = 0
+    for i, (_, cost, _) in enumerate(prev):
+        if cost < prev[at][1] - 1e-15:
+            at = i
+    total = prev[at][1]
+    completions = []
+    for layer in reversed(layers):
+        completions.append(layer[at][0])
+        at = layer[at][2]
+    return tuple(reversed(completions)), total
 
 
 def optimal_timing(problem: TimingProblem) -> tuple[tuple[tuple[float, ...], ...], float]:
@@ -237,22 +232,6 @@ def brute_force(instance: ProblemInstance, *, max_parts: int = 6) -> BruteForceR
 
     ce = instance.penalties.earliness
     ct = instance.penalties.tardiness
-    timing_cache: dict = {}
-
-    def chain_cost(p_vector, due_groups):
-        key = tuple(
-            (round(p, 12), dues) for p, dues in zip(p_vector, due_groups)
-        )
-        hit = timing_cache.get(key)
-        if hit is None:
-            chain = tuple(
-                TimingJob(p, tuple(TimingPart(d, ce, ct) for d in dues))
-                for p, dues in zip(p_vector, due_groups)
-            )
-            hit = _chain_timing(chain)
-            timing_cache[key] = hit
-        return hit
-
     frontier_cache: dict = {}
 
     def pose_frontier(m, block):
@@ -281,13 +260,15 @@ def brute_force(instance: ProblemInstance, *, max_parts: int = 6) -> BruteForceR
             frontiers = [pose_frontier(m, block) for block in blocks]
             if not all(frontiers):
                 continue
-            due_groups = tuple(
-                tuple(sorted(instance.parts[i].due_h for i in block)) for block in blocks
+            part_groups = tuple(
+                tuple(TimingPart(d, ce, ct) for d in sorted(instance.parts[i].due_h for i in block))
+                for block in blocks
             )
             for choice in itertools.product(*frontiers):
-                p_vector = tuple(c[0] for c in choice)
                 occupied = sum(c[1] for c in choice)
-                completions, cost = chain_cost(p_vector, due_groups)
+                completions, cost = _chain_timing(
+                    tuple(TimingJob(c[0], parts) for c, parts in zip(choice, part_groups))
+                )
                 witness = tuple(
                     (block, poses, c)
                     for block, (_, _, poses), c in zip(blocks, choice, completions)
@@ -376,21 +357,6 @@ def brute_force(instance: ProblemInstance, *, max_parts: int = 6) -> BruteForceR
 # ------------------------------------------------------- single batch
 
 
-def _shared_completion_cost(dues, ce: float, ct: float, floor: float):
-    """Minimize the one-sided deviation sum for one shared completion.
-
-    The cost is piecewise linear and convex in C, so the optimum sits
-    at a due date or at the processing-time floor; scan those.
-    """
-    candidates = sorted({floor, *(d for d in dues if d >= floor)})
-    best_c, best_cost = None, math.inf
-    for c in candidates:
-        cost = sum(ce * max(0.0, d - c) + ct * max(0.0, c - d) for d in dues)
-        if cost < best_cost - 1e-15:
-            best_c, best_cost = c, cost
-    return best_c, best_cost
-
-
 def single_batch_oracle(
     instance: ProblemInstance, mode: str = "min_zz"
 ) -> tuple[Evaluation, Schedule]:
@@ -408,7 +374,7 @@ def single_batch_oracle(
 
     ce = instance.penalties.earliness
     ct = instance.penalties.tardiness
-    dues = tuple(p.due_h for p in instance.parts)
+    parts = tuple(TimingPart(p.due_h, ce, ct) for p in instance.parts)
     best = None
     shortfalls = []
     for m, machine in enumerate(instance.machines):
@@ -455,7 +421,7 @@ def single_batch_oracle(
             processing += machine.volumetric_time_h_per_mm3 * sum(
                 volume_mm3(p) for p in instance.parts
             )
-            completion, cost = _shared_completion_cost(dues, ce, ct, processing)
+            (completion,), cost = _chain_timing((TimingJob(processing, parts),))
             zz = machine.base_area_mm2 - occupied
             rank = (zz, cost) if mode == "min_zz" else (cost, zz)
             if best is None or rank < best[0]:

@@ -263,7 +263,7 @@ def write_front_csv(
     if instance is not None:
         stamp += f" instance={instance_hash(instance)}"
     if params:
-        stamp += f" params={params}"
+        stamp += f" {params}"
     table = front.payoff
     payoff_line = (
         f"# payoff z_ideal={table.z_ideal:.6f} zz_ideal={table.zz_ideal:.6f} "

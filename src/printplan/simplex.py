@@ -28,6 +28,10 @@ AT_LO, AT_UP, BASIC, FREE = 0, 1, 2, 3
 
 _REFACTOR_EVERY = 100
 _DEGENERATE_RUN = 300
+_MAX_ITERATIONS_BASE = 20_000
+_MAX_ITERATIONS_PER_DIM = 200
+_FEAS_TOL = 1e-7  # basic-value drift and row residual accepted at the optimum
+_BOUND_TOL = 1e-9  # relative slack before a basic variable counts as out of bounds
 
 
 class SimplexError(RuntimeError):
@@ -74,9 +78,6 @@ def solve_lp(
     upper,
     *,
     start: tuple[tuple[int, ...], bytes] | None = None,
-    max_iterations: int | None = None,
-    feas_tol: float = 1e-7,
-    bound_tol: float = 1e-9,
 ) -> LpResult:
     """Solve one LP. `senses` is a sequence of '<', '=' or '>' per row."""
     c = np.asarray(c, dtype=float)
@@ -114,8 +115,7 @@ def solve_lp(
             raise ValueError(f"unknown row sense {sense!r}")
     a_full = np.hstack([a, np.eye(m)])
 
-    if max_iterations is None:
-        max_iterations = 20_000 + 200 * (m + n)
+    max_iterations = _MAX_ITERATIONS_BASE + _MAX_ITERATIONS_PER_DIM * (m + n)
 
     def cold_state():
         basis = np.arange(n, n + m)
@@ -176,8 +176,8 @@ def solve_lp(
 
         xb = values[basis]
         lob, upb = lo[basis], up[basis]
-        below = xb < lob - _btol(lob, bound_tol)
-        above = xb > upb + _btol(upb, bound_tol)
+        below = xb < lob - _btol(lob, _BOUND_TOL)
+        above = xb > upb + _btol(upb, _BOUND_TOL)
         in_phase1 = bool(below.any() or above.any())
 
         if in_phase1:
@@ -217,14 +217,14 @@ def solve_lp(
             fresh = _basic_values(a_full, b, basis, values, binv)
             drift = float(np.abs(fresh - values[basis]).max()) if m else 0.0
             values[basis] = fresh
-            if drift > feas_tol:
+            if drift > _FEAS_TOL:
                 restarts += 1
                 if restarts > 5:
                     raise SimplexError("feasibility drift persisted across refactorizations")
                 it += 1
                 continue
             resid = float(np.abs(a_full @ values - b).max()) if m else 0.0
-            if resid > 10 * feas_tol:
+            if resid > 10 * _FEAS_TOL:
                 raise SimplexError(f"row residual {resid:.3e} above tolerance at optimum")
             obj = float(cols @ values)
             return _finish(LpStatus.OPTIMAL, obj, values, n, it, basis, status, binv)
@@ -239,7 +239,7 @@ def solve_lp(
         w = binv @ a_full[:, q]
 
         theta, leave_pos, leave_to = _ratio_test(
-            xb, lob, upb, below, above, w, direction, lo[q], up[q], bound_tol, bland, basis
+            xb, lob, upb, below, above, w, direction, lo[q], up[q], bland, basis
         )
 
         if theta is None:
@@ -320,7 +320,7 @@ def _basic_values(a_full, b, basis, values, binv):
     return binv @ (b - a_full @ v)
 
 
-def _ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bound_tol, bland, basis):
+def _ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, basis):
     """Largest step the entering variable can take.
 
     Feasible basics block at their own bounds.  Basics currently outside

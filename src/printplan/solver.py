@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .model import BINARY_FAMILIES, MilpModel
-from .simplex import LpResult, LpStatus, solve_lp
+from .simplex import LpStatus, solve_lp
 
 
 class SolveStatus(str, Enum):
@@ -56,26 +56,6 @@ class MilpSolution:
     @property
     def ok(self) -> bool:
         return self.values is not None
-
-
-def solve_lp_relaxation(
-    model: MilpModel,
-    extra_bounds: dict[int, tuple[float, float]] | None = None,
-    *,
-    start=None,
-) -> LpResult:
-    """Solve the model with integrality dropped.
-
-    ``extra_bounds`` tightens individual columns, which is how branching
-    decisions and warm-started re-solves are expressed.
-    """
-    a, senses, rhs = model.dense_rows()
-    lo, up = model.registry.bounds()
-    if extra_bounds:
-        for col, (clo, cup) in extra_bounds.items():
-            lo[col] = max(lo[col], clo)
-            up[col] = min(up[col], cup)
-    return solve_lp(model.objective, a, senses, rhs, lo, up, start=start)
 
 
 @dataclass(order=True)

@@ -16,7 +16,9 @@ from printplan.cli import (
     main,
     run_sweep,
 )
+from printplan import __version__
 from printplan.datasets import random_instance
+from printplan.instance import instance_hash
 from printplan.model import Objective, build_model
 from printplan.pareto import pareto_front
 from printplan.solver import SolveParams, solve_milp, write_solution
@@ -117,9 +119,11 @@ def test_solve_writes_schedule_and_evaluation(runner, tmp_path):
 
     schedule = (tmp_path / "schedule.csv").read_text()
     assert schedule.startswith("# printplan=")
+    assert schedule.splitlines()[0].count("instance=") == 1
     assert "part_id" in schedule
 
     evaluation = (tmp_path / "evaluation.csv").read_text()
+    assert evaluation.splitlines()[0] == schedule.splitlines()[0]
     assert "# totals z_hours=" in evaluation
     assert "zz_mm2=59987.460000" in evaluation
     assert "machine_id,job_index,part_count" in evaluation
@@ -233,6 +237,10 @@ def test_pareto_writes_front_and_point_schedules(runner, tmp_path):
     front_csv = (tmp_path / "front.csv").read_text()
     assert "# payoff z_ideal=" in front_csv
     assert "epsilon,z_hours,zz_mm2,status,schedule_file" in front_csv
+    # every stamp names the instance once
+    stamps = [path.read_text().splitlines()[0] for path in sorted(tmp_path.glob("*.csv"))]
+    assert len(stamps) >= 2
+    assert all(stamp.count("instance=") == 1 for stamp in stamps)
 
     dat = (tmp_path / "front.dat").read_text().splitlines()
     assert dat[0] == "# zz_mm2 z_hours"
@@ -325,6 +333,21 @@ def test_sweep_matches_direct_solve(runner, tmp_path):
     )
     direct = solve_milp(build_model(inst, Objective.Z))
     assert abs(float(row[3]) - direct.objective) <= 1e-6
+
+
+def test_sweep_provenance_line_is_exact(runner, tmp_path):
+    # a 1 mm2 plate holds no part, so the one cell is marked without a solve
+    result = runner.invoke(
+        main,
+        ["sweep", "--instance", "random", "--seed", "5", "--parameter", "machine_area",
+         "--values", "1", "--scenario", "free_orientation", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    first = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+    assert first == (
+        f"# printplan={__version__} instance={instance_hash(random_instance(5))} "
+        "cmd=sweep parameter=machine_area values=1 scenario=free_orientation"
+    )
 
 
 def test_sweep_layer_time_cost_shrinks(runner, tmp_path):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+from printplan import oracle
 
 from printplan.datasets import random_instance
 from printplan.evaluate import Placement, Schedule, evaluate
@@ -143,6 +148,83 @@ def test_timing_optimum_beats_perturbations(problem, delta):
                 prev = c
             if feasible:
                 assert timing_cost(problem.chains, (tuple(trial),)) >= cost - 1e-7
+
+
+@st.composite
+def chains_with_flat_spots(draw):
+    # zero processing glues jobs together; zero earliness weight leaves
+    # a part's cost flat before its due date
+    jobs = []
+    for _ in range(draw(st.integers(1, 4))):
+        p = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+        parts = tuple(
+            TimingPart(
+                draw(st.floats(0.0, 20.0)),
+                draw(st.one_of(st.just(0.0), st.floats(0.1, 3.0))),
+                draw(st.floats(0.1, 3.0)),
+            )
+            for _ in range(draw(st.integers(1, 3)))
+        )
+        jobs.append(TimingJob(p, parts))
+    return tuple(jobs)
+
+
+def chain_lp_optimum(jobs) -> float:
+    """The chain timing LP, solved by scipy: columns C_k, then (e, t) per part."""
+    k = len(jobs)
+    parts = [(idx, part) for idx, job in enumerate(jobs) for part in job.parts]
+    n = k + 2 * len(parts)
+    cost = [0.0] * n
+    a_ub, b_ub = [], []
+    for idx in range(1, k):
+        row = [0.0] * n
+        row[idx - 1], row[idx] = 1.0, -1.0  # C_{k-1} - C_k <= -P_k
+        a_ub.append(row)
+        b_ub.append(-jobs[idx].processing_h)
+    for pos, (idx, part) in enumerate(parts):
+        e_col, t_col = k + 2 * pos, k + 2 * pos + 1
+        cost[e_col], cost[t_col] = part.earliness_weight, part.tardiness_weight
+        early = [0.0] * n
+        early[idx], early[e_col] = -1.0, -1.0  # e >= d - C
+        a_ub.append(early)
+        b_ub.append(-part.due_h)
+        late = [0.0] * n
+        late[idx], late[t_col] = 1.0, -1.0  # t >= C - d
+        a_ub.append(late)
+        b_ub.append(part.due_h)
+    bounds = [(jobs[0].processing_h, None)] + [(0.0, None)] * (n - 1)
+    # HiGHS's default 1e-7 feasibility tolerances would leave its own
+    # optimum up to about 1e-7 off, the whole margin of the comparison
+    tight = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+    ref = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs", options=tight)
+    assert ref.status == 0
+    return ref.fun
+
+
+@settings(max_examples=200, deadline=None)
+@given(chains_with_flat_spots())
+def test_timing_matches_an_independent_lp_solver(jobs):
+    completions, cost = optimal_timing(TimingProblem((jobs,)))
+    assert cost == pytest.approx(chain_lp_optimum(jobs), abs=1e-7)
+    # the completions are feasible and attain the reported cost
+    assert timing_cost((jobs,), completions) == pytest.approx(cost, abs=1e-9)
+    prev = 0.0
+    for job, c in zip(jobs, completions[0]):
+        assert c >= prev + job.processing_h - 1e-9 * max(1.0, c)
+        prev = c
+
+
+def test_oracle_imports_nothing_from_simplex():
+    # the oracle is the reference the MILP path is checked against, so it
+    # must not share the MILP's LP engine
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or "", *(alias.name for alias in node.names)]
+            assert not any("simplex" in name for name in names)
+    assert not [
+        name for name, value in vars(oracle).items()
+        if getattr(value, "__module__", None) == "printplan.simplex"
+    ]
 
 
 # -------------------------------------------------------- brute force

@@ -18,7 +18,6 @@ from printplan.solver import (
     _Propagator,
     _is_feasible,
     parse_external_solution,
-    solve_lp_relaxation,
     solve_milp,
     write_solution,
 )
@@ -147,23 +146,6 @@ def test_epsilon_cap_binds():
     assert capped.status is SolveStatus.Optimal
     zz = model.objective_value(capped.values, Objective.ZZ)
     assert zz <= free.objective + 0.5 + 1e-6
-
-
-# LP relaxation
-
-
-def test_relaxation_bounds_the_integer_optimum():
-    model = build_model(tiny_instance(), Objective.Z)
-    relaxed = solve_lp_relaxation(model)
-    integer = solve_milp(model)
-    assert relaxed.objective <= integer.objective + 1e-9
-
-
-def test_relaxation_extra_bounds_are_respected():
-    model = build_model(tiny_instance(), Objective.Z)
-    col = model.registry.col("x", 0, 0, 0)
-    pinned = solve_lp_relaxation(model, {col: (1.0, 1.0)})
-    assert pinned.x[col] == pytest.approx(1.0, abs=1e-9)
 
 
 # bound propagation
