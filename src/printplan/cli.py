@@ -6,10 +6,14 @@ part-count prefixes, and ``sweep`` for parameter sensitivity runs.  All
 emit CSV files with a provenance comment line, plus gnuplot-ready data
 where a plot is the natural consumer.
 
-Models too large for the built-in solver (binary count above 120) are
-routed to an external-solver workflow: the model is written as an LP
-file and the run either reads a provided solution file or marks the
-cell pending.
+Every solve goes through one route.  Models too large for the built-in
+solver (binary count above 120), or any model under ``--solver
+external``, are written as an LP file; the run reads the ``.sol`` file
+beside it (``<out>/model.lp`` and ``model.sol`` for ``solve``,
+``<cell>.lp`` and ``<cell>.sol`` for a scenario or sweep cell) or,
+while that file is missing, marks the solve pending.  ``scenario`` is a
+part-count sweep over both orientation scenarios, pivoted into one row
+per prefix.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -46,7 +49,6 @@ class SweepSpec:
     parameter: str
     values: tuple[float, ...]
     scenario: str = "both"
-    machines_override: int | None = None
 
 
 def _provenance(extra: dict) -> str:
@@ -61,31 +63,48 @@ def _load(source: str, seed: int) -> ProblemInstance:
     return load_instance(source)
 
 
-def _prepare(source, seed, machines, parts_prefix, jobs):
-    """Load and reshape an instance; InstanceError maps to exit 2."""
-    inst = _load(source, seed)
-    if machines is not None:
-        inst = with_machine_count(inst, machines)
-    if parts_prefix is not None:
-        inst = part_prefix(inst, parts_prefix)
-    if jobs is not None:
-        inst = ProblemInstance(
-            machines=inst.machines,
-            parts=inst.parts,
-            penalties=inst.penalties,
-            jobs_per_machine=jobs,
-        )
+def _prepare(source, seed, machines, parts_prefix, jobs) -> ProblemInstance:
+    """Load, reshape and validate an instance; any failure exits 2."""
+    try:
+        inst = _load(source, seed)
+        if machines is not None:
+            inst = with_machine_count(inst, machines)
+        if parts_prefix is not None:
+            inst = part_prefix(inst, parts_prefix)
+        if jobs is not None:
+            inst = ProblemInstance(
+                machines=inst.machines,
+                parts=inst.parts,
+                penalties=inst.penalties,
+                jobs_per_machine=jobs,
+            )
+    except (InstanceError, ValueError, OSError) as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     report = validate(inst)
     if not report.ok:
-        raise InstanceError("; ".join(issue.message for issue in report.errors))
+        _fail(EXIT_VALIDATION, "; ".join(issue.message for issue in report.errors))
     return inst
 
 
 def _resolve_solver(flag: str | None, n_binaries: int) -> str:
-    choice = os.environ.get("PRINTPLAN_SOLVER") or flag
-    if choice in ("builtin", "external"):
-        return choice
+    if flag is not None:
+        return flag
     return "external" if n_binaries > AUTO_EXTERNAL_BINARIES else "builtin"
+
+
+def _solve_routed(model, params: SolveParams, solver: str | None, lp_path: Path):
+    """Solve in-process, or write ``lp_path`` and read the ``.sol`` beside it.
+
+    Returns None on the external route while the solution file is missing.
+    """
+    if _resolve_solver(solver, len(model.registry.binary_columns())) == "builtin":
+        return solve_milp(model, params)
+    lp_path.parent.mkdir(parents=True, exist_ok=True)
+    lp_path.write_text(write_lp(model))
+    sol_path = lp_path.with_suffix(".sol")
+    if not sol_path.exists():
+        return None
+    return parse_external_solution(sol_path.read_text(), model)
 
 
 def _write_rows(path: Path, provenance: str, header: list[str], rows: list[list], extra_comments=()) -> None:
@@ -152,8 +171,8 @@ def _search_options(fn):
 
 def _solver_option(fn):
     return click.option("--solver", type=click.Choice(["builtin", "external"]), default=None,
-                        help="Force the solver path (default: auto by model size; "
-                             "PRINTPLAN_SOLVER env var wins).")(fn)
+                        help="Force the solver path (default: external above "
+                             f"{AUTO_EXTERNAL_BINARIES} binaries).")(fn)
 
 
 def _cell_options(fn):
@@ -172,21 +191,13 @@ def main():
 @_instance_options
 @_search_options
 @_solver_option
-@click.option("--solution-in", type=click.Path(exists=False, path_type=Path), default=None,
-              help="Solution file from an external solver to read back.")
-@click.option("--lp-out", type=click.Path(path_type=Path), default=None,
-              help="Where to write the LP file on the external path.")
 @click.option("--objective", type=click.Choice(["z", "zz"]), default="z",
               show_default=True, help="Minimize timing cost (z) or unused area (zz).")
 @click.option("--fixed-orientation", is_flag=True, help="Pin every part to its as-delivered pose.")
 def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
-          solver, lp_out, solution_in, time_limit, gap):
+          solver, time_limit, gap):
     """Solve one model and write schedule plus evaluation CSVs."""
-    try:
-        inst = _prepare(source, seed, machines, None, jobs)
-    except (InstanceError, ValueError, OSError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
-
+    inst = _prepare(source, seed, machines, None, jobs)
     out.mkdir(parents=True, exist_ok=True)
     params = SolveParams(time_limit_s=time_limit, gap_tolerance=gap)
     model = build_model(inst, Objective(objective), fixed_orientation=fixed_orientation)
@@ -197,22 +208,14 @@ def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
         "fixed_orientation": fixed_orientation,
     })
 
-    mode = _resolve_solver(solver, len(model.registry.binary_columns()))
     started = time.perf_counter()
-    if mode == "external":
-        lp_path = lp_out or out / "model.lp"
-        lp_path.parent.mkdir(parents=True, exist_ok=True)
-        lp_path.write_text(write_lp(model))
-        if solution_in is None or not Path(solution_in).exists():
-            click.echo(f"LP written to {lp_path}; solve it externally and re-run "
-                       f"with --solution-in <file>")
-            click.echo("status: pending_external")
-            return
-        sol = parse_external_solution(Path(solution_in).read_text(), model)
-    else:
-        sol = solve_milp(model, params)
+    sol = _solve_routed(model, params, solver, out / "model.lp")
     wall = time.perf_counter() - started
-
+    if sol is None:
+        click.echo(f"LP written to {out / 'model.lp'}; solve it externally, save the "
+                   f"solution as {out / 'model.sol'} and re-run")
+        click.echo("status: pending_external")
+        return
     if sol.status is SolveStatus.Infeasible:
         _fail(EXIT_INFEASIBLE, "model is infeasible")
     if sol.values is None:
@@ -238,10 +241,7 @@ def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
 @click.option("--fixed-orientation", is_flag=True, help="Pin every part to its as-delivered pose.")
 def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, time_limit, gap):
     """Sweep the area cap and write the trade-off front (builtin solver only)."""
-    try:
-        inst = _prepare(source, seed, machines, None, jobs)
-    except (InstanceError, ValueError, OSError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    inst = _prepare(source, seed, machines, None, jobs)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance({"instance": instance_hash(inst), "cmd": "pareto", "K": epsilon_count})
     try:
@@ -268,20 +268,12 @@ def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, 
     click.echo(f"wrote {out / 'front.csv'} ({len(front.points)} nondominated points)")
 
 
-def _solve_cell(inst, fixed_orientation, params, mode, lp_path: Path):
+def _solve_cell(inst, fixed_orientation, params, solver, lp_path: Path):
     """One scenario/sweep cell: (z or None, status string)."""
     model = build_model(inst, Objective.Z, fixed_orientation=fixed_orientation)
-    if mode == "auto":
-        mode = _resolve_solver(None, len(model.registry.binary_columns()))
-    if mode == "external":
-        lp_path.parent.mkdir(parents=True, exist_ok=True)
-        lp_path.write_text(write_lp(model))
-        sol_path = lp_path.with_suffix(".sol")
-        if not sol_path.exists():
-            return None, "pending_external"
-        sol = parse_external_solution(sol_path.read_text(), model)
-    else:
-        sol = solve_milp(model, params)
+    sol = _solve_routed(model, params, solver, lp_path)
+    if sol is None:
+        return None, "pending_external"
     if sol.status is SolveStatus.Infeasible:
         return None, "infeasible"
     if sol.values is None:
@@ -312,60 +304,21 @@ def _parse_float_list(text: str) -> list[float]:
 def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit, gap, threads):
     """Compare free-orientation and fixed-orientation cost per part count.
 
-    Solves the cost-only model twice per prefix size.  Free orientation
-    can never lose to fixed orientation; the run fails loudly if the
-    emitted numbers ever say otherwise.
+    A part-count sweep over both scenarios, written one row per prefix
+    size.  Free orientation can never lose to fixed orientation; the run
+    fails loudly if the emitted numbers ever say otherwise.
     """
     sizes = _parse_int_list(prefixes)
     if not sizes:
         raise click.BadParameter("at least one prefix size required")
-    try:
-        base = _load(source, seed)
-        if machines is not None:
-            base = with_machine_count(base, machines)
-    except (InstanceError, ValueError, OSError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    base = _prepare(source, seed, machines, None, jobs)
     out.mkdir(parents=True, exist_ok=True)
-    params = SolveParams(time_limit_s=time_limit, gap_tolerance=gap)
-    mode = os.environ.get("PRINTPLAN_SOLVER") or solver or "auto"
-
-    cells = []
-    for n in sizes:
-        for fixed in (False, True):
-            cells.append((n, fixed))
-
-    def run(cell):
-        n, fixed = cell
-        try:
-            inst = part_prefix(base, n, jobs_per_machine=jobs)
-        except ValueError:
-            return None, "invalid_prefix"
-        tag = "fixed" if fixed else "free"
-        return _solve_cell(inst, fixed, params, mode, out / f"scenario_p{n}_{tag}.lp")
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(run, cells))
-
-    rows = []
-    results = {}
-    for (n, fixed), (z, status) in zip(cells, outcomes):
-        results[(n, fixed)] = (z, status)
-    for n in sizes:
-        z_free, st_free = results[(n, False)]
-        z_fixed, st_fixed = results[(n, True)]
-        rows.append([
-            n,
-            "" if z_free is None else f"{z_free:.6f}",
-            "" if z_fixed is None else f"{z_fixed:.6f}",
-            st_free,
-            st_fixed,
-        ])
-        if st_free == "optimal" and st_fixed == "optimal":
-            if z_free > z_fixed + 1e-6 * max(1.0, abs(z_fixed)):
-                raise click.ClickException(
-                    f"restriction dominance violated at prefix {n}: free orientation "
-                    f"cost {z_free:.6f} exceeds fixed {z_fixed:.6f}"
-                )
+    cells = run_sweep(base, SweepSpec("part_count_prefix", tuple(sizes)),
+                      SolveParams(time_limit_s=time_limit, gap_tolerance=gap),
+                      solver, out, threads=threads, stem="scenario")
+    # cells come as (free, fixed) pairs in prefix order
+    rows = [[n, free[3], fixed[3], free[4], fixed[4]]
+            for n, free, fixed in zip(sizes, cells[::2], cells[1::2])]
 
     provenance = _provenance({
         "instance": instance_hash(base),
@@ -382,11 +335,11 @@ def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit, ga
     click.echo(f"wrote {out / 'scenario.csv'}")
     for row in rows:
         click.echo("  n=%s free=%s fixed=%s (%s/%s)" % tuple(row))
-    _report_reference_deviation(base, results, sizes)
+    _report_reference_deviation(base, rows)
 
 
-def _report_reference_deviation(base, results, sizes):
-    """Informational comparison against published curve values, if any."""
+def _report_reference_deviation(base, rows):
+    """Informational comparison of scenario rows against published curve values, if any."""
     try:
         twenty = load_builtin("twenty_parts")
     except Exception:
@@ -397,12 +350,13 @@ def _report_reference_deviation(base, results, sizes):
     key = "twenty_parts_one_machine" if len(base.machines) == 1 else "twenty_parts_two_machines"
     if key not in curves:
         return
-    for scen_key, fixed in (("free_orientation", False), ("fixed_orientation", True)):
+    for scen_key, column in (("free_orientation", 1), ("fixed_orientation", 2)):
         published = dict(tuple(pair) for pair in curves[key][scen_key])
-        for n in sizes:
-            z, status = results.get((n, fixed), (None, ""))
-            if z is None or n not in published:
+        for row in rows:
+            n, z = row[0], row[column]
+            if z == "" or n not in published:
                 continue
+            z = float(z)
             click.echo(
                 f"reference check (informational): n={n} {scen_key} "
                 f"got {z:.3f} vs published {published[n]:.3f} "
@@ -434,8 +388,14 @@ def _apply_sweep_value(base: ProblemInstance, parameter: str, value: float) -> P
 
 
 def run_sweep(base: ProblemInstance, spec: SweepSpec, params: SolveParams,
-              mode: str, out: Path, threads: int = 1):
-    """Execute a sweep; returns rows [parameter, value, scenario, z, status]."""
+              solver: str | None, out: Path, threads: int = 1, stem: str = "sweep"):
+    """Execute a sweep; returns rows [parameter, value, scenario, z, status].
+
+    Cells run value-major, free orientation before fixed.  A cell routed
+    to the external solver writes ``<out>/<stem>_<label>_<free|fixed>.lp``,
+    where the label is ``p<n>`` for a part-count prefix and
+    ``<parameter>_<value>`` otherwise.
+    """
     if spec.parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {spec.parameter!r}")
     if not spec.values:
@@ -444,8 +404,6 @@ def run_sweep(base: ProblemInstance, spec: SweepSpec, params: SolveParams,
         raise ValueError("sweep values must be positive")
     if spec.scenario not in ("free_orientation", "fixed_orientation", "both"):
         raise ValueError(f"unknown scenario {spec.scenario!r}")
-    if spec.machines_override is not None:
-        base = with_machine_count(base, spec.machines_override)
 
     scenarios = {
         "free_orientation": (False,),
@@ -464,9 +422,9 @@ def run_sweep(base: ProblemInstance, spec: SweepSpec, params: SolveParams,
                 return None, "invalid_instance"
         except (InstanceError, ValueError):
             return None, "invalid_instance"
+        label = f"p{value:g}" if spec.parameter == "part_count_prefix" else f"{spec.parameter}_{value:g}"
         tag = "fixed" if fixed else "free"
-        lp_path = out / f"sweep_{spec.parameter}_{value:g}_{tag}.lp"
-        return _solve_cell(inst, fixed, params, mode, lp_path)
+        return _solve_cell(inst, fixed, params, solver, out / f"{stem}_{label}_{tag}.lp")
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(run, cells))
@@ -524,16 +482,12 @@ def sweep(source, seed, jobs, machines, out, parameter, values, scenario, parts_
           solver, time_limit, gap, threads):
     """Sensitivity analysis: re-solve the cost model along one parameter."""
     value_list = _parse_float_list(values)
-    try:
-        base = _prepare(source, seed, None, parts_prefix, jobs)
-    except (InstanceError, ValueError, OSError) as exc:
-        _fail(EXIT_VALIDATION, str(exc))
+    base = _prepare(source, seed, machines, parts_prefix, jobs)
     out.mkdir(parents=True, exist_ok=True)
-    spec = SweepSpec(parameter, tuple(value_list), scenario, machines)
+    spec = SweepSpec(parameter, tuple(value_list), scenario)
     params = SolveParams(time_limit_s=time_limit, gap_tolerance=gap)
-    mode = os.environ.get("PRINTPLAN_SOLVER") or solver or "auto"
     try:
-        rows = run_sweep(base, spec, params, mode, out, threads=threads)
+        rows = run_sweep(base, spec, params, solver, out, threads=threads)
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
 

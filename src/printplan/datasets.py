@@ -42,9 +42,15 @@ def reference_curves() -> dict:
 
 
 def part_prefix(instance: ProblemInstance, n: int, jobs_per_machine: int | None = None) -> ProblemInstance:
-    """Sub-instance holding only the first n parts."""
+    """Sub-instance holding only the first n parts.
+
+    It keeps the instance's job slots per machine, capped at n: a slot
+    beyond the n-th could hold no part.
+    """
     if not 1 <= n <= len(instance.parts):
         raise ValueError(f"prefix size {n} outside 1..{len(instance.parts)}")
+    if jobs_per_machine is None:
+        jobs_per_machine = min(instance.jobs_per_machine, n)
     return ProblemInstance(
         machines=instance.machines,
         parts=instance.parts[:n],

@@ -85,8 +85,6 @@ def solve_lp(
     b = np.asarray(b, dtype=float)
     n = c.shape[0]
     m = a.shape[0] if a.size else len(b)
-    if m == 0:
-        return _bound_only_solve(c, np.asarray(lower, float), np.asarray(upper, float))
 
     # scale rows by max-abs coefficient
     a = a.reshape(m, n).copy()
@@ -388,19 +386,3 @@ def _finish(status, objective, values, n, iterations, basis, statuses, binv=None
         binv=binv,
     )
 
-
-def _bound_only_solve(c, lower, upper):
-    """Row-free LP: each variable sits at whichever bound its cost prefers."""
-    x = np.zeros(c.shape[0])
-    for j, cj in enumerate(c):
-        if cj > 0:
-            if not np.isfinite(lower[j]):
-                return LpResult(LpStatus.UNBOUNDED, None, x, 0, (), b"")
-            x[j] = lower[j]
-        elif cj < 0:
-            if not np.isfinite(upper[j]):
-                return LpResult(LpStatus.UNBOUNDED, None, x, 0, (), b"")
-            x[j] = upper[j]
-        else:
-            x[j] = lower[j] if np.isfinite(lower[j]) else (upper[j] if np.isfinite(upper[j]) else 0.0)
-    return LpResult(LpStatus.OPTIMAL, float(c @ x), x, 0, (), b"")

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+import printplan.cli
 from printplan.cli import (
     AUTO_EXTERNAL_BINARIES,
     SweepSpec,
@@ -17,7 +18,7 @@ from printplan.cli import (
     run_sweep,
 )
 from printplan import __version__
-from printplan.datasets import random_instance
+from printplan.datasets import load_builtin, part_prefix, random_instance, with_machine_count
 from printplan.instance import instance_hash
 from printplan.model import Objective, build_model
 from printplan.pareto import pareto_front
@@ -91,6 +92,19 @@ def test_time_limit_without_incumbent_exits_4(runner, tmp_path):
 def test_unknown_builtin_is_treated_as_path(runner, tmp_path):
     result = runner.invoke(main, ["solve", "--instance", "no_such_file.json", "--out", str(tmp_path)])
     assert result.exit_code == 2
+
+
+def test_scenario_unfittable_part_exits_2(runner, tmp_path):
+    doc = {**TIGHT_DOC, "parts": [
+        {"id": "p1", "width_mm": 300, "length_mm": 300, "height_mm": 300, "due_h": 10},
+    ]}
+    path = write_instance(tmp_path, doc)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["scenario", "--instance", str(path), "--parts-prefix", "1",
+                                  "--out", str(out)])
+    assert result.exit_code == 2
+    assert "p1" in result.output
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("args, option", [
@@ -168,21 +182,21 @@ def test_jobs_override_restricts_slots(runner, tmp_path):
 # solver routing
 
 
-def test_resolve_solver_rules(monkeypatch):
-    monkeypatch.delenv("PRINTPLAN_SOLVER", raising=False)
+def test_resolve_solver_rules():
     assert _resolve_solver(None, AUTO_EXTERNAL_BINARIES) == "builtin"
     assert _resolve_solver(None, AUTO_EXTERNAL_BINARIES + 1) == "external"
     assert _resolve_solver("builtin", 10_000) == "builtin"
     assert _resolve_solver("external", 3) == "external"
-    monkeypatch.setenv("PRINTPLAN_SOLVER", "external")
-    assert _resolve_solver("builtin", 3) == "external"
+    # --solver is the only knob: no environment variable can override it
+    source = Path(printplan.cli.__file__).read_text()
+    assert "environ" not in source and "getenv" not in source
 
 
-def test_env_override_forces_external_pending(runner, tmp_path):
+def test_solver_flag_forces_external_pending(runner, tmp_path):
     result = runner.invoke(
         main,
-        ["solve", "--instance", "random", "--seed", "1", "--out", str(tmp_path)],
-        env={"PRINTPLAN_SOLVER": "external"},
+        ["solve", "--instance", "random", "--seed", "1", "--solver", "external",
+         "--out", str(tmp_path)],
     )
     assert result.exit_code == 0, result.output
     assert "pending_external" in result.output
@@ -195,13 +209,13 @@ def test_external_solution_read_back_matches_builtin(runner, tmp_path):
     inst = random_instance(1)
     model = build_model(inst, Objective.Z)
     builtin = solve_milp(model)
-    sol_path = tmp_path / "model.sol"
-    sol_path.write_text(write_solution(builtin, model))
+    # the solution is read from model.sol beside the written model.lp
+    (tmp_path / "model.sol").write_text(write_solution(builtin, model))
 
     result = runner.invoke(
         main,
         ["solve", "--instance", "random", "--seed", "1", "--solver", "external",
-         "--solution-in", str(sol_path), "--out", str(tmp_path)],
+         "--out", str(tmp_path)],
     )
     assert result.exit_code == 0, result.output
     assert "status: optimal" in result.output
@@ -221,6 +235,30 @@ def test_auto_external_above_binary_threshold(runner, tmp_path):
     assert rows[-1].endswith("pending_external,pending_external")
     assert (tmp_path / "scenario_p10_free.lp").exists()
     assert (tmp_path / "scenario_p10_fixed.lp").exists()
+
+
+def test_scenario_cells_read_back_external_solutions(runner, tmp_path):
+    args = ["scenario", "--instance", "twenty_parts", "--machines", "1", "--parts-prefix", "2",
+            "--solver", "external", "--out", str(tmp_path)]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    row = (tmp_path / "scenario.csv").read_text().splitlines()[-1]
+    assert row == "2,,,pending_external,pending_external"
+
+    inst = part_prefix(with_machine_count(load_builtin("twenty_parts"), 1), 2)
+    expected = {}
+    for tag, fixed in (("free", False), ("fixed", True)):
+        model = build_model(inst, Objective.Z, fixed_orientation=fixed)
+        builtin = solve_milp(model)
+        expected[tag] = builtin.objective
+        (tmp_path / f"scenario_p2_{tag}.sol").write_text(write_solution(builtin, model))
+
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    n, z_free, z_fixed, st_free, st_fixed = (tmp_path / "scenario.csv").read_text().splitlines()[-1].split(",")
+    assert (n, st_free, st_fixed) == ("2", "optimal", "optimal")
+    assert abs(float(z_free) - expected["free"]) <= 1e-6
+    assert abs(float(z_fixed) - expected["fixed"]) <= 1e-6
 
 
 # pareto command
@@ -299,6 +337,21 @@ def test_scenario_rows_and_dominance(runner, tmp_path):
         assert row[3] == row[4] == "optimal"
         assert float(row[1]) <= float(row[2]) + 1e-6
 
+    # scenario is the part-count sweep over both orientations, pivoted wide
+    out = tmp_path / "sweep"
+    result = runner.invoke(
+        main,
+        ["sweep", "--instance", "twenty_parts", "--machines", "1",
+         "--parameter", "part_count_prefix", "--values", "2,4", "--scenario", "both",
+         "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    cells = {(r[1], r[2]): (r[3], r[4])
+             for r in (l.split(",") for l in (out / "sweep.csv").read_text().splitlines()[2:])}
+    for n, z_free, z_fixed, st_free, st_fixed in body:
+        assert cells[(n, "free_orientation")] == (z_free, st_free)
+        assert cells[(n, "fixed_orientation")] == (z_fixed, st_fixed)
+
 
 def test_scenario_rejects_bad_prefix_list(runner, tmp_path):
     result = runner.invoke(
@@ -336,18 +389,25 @@ def test_sweep_matches_direct_solve(runner, tmp_path):
 
 
 def test_sweep_provenance_line_is_exact(runner, tmp_path):
-    # a 1 mm2 plate holds no part, so the one cell is marked without a solve
-    result = runner.invoke(
-        main,
-        ["sweep", "--instance", "random", "--seed", "5", "--parameter", "machine_area",
-         "--values", "1", "--scenario", "free_orientation", "--out", str(tmp_path)],
+    # a 1 mm2 plate holds no part, so the one cell is marked without a solve;
+    # the stamp hashes the instance as swept, after --machines
+    cases = (
+        ([], random_instance(5)),
+        (["--machines", "1"], with_machine_count(random_instance(5), 1)),
     )
-    assert result.exit_code == 0, result.output
-    first = (tmp_path / "sweep.csv").read_text().splitlines()[0]
-    assert first == (
-        f"# printplan={__version__} instance={instance_hash(random_instance(5))} "
-        "cmd=sweep parameter=machine_area values=1 scenario=free_orientation"
-    )
+    for extra, inst in cases:
+        out = tmp_path / f"machines{len(inst.machines)}"
+        result = runner.invoke(
+            main,
+            ["sweep", "--instance", "random", "--seed", "5", "--parameter", "machine_area",
+             "--values", "1", "--scenario", "free_orientation", "--out", str(out)] + extra,
+        )
+        assert result.exit_code == 0, result.output
+        first = (out / "sweep.csv").read_text().splitlines()[0]
+        assert first == (
+            f"# printplan={__version__} instance={instance_hash(inst)} "
+            "cmd=sweep parameter=machine_area values=1 scenario=free_orientation"
+        )
 
 
 def test_sweep_layer_time_cost_shrinks(runner, tmp_path):

@@ -103,6 +103,10 @@ def test_row_free_problem():
     res = solve_lp([1, -1], np.zeros((0, 2)), [], [], [0, 0], [4, 4])
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(-4)
+    # a cost pulling toward an infinite bound with no row to stop it
+    res = solve_lp([-1], np.zeros((0, 1)), [], [], [0], [np.inf])
+    assert res.status is LpStatus.UNBOUNDED
+    assert res.objective is None
 
 
 def test_timing_shape_lp():
