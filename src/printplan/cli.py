@@ -369,6 +369,8 @@ SWEEP_PARAMETERS = ("layer_time", "volumetric_time", "machine_area", "part_count
 
 def _apply_sweep_value(base: ProblemInstance, parameter: str, value: float) -> ProblemInstance:
     if parameter == "part_count_prefix":
+        if value != int(value):
+            raise ValueError(f"part count prefix {value:g} is not an integer")
         return part_prefix(base, int(value))
     machines = []
     for m in base.machines:

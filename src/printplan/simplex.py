@@ -69,6 +69,43 @@ class LpResult:
         return (self.basis, self.statuses, self.binv)
 
 
+@dataclass(frozen=True)
+class LpRows:
+    """The row data of an LP, prepared once for many solves over the same rows.
+
+    Rows are scaled by their max-abs coefficient (an all-zero row keeps
+    scale 1), and each row gets its slack column, whose bounds encode
+    the row sense.
+    """
+
+    a_full: np.ndarray  # scaled [A | I], shape (m, n + m)
+    b: np.ndarray  # scaled right-hand side
+    slack_lo: np.ndarray
+    slack_up: np.ndarray
+
+
+def prepare_rows(a, senses, b) -> LpRows:
+    """Scale the rows of ``A x {<,=,>} b`` and append one slack column per row."""
+    a = np.array(a, dtype=float)
+    b = np.array(b, dtype=float)
+    m = a.shape[0]
+    if a.ndim != 2 or b.shape != (m,):
+        raise ValueError("rows need a 2-D coefficient array and one rhs per row")
+    scale = np.abs(a).max(axis=1, initial=0.0)
+    scale = np.where(scale < 1e-12, 1.0, scale)
+    a /= scale[:, None]
+    b /= scale
+    senses = list(senses)
+    if len(senses) != m:
+        raise ValueError("one row sense per row required")
+    for sense in senses:
+        if sense not in ("<", "=", ">"):
+            raise ValueError(f"unknown row sense {sense!r}")
+    slack_lo = np.array([-np.inf if s == ">" else 0.0 for s in senses])
+    slack_up = np.array([np.inf if s == "<" else 0.0 for s in senses])
+    return LpRows(np.hstack([a, np.eye(m)]), b, slack_lo, slack_up)
+
+
 def solve_lp(
     c,
     a,
@@ -79,39 +116,28 @@ def solve_lp(
     *,
     start: tuple[tuple[int, ...], bytes] | None = None,
 ) -> LpResult:
-    """Solve one LP. `senses` is a sequence of '<', '=' or '>' per row."""
+    """Solve one LP. `senses` is a sequence of '<', '=' or '>' per row.
+
+    ``a`` may instead be the `LpRows` that `prepare_rows(a, senses, b)`
+    returned, which saves the row preparation when many LPs share their
+    rows; ``senses`` and ``b`` are then not read.
+    """
     c = np.asarray(c, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
     n = c.shape[0]
-    m = a.shape[0] if a.size else len(b)
+    rows = a if isinstance(a, LpRows) else prepare_rows(np.reshape(a, (len(b), n)), senses, b)
+    a_full, b = rows.a_full, rows.b
+    m = b.shape[0]
+    if a_full.shape[1] != n + m:
+        raise ValueError("row width does not match the cost vector")
 
-    # scale rows by max-abs coefficient
-    a = a.reshape(m, n).copy()
-    b = b.astype(float).copy()
-    scale = np.maximum(np.abs(a).max(axis=1), 1e-12)
-    scale = np.where(scale < 1e-12, 1.0, scale)
-    a /= scale[:, None]
-    b /= scale
-
-    # slack columns: one per row, sense encoded in the slack bounds
     total = n + m
     cols = np.zeros(total)
     cols[:n] = c
-    lo = np.full(total, -np.inf)
-    up = np.full(total, np.inf)
-    lo[:n] = lower
-    up[:n] = upper
-    for r, sense in enumerate(senses):
-        if sense == "<":
-            lo[n + r], up[n + r] = 0.0, np.inf
-        elif sense == ">":
-            lo[n + r], up[n + r] = -np.inf, 0.0
-        elif sense == "=":
-            lo[n + r], up[n + r] = 0.0, 0.0
-        else:
-            raise ValueError(f"unknown row sense {sense!r}")
-    a_full = np.hstack([a, np.eye(m)])
+    lo = np.concatenate([np.asarray(lower, dtype=float), rows.slack_lo])
+    up = np.concatenate([np.asarray(upper, dtype=float), rows.slack_up])
+    # a basic variable past these limits counts as out of bounds
+    lo_lim = lo - _btol(lo, _BOUND_TOL)
+    up_lim = up + _btol(up, _BOUND_TOL)
 
     max_iterations = _MAX_ITERATIONS_BASE + _MAX_ITERATIONS_PER_DIM * (m + n)
 
@@ -133,10 +159,7 @@ def solve_lp(
             raise ValueError("warm start does not match problem shape")
         # bounds may have changed since the start basis was recorded:
         # re-anchor nonbasic variables onto currently finite bounds
-        for j in range(total):
-            if status[j] == BASIC:
-                continue
-            status[j] = _reanchor(status[j], lo[j], up[j])
+        status = _reanchor(status, lo, up)
         if len(start) > 2 and start[2] is not None and start[2].shape == (m, m):
             binv = np.array(start[2])
             values = _nonbasic_values(status, lo, up)
@@ -174,8 +197,8 @@ def solve_lp(
 
         xb = values[basis]
         lob, upb = lo[basis], up[basis]
-        below = xb < lob - _btol(lob, _BOUND_TOL)
-        above = xb > upb + _btol(upb, _BOUND_TOL)
+        below = xb < lo_lim[basis]
+        above = xb > up_lim[basis]
         in_phase1 = bool(below.any() or above.any())
 
         if in_phase1:
@@ -190,11 +213,9 @@ def solve_lp(
         y = c_eff[basis] @ binv
         d = c_eff - y @ a_full
 
-        can_up = (status == AT_LO) & (d < -price_tol)
-        can_dn = (status == AT_UP) & (d > price_tol)
         free_mask = status == FREE
-        can_up |= free_mask & (d < -price_tol)
-        can_dn |= free_mask & (d > price_tol)
+        can_up = ((status == AT_LO) | free_mask) & (d < -price_tol)
+        can_dn = ((status == AT_UP) | free_mask) & (d > price_tol)
         eligible = can_up | can_dn
 
         if not eligible.any():
@@ -269,7 +290,9 @@ def solve_lp(
             # pivot magnitude above 1e-9
             piv = w[leave_pos]
             row = binv[leave_pos] / piv
-            binv -= w[:, None] * row[None, :]
+            # rows with w_i == 0 would only subtract 0 * row
+            nz = np.flatnonzero(w)
+            binv[nz] -= w[nz, None] * row[None, :]
             binv[leave_pos] = row
         it += 1
 
@@ -286,16 +309,16 @@ def _default_nonbasic_status(lo, up):
     return status
 
 
-def _reanchor(stat, lo_j, up_j):
-    if stat == AT_LO and not np.isfinite(lo_j):
-        return AT_UP if np.isfinite(up_j) else FREE
-    if stat == AT_UP and not np.isfinite(up_j):
-        return AT_LO if np.isfinite(lo_j) else FREE
-    if stat == FREE and np.isfinite(lo_j):
-        return AT_LO
-    if stat == FREE and np.isfinite(up_j):
-        return AT_UP
-    return stat
+def _reanchor(status, lo, up):
+    """Move each nonbasic status that names an infinite bound, or a FREE
+    one that now has a finite bound, to the default for its bounds."""
+    fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
+    stale = (
+        ((status == AT_LO) & ~fin_lo)
+        | ((status == AT_UP) & ~fin_up)
+        | ((status == FREE) & (fin_lo | fin_up))
+    )
+    return np.where(stale, _default_nonbasic_status(lo, up), status).astype(np.int8)
 
 
 def _nonbasic_values(status, lo, up):
@@ -324,42 +347,30 @@ def _ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, bas
     Feasible basics block at their own bounds.  Basics currently outside
     a bound block when they reach that bound (where the phase-1 cost
     slope changes).  Returns (theta, blocking basis position or -1 for a
-    bound flip, status the leaving variable takes).
+    bound flip, status the leaving variable takes).  Only the rows that
+    move (|w| > 1e-9) can block, so only those are examined.
     """
-    dv = -direction * w
-    m = xb.shape[0]
-
     best = np.inf
     if np.isfinite(lo_q) and np.isfinite(up_q):
         best = up_q - lo_q
 
-    cand_theta = np.full(m, np.inf)
-    cand_to = np.full(m, AT_LO, dtype=np.int8)
-
-    moving = np.abs(w) > 1e-9
-    dec = moving & (dv < 0)
-    inc = moving & (dv > 0)
-
-    feas = ~(below | above)
-
-    sel = feas & dec & np.isfinite(lob)
-    cand_theta[sel] = (xb[sel] - lob[sel]) / (-dv[sel])
-    cand_to[sel] = AT_LO
-
-    sel = feas & inc & np.isfinite(upb)
-    cand_theta[sel] = (upb[sel] - xb[sel]) / dv[sel]
-    cand_to[sel] = AT_UP
-
-    sel = below & inc
-    cand_theta[sel] = (lob[sel] - xb[sel]) / dv[sel]
-    cand_to[sel] = AT_LO
-
-    sel = above & dec
-    cand_theta[sel] = (xb[sel] - upb[sel]) / (-dv[sel])
-    cand_to[sel] = AT_UP
-
+    idx = np.flatnonzero(np.abs(w) > 1e-9)
+    dv = -direction * w[idx]
+    x, lb, ub = xb[idx], lob[idx], upb[idx]
+    blw, abv = below[idx], above[idx]
+    inc = dv > 0
+    dec = ~inc  # dv is nonzero on moving rows
+    feas = ~(blw | abv)
+    # a feasible basic stops at the bound it heads for, an infeasible one
+    # at the bound it crosses back over; (x - lb) / -dv equals
+    # (lb - x) / dv up to the sign of zero, which the clamp at 0 removes
+    to_lo = np.where(feas, dec, blw & inc) & np.isfinite(lb)
+    to_up = np.where(feas, inc, abv & dec) & np.isfinite(ub)
+    target = np.where(to_lo, lb, ub)
+    cand_theta = np.where(to_lo | to_up, (target - x) / dv, np.inf)
     cand_theta = np.maximum(cand_theta, 0.0)
-    row_min = float(cand_theta.min()) if m else np.inf
+
+    row_min = float(cand_theta.min()) if idx.size else np.inf
     theta = min(best, row_min)
     if not np.isfinite(theta):
         return None, -1, AT_LO
@@ -369,10 +380,10 @@ def _ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, bas
 
     near = np.flatnonzero(cand_theta <= theta + 1e-9)
     if bland:
-        pos = int(near[np.argmin(basis[near])])
+        k = int(near[np.argmin(basis[idx[near]])])
     else:
-        pos = int(near[np.argmax(np.abs(w[near]))])
-    return float(cand_theta[pos]), pos, int(cand_to[pos])
+        k = int(near[np.argmax(np.abs(w[idx[near]]))])
+    return float(cand_theta[k]), int(idx[k]), AT_UP if to_up[k] else AT_LO
 
 
 def _finish(status, objective, values, n, iterations, basis, statuses, binv=None):
@@ -381,7 +392,7 @@ def _finish(status, objective, values, n, iterations, basis, statuses, binv=None
         objective=objective,
         x=values[:n].copy(),
         iterations=iterations,
-        basis=tuple(int(j) for j in basis),
+        basis=tuple(basis.tolist()),
         statuses=statuses.tobytes(),
         binv=binv,
     )

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .model import BINARY_FAMILIES, MilpModel
-from .simplex import LpStatus, solve_lp
+from .simplex import LpStatus, prepare_rows, solve_lp
 
 
 class SolveStatus(str, Enum):
@@ -75,6 +75,9 @@ class _Propagator:
     {0, 1}.  Detects many infeasible nodes outright and fixes implied
     binaries, which keeps the tree small when a cap row (an epsilon cap,
     say) is nearly tight.
+
+    Rows are kept as ``<=`` rows in coordinate form (``>=`` rows negated,
+    ``=`` rows both ways); model rows hold a few nonzeros each.
     """
 
     def __init__(self, a: np.ndarray, senses, rhs: np.ndarray, binary_cols):
@@ -85,40 +88,44 @@ class _Propagator:
             if mask.any():
                 blocks.append(sign * a[mask])
                 rhs_blocks.append(sign * rhs[mask])
-        self.a = np.vstack(blocks) if blocks else np.zeros((0, a.shape[1]))
+        stacked = np.vstack(blocks) if blocks else np.zeros((0, a.shape[1]))
+        self.active = stacked.size > 0
+        self.row, self.col = np.nonzero(stacked)
+        self.val = stacked[self.row, self.col]
+        self.pos = self.val > 0
         self.rhs = np.concatenate(rhs_blocks) if rhs_blocks else np.zeros(0)
-        self.pos = self.a > 0
-        self.neg = self.a < 0
         self.rhs_scale = np.maximum(1.0, np.abs(self.rhs))
         self.binary_mask = np.zeros(a.shape[1], dtype=bool)
         self.binary_mask[list(binary_cols)] = True
 
     def run(self, lo: np.ndarray, up: np.ndarray, passes: int = 4) -> bool:
-        if not self.a.size:
+        if not self.active:
             return True
         tol = 1e-7
-        a = self.a
+        row, col, val, pos = self.row, self.col, self.val, self.pos
+        n_rows = self.rhs.shape[0]
         for _ in range(passes):
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-                raw = np.where(self.pos, a * lo[None, :], a * up[None, :])
-                contrib = np.where(self.pos | self.neg, raw, 0.0)
+                contrib = np.where(pos, val * lo[col], val * up[col])
                 inf_mask = np.isneginf(contrib)
-                n_inf = inf_mask.sum(axis=1)
-                finite_sum = np.where(inf_mask, 0.0, contrib).sum(axis=1)
+                finite = np.where(inf_mask, 0.0, contrib)
+                n_inf = np.bincount(row[inf_mask], minlength=n_rows)
+                finite_sum = np.bincount(row, weights=finite, minlength=n_rows)
                 fully_finite = n_inf == 0
                 if np.any(
                     fully_finite & (finite_sum > self.rhs + tol * self.rhs_scale)
                 ):
                     return False
-                # residual for each variable: the row's minimum activity
-                # with that variable excluded; only defined when every
-                # other contribution is finite
-                excl = finite_sum[:, None] - np.where(inf_mask, 0.0, contrib)
-                defined = fully_finite[:, None] | (inf_mask & (n_inf == 1)[:, None])
-                residual = np.where(defined, self.rhs[:, None] - excl, np.inf)
-                cap = residual / a
-                ub_cand = np.where(self.pos, cap, np.inf).min(axis=0)
-                lb_cand = np.where(self.neg, cap, -np.inf).max(axis=0)
+                # residual for each entry: the row's minimum activity with
+                # that variable excluded; only defined when every other
+                # contribution is finite
+                defined = fully_finite[row] | (inf_mask & (n_inf[row] == 1))
+                residual = np.where(defined, self.rhs[row] - (finite_sum[row] - finite), np.inf)
+                cap = residual / val
+            ub_cand = np.full(lo.shape[0], np.inf)
+            lb_cand = np.full(lo.shape[0], -np.inf)
+            np.minimum.at(ub_cand, col[pos], cap[pos])
+            np.maximum.at(lb_cand, col[~pos], cap[~pos])
             new_up = np.minimum(up, ub_cand)
             new_lo = np.maximum(lo, lb_cand)
             bm = self.binary_mask
@@ -163,6 +170,7 @@ def solve_milp(
             col_rank[d.column] = min(rank, 2)  # b and f branch at one level
     int_tol = params.integrality_tolerance
     propagator = _Propagator(a, senses, rhs, binary_cols)
+    rows = prepare_rows(a, senses, rhs)
 
     def lp_solve(fixings: dict[int, float], start):
         lo = base_lo.copy()
@@ -180,7 +188,7 @@ def solve_milp(
         bm = propagator.binary_mask
         lo[bm] = plo[bm]
         up[bm] = pup[bm]
-        return solve_lp(cost, a, senses, rhs, lo, up, start=start)
+        return solve_lp(cost, rows, senses, rhs, lo, up, start=start)
 
     bin_idx = np.asarray(binary_cols, dtype=int)
 
@@ -212,12 +220,19 @@ def solve_milp(
             incumbent_obj = obj
             incumbent_x = values
 
+    # polish depends only on the rounded binaries, so a seed that rounds
+    # like an earlier one would reach the same point, which offer rejects
+    polished_keys = set()
     for cand in warm_values or []:
         cand = np.asarray(cand, dtype=float)
         if cand.shape[0] != model.registry.n_columns:
             continue
         if not _is_feasible(cand, a, senses, rhs, base_lo, base_up, binary_cols, int_tol):
             continue
+        key = np.round(cand[bin_idx]).tobytes()
+        if key in polished_keys:
+            continue
+        polished_keys.add(key)
         # the polished vector replaces the seed even when it costs more:
         # the seed's lower value may be the leak itself
         polished = polish(cand, None)

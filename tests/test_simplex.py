@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from printplan.simplex import LpStatus, solve_lp
+from printplan.simplex import AT_LO, AT_UP, LpStatus, _ratio_test, prepare_rows, solve_lp
 
 
 def test_two_variable_optimum():
@@ -207,3 +207,110 @@ def test_matches_independent_solver(lp):
         assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
     else:
         pytest.skip(f"reference solver returned status {ref.status}")
+
+
+def test_zero_row_within_bound_tolerance():
+    # an all-zero row scales by 1, so 0 <= -1e-10 sits inside the 1e-9
+    # bound tolerance, while 0 <= -1 stays infeasible
+    res = solve_lp([1], [[0.0]], ["<"], [-1e-10], [0], [1])
+    assert res.status is LpStatus.OPTIMAL
+    res = solve_lp([1], [[0.0]], ["<"], [-1], [0], [1])
+    assert res.status is LpStatus.INFEASIBLE
+
+
+def test_prepared_rows_give_the_same_solve():
+    c = [-1, -2, 0.5]
+    a = [[1, 1, 1], [2, 1, 0], [0, 3, -1]]
+    senses = ["<", "<", ">"]
+    b = [4, 5, -2]
+    lower, upper = [0.0, 0.0, 0.0], [3.0, 2.0, 1.0]
+    plain = solve_lp(c, a, senses, b, lower, upper)
+    rows = prepare_rows(np.array(a, dtype=float), senses, b)
+    prepared = solve_lp(c, rows, senses, b, lower, upper)
+    assert prepared.status is plain.status is LpStatus.OPTIMAL
+    assert prepared.objective == plain.objective
+    assert np.array_equal(prepared.x, plain.x)
+    assert prepared.iterations == plain.iterations
+
+
+def _reference_ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, basis):
+    """The full-length ratio test the row-restricted one must match bit for bit."""
+    dv = -direction * w
+    m = xb.shape[0]
+
+    best = np.inf
+    if np.isfinite(lo_q) and np.isfinite(up_q):
+        best = up_q - lo_q
+
+    cand_theta = np.full(m, np.inf)
+    cand_to = np.full(m, AT_LO, dtype=np.int8)
+
+    moving = np.abs(w) > 1e-9
+    dec = moving & (dv < 0)
+    inc = moving & (dv > 0)
+
+    feas = ~(below | above)
+
+    sel = feas & dec & np.isfinite(lob)
+    cand_theta[sel] = (xb[sel] - lob[sel]) / (-dv[sel])
+    cand_to[sel] = AT_LO
+
+    sel = feas & inc & np.isfinite(upb)
+    cand_theta[sel] = (upb[sel] - xb[sel]) / dv[sel]
+    cand_to[sel] = AT_UP
+
+    sel = below & inc
+    cand_theta[sel] = (lob[sel] - xb[sel]) / dv[sel]
+    cand_to[sel] = AT_LO
+
+    sel = above & dec
+    cand_theta[sel] = (xb[sel] - upb[sel]) / (-dv[sel])
+    cand_to[sel] = AT_UP
+
+    cand_theta = np.maximum(cand_theta, 0.0)
+    row_min = float(cand_theta.min()) if m else np.inf
+    theta = min(best, row_min)
+    if not np.isfinite(theta):
+        return None, -1, AT_LO
+
+    if row_min > theta + 1e-9:
+        return theta, -1, AT_LO
+
+    near = np.flatnonzero(cand_theta <= theta + 1e-9)
+    if bland:
+        pos = int(near[np.argmin(basis[near])])
+    else:
+        pos = int(near[np.argmax(np.abs(w[near]))])
+    return float(cand_theta[pos]), pos, int(cand_to[pos])
+
+
+# small integers make exact ties, exact zeros in w and exact bound hits common
+grid_values = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 1e-10, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def ratio_inputs(draw):
+    m = draw(st.integers(min_value=0, max_value=8))
+    lob = np.array([draw(st.sampled_from([-np.inf, -1.0, 0.0, 0.0, 1.0])) for _ in range(m)])
+    upb = np.array([
+        lo + draw(st.sampled_from([0.0, 1.0, 2.0, np.inf])) if np.isfinite(lo)
+        else draw(st.sampled_from([-1.0, 0.0, np.inf]))
+        for lo in lob
+    ])
+    xb = np.array([draw(grid_values) for _ in range(m)])
+    w = np.array([draw(st.one_of(grid_values, st.floats(-3, 3))) for _ in range(m)])
+    tol = 1e-9 * np.maximum(1.0, np.abs(np.where(np.isfinite(lob), lob, 0.0)))
+    below = xb < lob - tol
+    above = xb > upb + 1e-9 * np.maximum(1.0, np.abs(np.where(np.isfinite(upb), upb, 0.0)))
+    direction = draw(st.sampled_from([1.0, -1.0]))
+    lo_q = draw(st.sampled_from([-np.inf, 0.0, 0.0, -1.0]))
+    up_q = lo_q + draw(st.sampled_from([0.5, 1.0, 3.0, np.inf]))
+    bland = draw(st.booleans())
+    basis = np.array(draw(st.permutations(range(2 * m)))[:m], dtype=int)
+    return xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, basis
+
+
+@settings(max_examples=500, deadline=None)
+@given(ratio_inputs())
+def test_ratio_test_matches_full_length_reference(args):
+    assert _ratio_test(*args) == _reference_ratio_test(*args)

@@ -6,7 +6,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from printplan import solver as solver_module
 from printplan.datasets import load_builtin, random_instance
 from printplan.evaluate import decode, evaluate
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
@@ -188,6 +191,116 @@ def test_propagator_tolerates_infinite_bounds():
     assert prop.run(lo, up)
     assert up[0] <= 5.0 + 1e-9
     assert np.isinf(up[1])
+
+
+def _reference_propagate(a, senses, rhs, binary_cols, lo, up, passes=4):
+    """The dense row-by-column propagator the sparse one replaced."""
+    blocks, rhs_blocks = [], []
+    for sign, keep in ((1.0, ("<", "=")), (-1.0, (">", "="))):
+        mask = np.array([s in keep for s in senses], dtype=bool)
+        if mask.any():
+            blocks.append(sign * a[mask])
+            rhs_blocks.append(sign * rhs[mask])
+    a = np.vstack(blocks) if blocks else np.zeros((0, a.shape[1]))
+    rhs = np.concatenate(rhs_blocks) if rhs_blocks else np.zeros(0)
+    pos, neg = a > 0, a < 0
+    rhs_scale = np.maximum(1.0, np.abs(rhs))
+    bm = np.zeros(a.shape[1], dtype=bool)
+    bm[list(binary_cols)] = True
+    if not a.size:
+        return True
+    for _ in range(passes):
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+            raw = np.where(pos, a * lo[None, :], a * up[None, :])
+            contrib = np.where(pos | neg, raw, 0.0)
+            inf_mask = np.isneginf(contrib)
+            n_inf = inf_mask.sum(axis=1)
+            finite_sum = np.where(inf_mask, 0.0, contrib).sum(axis=1)
+            fully_finite = n_inf == 0
+            if np.any(fully_finite & (finite_sum > rhs + 1e-7 * rhs_scale)):
+                return False
+            excl = finite_sum[:, None] - np.where(inf_mask, 0.0, contrib)
+            defined = fully_finite[:, None] | (inf_mask & (n_inf == 1)[:, None])
+            residual = np.where(defined, rhs[:, None] - excl, np.inf)
+            cap = residual / a
+            ub_cand = np.where(pos, cap, np.inf).min(axis=0)
+            lb_cand = np.where(neg, cap, -np.inf).max(axis=0)
+        new_up = np.minimum(up, ub_cand)
+        new_lo = np.maximum(lo, lb_cand)
+        new_lo[bm & (new_lo > 1e-7)] = 1.0
+        new_up[bm & (new_up < 1.0 - 1e-7)] = 0.0
+        if np.any(new_lo > new_up + 1e-9):
+            return False
+        changed = np.any(new_up < up - 1e-12) or np.any(new_lo > lo + 1e-12)
+        up[:] = new_up
+        lo[:] = new_lo
+        if not changed:
+            break
+    return True
+
+
+@st.composite
+def propagation_rows(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    m = draw(st.integers(min_value=1, max_value=6))
+    coef = st.floats(min_value=0.25, max_value=20.0) | st.sampled_from([1.0, 2.0, 10.0])
+    a = np.zeros((m, n))
+    for r in range(m):
+        cols = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True))
+        for c in cols:
+            a[r, c] = draw(coef) * draw(st.sampled_from([1.0, -1.0]))
+    senses = [draw(st.sampled_from("<=>")) for _ in range(m)]
+    rhs = np.array([draw(st.floats(min_value=-20.0, max_value=40.0)) for _ in range(m)])
+    binary = sorted(draw(st.sets(st.integers(0, n - 1))))
+    lo = np.zeros(n)
+    up = np.ones(n)
+    for c in range(n):
+        if c not in binary:
+            lo[c] = draw(st.sampled_from([-np.inf, -5.0, 0.0, 0.0]))
+            up[c] = draw(st.sampled_from([np.inf, np.inf, 3.0, 50.0]))
+    return a, senses, rhs, binary, lo, up
+
+
+@settings(max_examples=400, deadline=None)
+@given(propagation_rows())
+def test_sparse_propagator_matches_dense_reference(case):
+    a, senses, rhs, binary, lo, up = case
+    ref_lo, ref_up = lo.copy(), up.copy()
+    ref_ok = _reference_propagate(a, senses, rhs, binary, ref_lo, ref_up)
+    ok = _Propagator(a, senses, rhs, binary).run(lo, up)
+    assert ok == ref_ok
+    if not ok:
+        return
+    assert np.array_equal(lo[binary], ref_lo[binary])
+    assert np.array_equal(up[binary], ref_up[binary])
+    for got, want in ((lo, ref_lo), (up, ref_up)):
+        finite = np.isfinite(want)
+        assert np.array_equal(got[~finite], want[~finite])
+        assert np.all(np.abs(got[finite] - want[finite]) <= 1e-9 * np.maximum(1.0, np.abs(want[finite])))
+
+
+# duplicate warm seeds
+
+
+def test_duplicate_warm_seeds_are_polished_once(monkeypatch):
+    model = build_model(tiny_instance(), Objective.Z)
+    v = solve_milp(model).values
+    calls = []
+    real = solver_module.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_lp", counting)
+    once = solve_milp(model, warm_values=[v])
+    once_calls = len(calls)
+    calls.clear()
+    repeated = solve_milp(model, warm_values=[v, v.copy(), v])
+    assert len(calls) == once_calls
+    assert repeated.objective == once.objective
+    assert repeated.node_count == once.node_count
+    assert repeated.values.tobytes() == once.values.tobytes()
 
 
 # solution file round trips
