@@ -72,12 +72,7 @@ def _prepare(source, seed, machines, parts_prefix, jobs) -> ProblemInstance:
         if parts_prefix is not None:
             inst = part_prefix(inst, parts_prefix)
         if jobs is not None:
-            inst = ProblemInstance(
-                machines=inst.machines,
-                parts=inst.parts,
-                penalties=inst.penalties,
-                jobs_per_machine=jobs,
-            )
+            inst = replace(inst, jobs_per_machine=jobs)
     except (InstanceError, ValueError, OSError) as exc:
         _fail(EXIT_VALIDATION, str(exc))
     report = validate(inst)
@@ -248,7 +243,9 @@ def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, 
         front = pareto_front(inst, SolveParams(time_limit_s=time_limit, gap_tolerance=gap),
                              grid_count=epsilon_count, fixed_orientation=fixed_orientation)
     except FrontError as exc:
-        code = EXIT_INFEASIBLE if "infeasible" in str(exc) else EXIT_TIME_LIMIT
+        # exit on the status of a payoff solve that ended without a schedule
+        code = {SolveStatus.Infeasible: EXIT_INFEASIBLE,
+                SolveStatus.TimeLimit: EXIT_TIME_LIMIT}.get(exc.status, 1)
         _fail(code, str(exc))
 
     names = {}
@@ -381,12 +378,7 @@ def _apply_sweep_value(base: ProblemInstance, parameter: str, value: float) -> P
         else:
             side = math.sqrt(value)
             machines.append(replace(m, width_mm=side, length_mm=side))
-    return ProblemInstance(
-        machines=tuple(machines),
-        parts=base.parts,
-        penalties=base.penalties,
-        jobs_per_machine=base.jobs_per_machine,
-    )
+    return replace(base, machines=tuple(machines))
 
 
 def run_sweep(base: ProblemInstance, spec: SweepSpec, params: SolveParams,

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 from importlib import resources
 
 from .instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance, parse_instance, validate
@@ -41,7 +42,7 @@ def reference_curves() -> dict:
     return json.loads(_data_text("reference_curves.json"))
 
 
-def part_prefix(instance: ProblemInstance, n: int, jobs_per_machine: int | None = None) -> ProblemInstance:
+def part_prefix(instance: ProblemInstance, n: int) -> ProblemInstance:
     """Sub-instance holding only the first n parts.
 
     It keeps the instance's job slots per machine, capped at n: a slot
@@ -49,14 +50,7 @@ def part_prefix(instance: ProblemInstance, n: int, jobs_per_machine: int | None 
     """
     if not 1 <= n <= len(instance.parts):
         raise ValueError(f"prefix size {n} outside 1..{len(instance.parts)}")
-    if jobs_per_machine is None:
-        jobs_per_machine = min(instance.jobs_per_machine, n)
-    return ProblemInstance(
-        machines=instance.machines,
-        parts=instance.parts[:n],
-        penalties=instance.penalties,
-        jobs_per_machine=jobs_per_machine,
-    )
+    return replace(instance, parts=instance.parts[:n], jobs_per_machine=min(instance.jobs_per_machine, n))
 
 
 def with_machine_count(instance: ProblemInstance, m: int) -> ProblemInstance:
@@ -64,24 +58,11 @@ def with_machine_count(instance: ProblemInstance, m: int) -> ProblemInstance:
     if m < 1:
         raise ValueError("machine count must be at least 1")
     base = instance.machines[0]
-    machines = list(instance.machines[:m])
-    for k in range(len(machines), m):
-        machines.append(
-            MachineSpec(
-                id=f"{base.id}_copy{k + 1}",
-                width_mm=base.width_mm,
-                length_mm=base.length_mm,
-                height_mm=base.height_mm,
-                layer_time_h_per_mm=base.layer_time_h_per_mm,
-                volumetric_time_h_per_mm3=base.volumetric_time_h_per_mm3,
-            )
-        )
-    return ProblemInstance(
-        machines=tuple(machines),
-        parts=instance.parts,
-        penalties=instance.penalties,
-        jobs_per_machine=instance.jobs_per_machine,
-    )
+    copies = tuple(replace(base, id=f"{base.id}_copy{k + 1}") for k in range(len(instance.machines), m))
+    return replace(instance, machines=instance.machines[:m] + copies)
+
+
+_MAX_ATTEMPTS = 1000
 
 
 def random_instance(
@@ -90,7 +71,6 @@ def random_instance(
     n_parts: int | None = None,
     n_machines: int | None = None,
     jobs_per_machine: int | None = None,
-    max_attempts: int = 1000,
 ) -> ProblemInstance:
     """Deterministic random instance that passes validation.
 
@@ -101,7 +81,7 @@ def random_instance(
     explicit size arguments.
     """
     rng = random.Random(seed)
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         m_count = n_machines if n_machines is not None else rng.randint(1, 2)
         p_count = n_parts if n_parts is not None else rng.randint(2, 5)
         machines = []
@@ -141,4 +121,4 @@ def random_instance(
         report = validate(candidate)
         if report.ok and not report.warnings:
             return candidate
-    raise RuntimeError(f"could not draw a valid instance from seed {seed} in {max_attempts} attempts")
+    raise RuntimeError(f"could not draw a valid instance from seed {seed} in {_MAX_ATTEMPTS} attempts")

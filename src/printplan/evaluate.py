@@ -17,9 +17,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .geometry import Orientation, OrientationKind, orientation_for, volume_mm3
-from .instance import ProblemInstance, instance_hash
+from .instance import ProblemInstance
 from .model import build_registry
 from .solver import MilpSolution
+
+# slack for reading a binary as set and for every capacity, height and chain test
+TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -106,10 +109,10 @@ class Violation:
     message: str
 
 
-def decode(solution: MilpSolution, instance: ProblemInstance, tol: float = 1e-6) -> Schedule:
+def decode(solution: MilpSolution, instance: ProblemInstance) -> Schedule:
     """Turn an integral solution vector into a Schedule.
 
-    Assignment and orientation binaries are read at ``1 - tol``;
+    Assignment and orientation binaries are read at ``1 - TOL``;
     completion times come from the job-completion columns.  Raises
     ValueError on corrupt vectors (a part unassigned or doubly
     assigned, or both tip binaries set).
@@ -131,15 +134,15 @@ def decode(solution: MilpSolution, instance: ProblemInstance, tol: float = 1e-6)
             (j, m)
             for j in range(jobs)
             for m in range(n_m)
-            if values[reg.col("x", i, j, m)] >= 1.0 - tol
+            if values[reg.col("x", i, j, m)] >= 1.0 - TOL
         ]
         if not slots:
             raise ValueError(f"part unassigned: {part.id}")
         if len(slots) > 1:
             where = ", ".join(f"job {j + 1} on {instance.machines[m].id}" for j, m in slots)
             raise ValueError(f"part assigned more than once: {part.id} ({where})")
-        tipped_b = values[reg.col("b", i)] >= 1.0 - tol
-        tipped_f = values[reg.col("f", i)] >= 1.0 - tol
+        tipped_b = values[reg.col("b", i)] >= 1.0 - TOL
+        tipped_f = values[reg.col("f", i)] >= 1.0 - TOL
         if tipped_b and tipped_f:
             raise ValueError(f"orientation conflict for part {part.id}: both tip flags set")
         kind = (
@@ -158,7 +161,7 @@ def decode(solution: MilpSolution, instance: ProblemInstance, tol: float = 1e-6)
         (instance.machines[m].id, j + 1)
         for j in range(jobs)
         for m in range(n_m)
-        if values[reg.col("y", j, m)] >= 1.0 - tol
+        if values[reg.col("y", j, m)] >= 1.0 - TOL
     )
     keep = set(activated)
     keep.update((pl.machine_id, pl.job_index) for pl in placements)
@@ -179,7 +182,7 @@ def _job_members(schedule: Schedule) -> dict[tuple[str, int], list[Placement]]:
     return members
 
 
-def evaluate(schedule: Schedule, instance: ProblemInstance, tol: float = 1e-6) -> Evaluation:
+def evaluate(schedule: Schedule, instance: ProblemInstance) -> Evaluation:
     """Recompute every derived quantity of a schedule from scratch.
 
     Job height is the true maximum member height (the model only
@@ -199,7 +202,7 @@ def evaluate(schedule: Schedule, instance: ProblemInstance, tol: float = 1e-6) -
             volume_mm3(instance.parts[instance.part_index(pl.part_id)]) for pl in group
         )
         occupied = sum(pl.orientation.base_area_mm2 for pl in group)
-        if occupied > machine.base_area_mm2 + tol:
+        if occupied > machine.base_area_mm2 + TOL:
             raise ValueError(
                 f"capacity violation: job {job_index} on {machine_id} occupies "
                 f"{occupied:g} mm2 of {machine.base_area_mm2:g}"
@@ -229,7 +232,7 @@ def evaluate(schedule: Schedule, instance: ProblemInstance, tol: float = 1e-6) -
         chain.sort(key=lambda job: job.job_index)
         prev_end = 0.0
         for job in chain:
-            if job.completion_h + tol < prev_end + job.processing_h:
+            if job.completion_h + TOL < prev_end + job.processing_h:
                 raise ValueError(
                     f"chain violation: job {job.job_index} on {machine_id} completes at "
                     f"{job.completion_h:g} h but cannot start before {prev_end:g} h "
@@ -260,7 +263,7 @@ def evaluate(schedule: Schedule, instance: ProblemInstance, tol: float = 1e-6) -
     return Evaluation(tuple(job_reports), tuple(part_reports), z, zz)
 
 
-def check_feasible(schedule: Schedule, instance: ProblemInstance, tol: float = 1e-6) -> list[Violation]:
+def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violation]:
     """Run the full constraint predicate suite over a schedule.
 
     Returns one entry per violated constraint family, naming the parts
@@ -286,7 +289,7 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance, tol: float = 1
     too_tall = []
     for pl in schedule.placements:
         machine = instance.machines[instance.machine_index(pl.machine_id)]
-        if pl.orientation.height_mm > machine.height_mm + tol:
+        if pl.orientation.height_mm > machine.height_mm + TOL:
             too_tall.append(pl.part_id)
     if too_tall:
         violations.append(
@@ -301,7 +304,7 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance, tol: float = 1
     for (machine_id, job_index), group in sorted(members.items()):
         machine = instance.machines[instance.machine_index(machine_id)]
         occupied = sum(pl.orientation.base_area_mm2 for pl in group)
-        if occupied > machine.base_area_mm2 + tol:
+        if occupied > machine.base_area_mm2 + TOL:
             overfull.append(f"job {job_index} on {machine_id}")
     if overfull:
         violations.append(
@@ -346,7 +349,7 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance, tol: float = 1
             processing = machine.layer_time_h_per_mm * height
             processing += machine.volumetric_time_h_per_mm3 * volume
             completion = schedule.completions.get((machine_id, job_index), 0.0)
-            if completion + tol < prev_end + processing:
+            if completion + TOL < prev_end + processing:
                 broken.append(f"job {job_index} on {machine_id}")
             prev_end = completion
     if broken:
@@ -369,15 +372,12 @@ def write_schedule_csv(
     schedule: Schedule,
     evaluation: Evaluation,
     path,
-    instance: ProblemInstance | None = None,
     params: str = "",
 ) -> None:
     """Write the per-part plan as CSV with a provenance comment line."""
     from . import __version__
 
     stamp = f"# printplan={__version__}"
-    if instance is not None:
-        stamp += f" instance={instance_hash(instance)}"
     if params:
         stamp += f" {params}"
     due = {rep.part_id: rep for rep in evaluation.parts}

@@ -26,7 +26,7 @@ machine, M = |machines|:
 * columns:  3nJM + 4JM + 7n     (binaries: nJM + JM + 2n)
 * rows:     7nJM + nM + 7n + 3JM + 2(J-1)M + M
 
-plus one optional epsilon row bounding zz from above.
+plus at most one cap row per objective; see ``cap_objective``.
 """
 
 from __future__ import annotations
@@ -116,10 +116,7 @@ class VarDef:
 class VariableRegistry:
     """Column layout: name/family/index maps plus bounds for every column."""
 
-    def __init__(self, n_parts: int, n_jobs: int, n_machines: int):
-        self.n_parts = n_parts
-        self.n_jobs = n_jobs
-        self.n_machines = n_machines
+    def __init__(self):
         self._defs: list[VarDef] = []
         self._by_name: dict[str, int] = {}
         self._by_key: dict[tuple, int] = {}
@@ -145,9 +142,6 @@ class VariableRegistry:
 
     def defs(self) -> tuple[VarDef, ...]:
         return tuple(self._defs)
-
-    def __len__(self) -> int:
-        return len(self._defs)
 
     @property
     def n_columns(self) -> int:
@@ -179,9 +173,6 @@ class MilpModel:
     objective_zz: np.ndarray
     active_objective: Objective
     big_m: BigMBundle
-    fixed_orientation: bool = False
-    epsilon: float | None = None
-    extra_caps: tuple[tuple[Objective, float], ...] = ()
 
     @property
     def objective(self) -> np.ndarray:
@@ -220,7 +211,7 @@ def build_registry(
     n_m = len(instance.machines)
     bundle = big_m if big_m is not None else compute_big_m(instance)
 
-    reg = VariableRegistry(n, jobs, n_m)
+    reg = VariableRegistry()
     for i in range(n):
         for j in range(jobs):
             for m in range(n_m):
@@ -258,13 +249,11 @@ def build_model(
     objective: Objective = Objective.Z,
     *,
     fixed_orientation: bool = False,
-    epsilon: float | None = None,
 ) -> MilpModel:
     """Assemble the full linearized model for an instance.
 
     Raises if validation reports errors.  ``fixed_orientation`` pins every
-    part flat (as delivered); ``epsilon`` optionally adds the unused-area
-    cap right away (only meaningful with the Z objective).
+    part flat (as delivered).
     """
     report = validate(instance)
     if not report.ok:
@@ -484,7 +473,7 @@ def build_model(
             for m in range(n_m):
                 obj_zz[reg.col("la", i, j, m)] = -1.0
 
-    model = MilpModel(
+    return MilpModel(
         instance=instance,
         registry=reg,
         rows=tuple(rows),
@@ -492,44 +481,35 @@ def build_model(
         objective_zz=obj_zz,
         active_objective=objective,
         big_m=bundle,
-        fixed_orientation=fixed_orientation,
     )
-    if epsilon is not None:
-        model = inject_epsilon(model, epsilon)
-    return model
-
-
-EPSILON_ROW = "eps_zz"
 
 
 def inject_epsilon(model: MilpModel, epsilon: float) -> MilpModel:
-    """Cap the unused-area expression at ``epsilon`` on a Z-objective model.
+    """The epsilon-constraint cap: unused area at most ``epsilon``.
 
-    Re-injection replaces any previous cap.  An infinite epsilon records
-    the request but adds no row (the cap would be vacuous, and infinite
-    right-hand sides have no place in the solver arithmetic).
+    Only a model solving the time objective takes it; the cap itself is
+    ``cap_objective``'s ``cap_zz`` row.
     """
     if model.active_objective is not Objective.Z:
         raise ValueError("epsilon cap applies to models solving the time objective")
-    rows = tuple(r for r in model.rows if r.name != EPSILON_ROW)
-    if math.isfinite(epsilon):
-        coeffs = {c: float(v) for c, v in enumerate(model.objective_zz) if v != 0.0}
-        rows = rows + (Row(EPSILON_ROW, coeffs, "<", float(epsilon)),)
-    return replace(model, rows=rows, epsilon=float(epsilon))
+    return cap_objective(model, Objective.ZZ, epsilon)
 
 
 def cap_objective(model: MilpModel, objective: Objective, bound: float) -> MilpModel:
-    """Add a row keeping the named objective expression at or below bound.
+    """Keep the named objective expression at or below ``bound``.
 
-    Used for lexicographic refinement: optimize one objective subject to
-    the other staying at its solved optimum.
+    The row is named ``cap_<objective>`` and replaces any earlier cap on
+    that objective.  An infinite bound removes the cap: the row would be
+    vacuous, and infinite right-hand sides have no place in the solver
+    arithmetic.
     """
     vec = model.objective_z if objective is Objective.Z else model.objective_zz
     name = f"cap_{objective.value}"
     rows = tuple(r for r in model.rows if r.name != name)
-    coeffs = {c: float(v) for c, v in enumerate(vec) if v != 0.0}
-    rows = rows + (Row(name, coeffs, "<", float(bound)),)
-    return replace(model, rows=rows, extra_caps=model.extra_caps + ((objective, float(bound)),))
+    if math.isfinite(bound):
+        coeffs = {c: float(v) for c, v in enumerate(vec) if v != 0.0}
+        rows = rows + (Row(name, coeffs, "<", float(bound)),)
+    return replace(model, rows=rows)
 
 
 def _format_coef(value: float) -> str:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .evaluate import Evaluation, Schedule, check_feasible, decode, evaluate
-from .instance import ProblemInstance, instance_hash
-from .model import Objective, build_model, cap_objective, inject_epsilon
+from .instance import ProblemInstance
+from .model import MilpModel, Objective, build_model, cap_objective, inject_epsilon
 from .solver import MilpSolution, SolveParams, SolveStatus, solve_milp
 
 
@@ -28,22 +28,13 @@ class PayoffTable:
 
     The nadir entries come from cross-evaluation of the two refined
     single-objective optima; they can truncate the true front's tail,
-    which is inherent to the estimate.  The utopian entries are the
-    ideals shifted by a token margin and are reported only.
+    which is inherent to the estimate.
     """
 
     z_ideal: float
     zz_ideal: float
     z_nadir_est: float
     zz_nadir_est: float
-
-    @property
-    def utopian_z(self) -> float:
-        return self.z_ideal - 1e-6
-
-    @property
-    def utopian_zz(self) -> float:
-        return self.zz_ideal - 1e-6
 
 
 @dataclass(frozen=True)
@@ -69,7 +60,14 @@ class ParetoFront:
 
 
 class FrontError(RuntimeError):
-    """A sweep or payoff solve could not produce a usable answer."""
+    """A sweep or payoff solve could not produce a usable answer.
+
+    ``status`` is the failed payoff solve's status; None for a failed check.
+    """
+
+    def __init__(self, message: str, status: SolveStatus | None = None):
+        super().__init__(message)
+        self.status = status
 
 
 def _refinement_margin(value: float) -> float:
@@ -78,9 +76,9 @@ def _refinement_margin(value: float) -> float:
 
 def _require_optimal(solution: MilpSolution, what: str) -> MilpSolution:
     if solution.status is SolveStatus.Infeasible:
-        raise FrontError(f"{what}: model is infeasible")
+        raise FrontError(f"{what}: model is infeasible", solution.status)
     if solution.values is None:
-        raise FrontError(f"{what}: no incumbent within the time limit")
+        raise FrontError(f"{what}: no incumbent within the time limit", solution.status)
     return solution
 
 
@@ -88,9 +86,10 @@ def _payoff_with_seeds(
     instance: ProblemInstance,
     params: SolveParams,
     fixed_orientation: bool,
-) -> tuple[PayoffTable, list[np.ndarray]]:
+) -> tuple[PayoffTable, list[np.ndarray], MilpModel]:
+    """The payoff table, its two refined corners as seeds, and the Z model."""
     model_z = build_model(instance, Objective.Z, fixed_orientation=fixed_orientation)
-    model_zz = build_model(instance, Objective.ZZ, fixed_orientation=fixed_orientation)
+    model_zz = replace(model_z, active_objective=Objective.ZZ)
 
     sol_z = _require_optimal(solve_milp(model_z, params), "payoff: minimize cost")
     sol_zz = _require_optimal(solve_milp(model_zz, params), "payoff: minimize unused area")
@@ -116,7 +115,7 @@ def _payoff_with_seeds(
         z_nadir_est=float(ref_zz.objective),
         zz_nadir_est=float(ref_z.objective),
     )
-    return table, [ref_zz.values, ref_z.values]
+    return table, [ref_zz.values, ref_z.values], model_z
 
 
 def payoff_table(
@@ -133,8 +132,7 @@ def payoff_table(
     """
     if not instance.parts:
         return PayoffTable(0.0, 0.0, 0.0, 0.0)
-    table, _ = _payoff_with_seeds(instance, params or SolveParams(), fixed_orientation)
-    return table
+    return _payoff_with_seeds(instance, params or SolveParams(), fixed_orientation)[0]
 
 
 def epsilon_grid(table: PayoffTable, grid_count: int) -> tuple[float, ...]:
@@ -189,10 +187,11 @@ def pareto_front(
     Caps are solved tightest first, each seeded with every earlier
     solution (a schedule under a tight cap stays feasible under a loose
     one).  Time-limited attempts are flagged in the log rather than
-    dropped; infeasible caps appear the same way.  Every kept point's
-    schedule re-passes the feasibility predicates, its evaluation must
-    reproduce the solver objectives within 1e-6, and optimal cost must
-    never increase as the cap loosens.
+    dropped; infeasible caps appear the same way.  Every solve that returns
+    a schedule, optimal or time-limited, must pass the feasibility
+    predicates, keep within its cap, and have its evaluation reproduce
+    the solver objective within 1e-6; optimal cost must never increase as
+    the cap loosens.
     """
     params = params or SolveParams()
     if not instance.parts:
@@ -202,9 +201,8 @@ def pareto_front(
         point = ParetoPoint(0.0, 0.0, 0.0, SolveStatus.Optimal, sched, ev)
         return ParetoFront((point,), (point,), table)
 
-    table, seeds = _payoff_with_seeds(instance, params, fixed_orientation)
+    table, seeds, base = _payoff_with_seeds(instance, params, fixed_orientation)
     grid = epsilons if epsilons is not None else epsilon_grid(table, grid_count)
-    base = build_model(instance, Objective.Z, fixed_orientation=fixed_orientation)
 
     attempts: list[ParetoPoint] = []
     warm: list[np.ndarray] = list(seeds)
@@ -220,27 +218,27 @@ def pareto_front(
         point = ParetoPoint(eps, ev.z, ev.zz, sol.status, schedule, ev)
         attempts.append(point)
         warm.append(sol.values)
+        if abs(ev.z - sol.objective) > 1e-6:
+            raise FrontError(
+                f"evaluator disagrees with solver at eps={eps:g}: "
+                f"{ev.z:.12g} vs {sol.objective:.12g} "
+                f"(difference {ev.z - sol.objective:.3g})"
+            )
+        if ev.zz > eps + 1e-6:
+            raise FrontError(
+                f"solution breaches its own cap at eps={eps:g}: zz={ev.zz:g}"
+            )
         if sol.status is SolveStatus.Optimal:
-            if abs(ev.z - sol.objective) > 1e-6:
-                raise FrontError(
-                    f"evaluator disagrees with solver at eps={eps:g}: "
-                    f"{ev.z:.12g} vs {sol.objective:.12g} "
-                    f"(difference {ev.z - sol.objective:.3g})"
-                )
-            if ev.zz > eps + 1e-6:
-                raise FrontError(
-                    f"solution breaches its own cap at eps={eps:g}: zz={ev.zz:g}"
-                )
             if last_optimal_z is not None and ev.z > last_optimal_z + 1e-6:
                 raise FrontError(
                     f"cost rose from {last_optimal_z:g} to {ev.z:g} as the cap "
                     f"loosened to {eps:g}"
                 )
             last_optimal_z = ev.z
-            bad = check_feasible(schedule, instance)
-            if bad:
-                families = ", ".join(v.family for v in bad)
-                raise FrontError(f"front schedule fails feasibility: {families}")
+        bad = check_feasible(schedule, instance)
+        if bad:
+            families = ", ".join(v.family for v in bad)
+            raise FrontError(f"front schedule fails feasibility: {families}")
 
     kept = filter_dominated(attempts)
     return ParetoFront(tuple(kept), tuple(attempts), table)
@@ -253,15 +251,12 @@ def _cell(value: float | None) -> str:
 def write_front_csv(
     front: ParetoFront,
     path,
-    instance: ProblemInstance | None = None,
     params: str = "",
 ) -> None:
     """One row per epsilon attempt, plus the payoff table in comments."""
     from . import __version__
 
     stamp = f"# printplan={__version__}"
-    if instance is not None:
-        stamp += f" instance={instance_hash(instance)}"
     if params:
         stamp += f" {params}"
     table = front.payoff
@@ -300,7 +295,7 @@ def attach_schedule_files(front: ParetoFront, names: dict[int, str]) -> ParetoFr
     re-derived so both views stay in sync.
     """
     attempts = tuple(
-        dc_replace(p, schedule_file=names.get(idx, p.schedule_file))
+        replace(p, schedule_file=names.get(idx, p.schedule_file))
         for idx, p in enumerate(front.attempts)
     )
     originals = list(front.attempts)

@@ -36,11 +36,14 @@ class SolveStatus(str, Enum):
     TimeLimit = "time_limit"
 
 
+# a binary within this distance of 0 or 1 counts as integral
+INTEGRALITY_TOLERANCE = 1e-6
+
+
 @dataclass(frozen=True)
 class SolveParams:
     time_limit_s: float | None = None
     gap_tolerance: float = 1e-6
-    integrality_tolerance: float = 1e-6
 
 
 @dataclass
@@ -51,7 +54,6 @@ class MilpSolution:
     bound: float
     gap: float
     node_count: int
-    runtime_s: float
 
     @property
     def ok(self) -> bool:
@@ -155,8 +157,7 @@ def solve_milp(
     prunes from the start.
     """
     params = params or SolveParams()
-    t0 = time.perf_counter()
-    deadline = None if params.time_limit_s is None else t0 + params.time_limit_s
+    deadline = None if params.time_limit_s is None else time.perf_counter() + params.time_limit_s
 
     a, senses, rhs = model.dense_rows()
     base_lo, base_up = model.registry.bounds()
@@ -168,7 +169,6 @@ def solve_milp(
         if d.binary:
             rank = family_rank.get(d.family, len(family_rank))
             col_rank[d.column] = min(rank, 2)  # b and f branch at one level
-    int_tol = params.integrality_tolerance
     propagator = _Propagator(a, senses, rhs, binary_cols)
     rows = prepare_rows(a, senses, rhs)
 
@@ -205,7 +205,7 @@ def solve_milp(
             return None
         values = res.x.copy()
         values[bin_idx] = rounded
-        if not _is_feasible(values, a, senses, rhs, base_lo, base_up, binary_cols, int_tol):
+        if not _is_feasible(values, a, senses, rhs, base_lo, base_up, binary_cols):
             return None
         return float(cost @ values), values
 
@@ -227,7 +227,7 @@ def solve_milp(
         cand = np.asarray(cand, dtype=float)
         if cand.shape[0] != model.registry.n_columns:
             continue
-        if not _is_feasible(cand, a, senses, rhs, base_lo, base_up, binary_cols, int_tol):
+        if not _is_feasible(cand, a, senses, rhs, base_lo, base_up, binary_cols):
             continue
         key = np.round(cand[bin_idx]).tobytes()
         if key in polished_keys:
@@ -249,7 +249,7 @@ def solve_milp(
                 if col_rank[col] != 0:
                     break  # assignment columns come first in the layout
                 v = x[col]
-                if min(v, 1.0 - v) > int_tol and v > best_v + 1e-12:
+                if min(v, 1.0 - v) > INTEGRALITY_TOLERANCE and v > best_v + 1e-12:
                     best_v = v
                     best = col
             if best is not None:
@@ -259,7 +259,7 @@ def solve_milp(
         for col in binary_cols:
             v = x[col]
             frac = min(v, 1.0 - v)
-            if frac <= int_tol:
+            if frac <= INTEGRALITY_TOLERANCE:
                 continue
             key = (col_rank[col], -frac, col)
             if best_key is None or key < best_key:
@@ -270,7 +270,7 @@ def solve_milp(
         return best, x[best] >= 0.5
 
     def least_integral(x: np.ndarray) -> tuple[int, bool] | None:
-        # every binary is within int_tol here; branching on the worst one
+        # every binary is within INTEGRALITY_TOLERANCE here; branching on the worst one
         # keeps each integral point under the node reachable
         fracs = np.minimum(x[bin_idx], 1.0 - x[bin_idx])
         k = int(np.argmax(fracs))
@@ -338,7 +338,6 @@ def solve_milp(
             for extra in children[1:]:
                 heapq.heappush(heap, extra)
 
-    runtime = time.perf_counter() - t0
     if timed_out:
         best_open = min((n.est for n in heap), default=math.inf)
         if incumbent_obj is not None:
@@ -351,14 +350,13 @@ def solve_milp(
                 bound,
                 max(gap, 0.0),
                 node_count,
-                runtime,
             )
         return MilpSolution(
-            SolveStatus.TimeLimit, None, None, best_open, math.inf, node_count, runtime
+            SolveStatus.TimeLimit, None, None, best_open, math.inf, node_count
         )
     if incumbent_obj is None:
         return MilpSolution(
-            SolveStatus.Infeasible, None, None, math.inf, math.inf, node_count, runtime
+            SolveStatus.Infeasible, None, None, math.inf, math.inf, node_count
         )
     return MilpSolution(
         SolveStatus.Optimal,
@@ -367,27 +365,22 @@ def solve_milp(
         incumbent_obj,
         0.0,
         node_count,
-        runtime,
     )
 
 
-def _is_feasible(values, a, senses, rhs, lo, up, binary_cols, int_tol, row_tol=1e-6):
+def _is_feasible(values, a, senses, rhs, lo, up, binary_cols) -> bool:
+    """Within bounds, binaries integral, rows held within 1e-6 * max(1, |rhs|)."""
     if np.any(values < lo - 1e-9) or np.any(values > up + 1e-9):
         return False
-    for col in binary_cols:
-        if min(values[col], 1.0 - values[col]) > int_tol:
-            return False
-    lhs = a @ values
-    scale = np.maximum(1.0, np.abs(rhs))
-    for r, sense in enumerate(senses):
-        gap = lhs[r] - rhs[r]
-        if sense == "<" and gap > row_tol * scale[r]:
-            return False
-        if sense == ">" and gap < -row_tol * scale[r]:
-            return False
-        if sense == "=" and abs(gap) > row_tol * scale[r]:
-            return False
-    return True
+    binaries = values[binary_cols]
+    if np.any(np.minimum(binaries, 1.0 - binaries) > INTEGRALITY_TOLERANCE):
+        return False
+    gap = a @ values - rhs
+    limit = 1e-6 * np.maximum(1.0, np.abs(rhs))
+    sense = np.asarray(senses)
+    over = (sense != ">") & (gap > limit)  # '<' and '=' rows
+    under = (sense != "<") & (gap < -limit)  # '>' and '=' rows
+    return not np.any(over | under)
 
 
 _STATUS_TOKENS = {
@@ -419,7 +412,7 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
         raise ValueError(f"unknown status {head[0]!r}")
     status = _STATUS_TOKENS[token]
     if status is SolveStatus.Infeasible:
-        return MilpSolution(status, None, None, math.inf, math.inf, 0, 0.0)
+        return MilpSolution(status, None, None, math.inf, math.inf, 0)
     try:
         objective = float(head[1])
     except ValueError as exc:
@@ -436,11 +429,11 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
             raise ValueError(f"unparsable value for {fields[0]}: {fields[1]!r}") from exc
     bound = objective if status is SolveStatus.Optimal else -math.inf
     gap = 0.0 if status is SolveStatus.Optimal else math.inf
-    return MilpSolution(status, objective, values, bound, gap, 0, 0.0)
+    return MilpSolution(status, objective, values, bound, gap, 0)
 
 
-def write_solution(solution: MilpSolution, model: MilpModel, *, tol: float = 1e-9) -> str:
-    """Inverse of parse_external_solution, nonzero columns only."""
+def write_solution(solution: MilpSolution, model: MilpModel) -> str:
+    """Inverse of parse_external_solution, columns above 1e-9 in magnitude only."""
     status = {
         SolveStatus.Optimal: "OPTIMAL",
         SolveStatus.Feasible: "FEASIBLE",
@@ -451,6 +444,6 @@ def write_solution(solution: MilpSolution, model: MilpModel, *, tol: float = 1e-
         return f"{status} nan\n"
     lines = [f"{status} {solution.objective:.12g}"]
     for col, val in enumerate(solution.values):
-        if abs(val) > tol:
+        if abs(val) > 1e-9:
             lines.append(f"{model.registry.name(col)} {val:.12g}")
     return "\n".join(lines) + "\n"

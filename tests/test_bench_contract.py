@@ -1,0 +1,65 @@
+"""The benchmark's tracer and workloads find every name they use.
+
+``perfbench/spans.py`` patches package entry points by name and
+``perfbench/workloads.py`` imports others; if one of those names goes
+away, every traced operation of the benchmark fails.  These tests load
+both files by path and change nothing under ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import printplan.cli  # noqa: F401  (the tracer patches the CLI too)
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def spans():
+    return _load("spans")
+
+
+def test_every_traced_target_resolves(spans):
+    assert spans.TARGETS
+    for span_name, module_name, attr, _ in spans.TARGETS:
+        owner = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, attr = attr.split(".")
+            # patched in the class body, so it must be defined there
+            assert attr in vars(getattr(owner, cls_name)), span_name
+        else:
+            assert callable(getattr(owner, attr, None)), span_name
+
+
+def test_tracer_installs_and_restores(spans):
+    originals = {
+        (module_name, attr): getattr(sys.modules[module_name], attr)
+        for _, module_name, attr, _ in spans.TARGETS
+        if "." not in attr
+    }
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+    finally:
+        tracer.uninstall()
+    for (module_name, attr), original in originals.items():
+        assert getattr(sys.modules[module_name], attr) is original
+
+
+def test_workloads_import_cleanly():
+    workloads = _load("workloads")
+    assert workloads.FrontNine.name == "front_nine"

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 import printplan.cli
+import printplan.pareto
 from printplan.cli import (
     AUTO_EXTERNAL_BINARIES,
     SweepSpec,
@@ -308,6 +311,39 @@ def test_pareto_infeasible_instance_exits_3(runner, tmp_path):
     path = write_instance(tmp_path, TIGHT_DOC)
     result = runner.invoke(main, ["pareto", "--instance", str(path), "--out", str(tmp_path)])
     assert result.exit_code == 3
+
+
+def test_pareto_consistency_failure_exits_1(runner, tmp_path, monkeypatch):
+    # optimal capped solves whose objective sits 1.0 below what the
+    # evaluator recomputes: an error, not a time limit (exit 4)
+    real = printplan.pareto.solve_milp
+    calls = itertools.count()
+
+    def understated(model, params=None, **kwargs):
+        sol = real(model, params, **kwargs)
+        if next(calls) < 4:  # the payoff solves stay exact
+            return sol
+        return replace(sol, objective=sol.objective - 1.0)
+
+    monkeypatch.setattr(printplan.pareto, "solve_milp", understated)
+    result = runner.invoke(
+        main,
+        ["pareto", "--instance", "random", "--seed", "2", "--epsilon-count", "3",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 1
+    assert "error: evaluator disagrees" in result.output
+    assert not (tmp_path / "front.csv").exists()
+
+
+def test_pareto_payoff_time_limit_exits_4(runner, tmp_path):
+    result = runner.invoke(
+        main,
+        ["pareto", "--instance", "random", "--seed", "0", "--time-limit", "1e-9",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 4
+    assert "no incumbent within the time limit" in result.output
 
 
 def test_pareto_has_no_external_solver_path(runner, tmp_path):

@@ -13,7 +13,7 @@ from printplan.evaluate import (
     write_schedule_csv,
 )
 from printplan.geometry import OrientationKind, orientation_for, orientations
-from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
+from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance, instance_hash
 from printplan.model import Objective, build_model, build_registry
 from printplan.solver import MilpSolution, SolveParams, SolveStatus, solve_milp
 
@@ -175,7 +175,7 @@ def test_utilization_identity_on_random_instances():
 
 
 def integral_solution(values: np.ndarray) -> MilpSolution:
-    return MilpSolution(SolveStatus.Optimal, 0.0, values, 0.0, 0.0, 0, 0.0)
+    return MilpSolution(SolveStatus.Optimal, 0.0, values, 0.0, 0.0, 0)
 
 
 def test_decode_one_part_solve():
@@ -255,7 +255,7 @@ def test_decode_maps_tip_binaries_to_orientations():
 
 def test_decode_requires_values():
     inst = one_part_instance()
-    sol = MilpSolution(SolveStatus.Infeasible, None, None, 0.0, float("inf"), 0, 0.0)
+    sol = MilpSolution(SolveStatus.Infeasible, None, None, 0.0, float("inf"), 0)
     with pytest.raises(ValueError, match="no values"):
         decode(sol, inst)
 
@@ -384,10 +384,11 @@ def test_schedule_csv_round_trip(tmp_path):
     sched = decode(sol, inst)
     ev = evaluate(sched, inst)
     out = tmp_path / "sched.csv"
-    write_schedule_csv(sched, ev, out, inst, params="objective=z")
+    stamp = f"instance={instance_hash(inst)} objective=z"
+    write_schedule_csv(sched, ev, out, params=stamp)
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# printplan=")
-    assert "instance=" in lines[0]
+    assert lines[0].endswith(" " + stamp)
     assert lines[1] == (
         "part_id,machine_id,job_index,orientation,height_mm,base_area_mm2,"
         "completion_h,due_h,earliness_h,tardiness_h"
@@ -399,5 +400,5 @@ def test_schedule_csv_round_trip(tmp_path):
     assert float(row[6]) == pytest.approx(1.0)
     # byte-stable: writing again produces identical content
     again = tmp_path / "again.csv"
-    write_schedule_csv(sched, ev, again, inst, params="objective=z")
+    write_schedule_csv(sched, ev, again, params=stamp)
     assert again.read_text() == out.read_text()

@@ -210,10 +210,9 @@ def test_builtin_sizes():
 
 
 def test_part_prefix(twenty_parts, nine_parts):
-    sub = datasets.part_prefix(twenty_parts, 6, jobs_per_machine=3)
+    sub = datasets.part_prefix(twenty_parts, 6)
     assert [p.id for p in sub.parts] == ["p1", "p2", "p3", "p4", "p5", "p6"]
-    assert sub.jobs_per_machine == 3
-    # without an override a prefix keeps the declared slots, capped at its part count
+    # a prefix keeps the declared slots, capped at its part count
     assert nine_parts.jobs_per_machine == 2
     assert datasets.part_prefix(nine_parts, 5).jobs_per_machine == 2
     assert datasets.part_prefix(nine_parts, 1).jobs_per_machine == 1

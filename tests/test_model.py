@@ -11,7 +11,6 @@ import pytest
 from printplan.datasets import load_builtin, random_instance
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
 from printplan.model import (
-    EPSILON_ROW,
     Objective,
     build_model,
     build_registry,
@@ -20,6 +19,7 @@ from printplan.model import (
     inject_epsilon,
     write_lp,
 )
+from printplan.solver import SolveStatus, solve_milp
 
 
 @pytest.fixture(scope="module")
@@ -207,7 +207,7 @@ def test_inject_epsilon_adds_then_replaces_the_cap(nine_model):
     n_before = len(nine_model.rows)
     assert len(capped.rows) == n_before + 1
     row = capped.rows[-1]
-    assert row.name == EPSILON_ROW and row.sense == "<" and row.rhs == 70000.0
+    assert row.name == "cap_zz" and row.sense == "<" and row.rhs == 70000.0
     assert row.coeffs == {
         c: float(v) for c, v in enumerate(nine_model.objective_zz) if v != 0.0
     }
@@ -215,13 +215,23 @@ def test_inject_epsilon_adds_then_replaces_the_cap(nine_model):
     recapped = inject_epsilon(capped, 65000.0)
     assert len(recapped.rows) == n_before + 1
     assert recapped.rows[-1].rhs == 65000.0
-    assert recapped.epsilon == 65000.0
+    assert recapped.rows[-1].name == "cap_zz"
 
 
-def test_inject_epsilon_infinite_records_without_a_row(nine_model):
-    capped = inject_epsilon(nine_model, math.inf)
-    assert len(capped.rows) == len(nine_model.rows)
-    assert capped.epsilon == math.inf
+def test_infinite_cap_adds_no_row(nine_model):
+    assert inject_epsilon(nine_model, math.inf).rows == nine_model.rows
+    assert cap_objective(nine_model, Objective.Z, math.inf).rows == nine_model.rows
+    # and it lifts an earlier cap on the same objective
+    capped = inject_epsilon(nine_model, 70000.0)
+    assert inject_epsilon(capped, math.inf).rows == nine_model.rows
+
+
+def test_infinite_cap_solves_like_no_cap():
+    zz_model = build_model(random_instance(3), Objective.ZZ)
+    free = solve_milp(zz_model)
+    capped = solve_milp(cap_objective(zz_model, Objective.Z, math.inf))
+    assert capped.status is SolveStatus.Optimal
+    assert capped.objective == free.objective
 
 
 def test_inject_epsilon_requires_time_objective(nine):
@@ -230,18 +240,12 @@ def test_inject_epsilon_requires_time_objective(nine):
         inject_epsilon(zz_model, 70000.0)
 
 
-def test_build_model_epsilon_argument(nine):
-    model = build_model(nine, Objective.Z, epsilon=70000.0)
-    assert model.rows[-1].name == EPSILON_ROW
-
-
 def test_cap_objective_keeps_active_objective(nine):
     zz_model = build_model(nine, Objective.ZZ)
     capped = cap_objective(zz_model, Objective.Z, 3.0)
     assert capped.active_objective is Objective.ZZ
     assert capped.rows[-1].name == "cap_z"
     assert capped.rows[-1].rhs == 3.0
-    assert capped.extra_caps == ((Objective.Z, 3.0),)
     tighter = cap_objective(capped, Objective.Z, 1.0)
     assert sum(1 for r in tighter.rows if r.name == "cap_z") == 1
     assert tighter.rows[-1].rhs == 1.0
@@ -251,12 +255,12 @@ def test_cap_objective_keeps_active_objective(nine):
 
 
 def test_lp_text_sections_and_orientation_pinning(nine):
-    model = build_model(nine, Objective.Z, fixed_orientation=True, epsilon=70000.0)
+    model = inject_epsilon(build_model(nine, Objective.Z, fixed_orientation=True), 70000.0)
     text = write_lp(model)
     for section in ("Minimize", "Subject To", "Bounds", "Binaries", "End"):
         assert f"\n{section}\n" in text or text.startswith(section)
     assert " b_i1 = 0" in text          # pinned pose shows up as a fixed binary
-    assert " eps_zz:" in text
+    assert " cap_zz:" in text
     assert "asg_i1:" in text
     assert "x_i1_j1_m1" in text
 

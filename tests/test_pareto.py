@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import itertools
+from dataclasses import replace
 
 import pytest
+
+import printplan.pareto as pareto_module
 
 from printplan.datasets import random_instance
 from printplan.geometry import max_base_area
@@ -46,8 +50,6 @@ def test_payoff_single_part_collapses():
     expected_zz = 62500.0 - max_base_area(inst.parts[0])
     assert table.zz_ideal == pytest.approx(expected_zz, abs=1e-6)
     assert table.zz_nadir_est == pytest.approx(expected_zz, abs=1e-6)
-    assert table.utopian_z < table.z_ideal
-    assert table.utopian_zz < table.zz_ideal
 
 
 def test_payoff_empty_instance_all_zero():
@@ -173,6 +175,24 @@ def test_front_infeasible_floor_flagged_not_dropped():
     assert len(front.points) == 1
 
 
+def test_time_limited_points_are_checked_too(monkeypatch):
+    # every capped solve ends time-limited, with an objective 1.0 below
+    # what its schedule costs; the four payoff solves stay exact
+    real = pareto_module.solve_milp
+    calls = itertools.count()
+
+    def understated(model, params=None, **kwargs):
+        sol = real(model, params, **kwargs)
+        if next(calls) < 4:
+            return sol
+        return replace(sol, status=SolveStatus.TimeLimit, objective=sol.objective - 1.0)
+
+    monkeypatch.setattr(pareto_module, "solve_milp", understated)
+    with pytest.raises(FrontError, match="evaluator disagrees") as info:
+        pareto_front(random_instance(2), grid_count=3)
+    assert info.value.status is None
+
+
 def test_front_empty_instance():
     machine = MachineSpec("m1", 100.0, 100.0, 100.0, 1e-4, 1e-6)
     inst = ProblemInstance(machines=(machine,), parts=())
@@ -189,16 +209,17 @@ def test_front_csv_layout(tmp_path):
     inst = random_instance(2)
     front = pareto_front(inst, grid_count=3)
     out = tmp_path / "front.csv"
-    write_front_csv(front, out, inst, params="K=3")
+    write_front_csv(front, out, params="K=3")
     lines = out.read_text().splitlines()
     assert lines[0].startswith("# printplan=")
+    assert lines[0].endswith(" K=3")
     assert lines[1].startswith("# payoff z_ideal=")
     assert lines[2] == "epsilon,z_hours,zz_mm2,status,schedule_file"
     assert len(lines) == 3 + len(front.attempts)
     assert lines[3].split(",")[3] == "optimal"
     # byte stable
     again = tmp_path / "again.csv"
-    write_front_csv(front, again, inst, params="K=3")
+    write_front_csv(front, again, params="K=3")
     assert again.read_text() == out.read_text()
 
 

@@ -15,6 +15,7 @@ from printplan.evaluate import decode, evaluate
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
 from printplan.model import Objective, build_model, inject_epsilon
 from printplan.solver import (
+    INTEGRALITY_TOLERANCE,
     MilpSolution,
     SolveParams,
     SolveStatus,
@@ -119,8 +120,7 @@ def test_warm_vector_leaking_through_big_m_rows_is_polished():
     # binaries just inside the integrality tolerance leave the row
     # lc >= jc - horizon * (1 - x) a slack of horizon * (1 - x)
     reg = model.registry
-    int_tol = SolveParams().integrality_tolerance
-    slip = 0.9 * int_tol
+    slip = 0.9 * INTEGRALITY_TOLERANCE
     drop = model.big_m.horizon * slip
     leaky = exact.values.copy()
     for i in range(len(inst.parts)):
@@ -131,7 +131,7 @@ def test_warm_vector_leaking_through_big_m_rows_is_polished():
             leaky[col] -= drop
     a, senses, rhs = model.dense_rows()
     lo, up = reg.bounds()
-    assert _is_feasible(leaky, a, senses, rhs, lo, up, reg.binary_columns(), int_tol)
+    assert _is_feasible(leaky, a, senses, rhs, lo, up, reg.binary_columns())
     assert model.objective @ leaky < exact.objective - 1e-7
 
     sol = solve_milp(model, warm_values=[leaky])
@@ -279,6 +279,48 @@ def test_sparse_propagator_matches_dense_reference(case):
         assert np.all(np.abs(got[finite] - want[finite]) <= 1e-9 * np.maximum(1.0, np.abs(want[finite])))
 
 
+def _reference_is_feasible(values, a, senses, rhs, lo, up, binary_cols, int_tol=1e-6, row_tol=1e-6):
+    # the per-binary, per-row loop that _is_feasible replaced
+    if np.any(values < lo - 1e-9) or np.any(values > up + 1e-9):
+        return False
+    for col in binary_cols:
+        if min(values[col], 1.0 - values[col]) > int_tol:
+            return False
+    lhs = a @ values
+    scale = np.maximum(1.0, np.abs(rhs))
+    for r, sense in enumerate(senses):
+        gap = lhs[r] - rhs[r]
+        if sense == "<" and gap > row_tol * scale[r]:
+            return False
+        if sense == ">" and gap < -row_tol * scale[r]:
+            return False
+        if sense == "=" and abs(gap) > row_tol * scale[r]:
+            return False
+    return True
+
+
+@st.composite
+def feasibility_cases(draw):
+    # values at, inside and just past the bound and integrality tolerances,
+    # and right-hand sides at, inside and just past the row tolerance
+    a, senses, _, binary, lo, up = draw(propagation_rows())
+    near = st.sampled_from([0.0, 1.0, 5e-7, 2e-6, 1.0 - 5e-7, 1.0 - 2e-6, 0.5, -5e-10, -2e-9, 3.0, 50.0 + 2e-9])
+    values = np.array([draw(near) for _ in range(a.shape[1])])
+    offset = st.sampled_from([0.0, 5e-7, -5e-7, 1e-6, -1e-6, 2e-6, -2e-6, 1.0, -1.0])
+    lhs = a @ values
+    rhs = np.array([v + draw(offset) * max(1.0, abs(v)) for v in lhs])
+    return values, a, senses, rhs, lo, up, binary
+
+
+@settings(max_examples=400, deadline=None)
+@given(feasibility_cases())
+def test_vector_feasibility_check_matches_loop_reference(case):
+    values, a, senses, rhs, lo, up, binary = case
+    assert _is_feasible(values, a, senses, rhs, lo, up, binary) == _reference_is_feasible(
+        values, a, senses, rhs, lo, up, binary
+    )
+
+
 # duplicate warm seeds
 
 
@@ -343,5 +385,5 @@ def test_parse_infeasible_has_no_values():
 
 def test_write_solution_without_values():
     model = build_model(tiny_instance(), Objective.Z)
-    empty = MilpSolution(SolveStatus.TimeLimit, None, None, -np.inf, np.inf, 0, 0.0)
+    empty = MilpSolution(SolveStatus.TimeLimit, None, None, -np.inf, np.inf, 0)
     assert write_solution(empty, model) == "TIME_LIMIT nan\n"
