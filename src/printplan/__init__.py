@@ -26,7 +26,7 @@ from .instance import (
     validate,
 )
 from .model import Objective, build_model, write_lp
-from .solver import MilpSolution, SolveParams, SolveStatus, solve_milp
+from .solver import MilpSolution, SolveStatus, solve_milp
 from .evaluate import Evaluation, Schedule, check_feasible, decode, evaluate
 from .oracle import brute_force, single_batch_oracle
 from .pareto import ParetoFront, pareto_front, payoff_table
@@ -53,7 +53,6 @@ __all__ = [
     "build_model",
     "write_lp",
     "MilpSolution",
-    "SolveParams",
     "SolveStatus",
     "solve_milp",
     "Evaluation",

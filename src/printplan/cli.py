@@ -34,7 +34,7 @@ from .evaluate import evaluate, decode, write_schedule_csv
 from .instance import InstanceError, ProblemInstance, instance_hash, load_instance, validate
 from .model import Objective, build_model, write_lp
 from .pareto import FrontError, attach_schedule_files, pareto_front, write_front_csv, write_front_gnuplot
-from .solver import SolveParams, SolveStatus, parse_external_solution, solve_milp
+from .solver import SolveStatus, parse_external_solution, solve_milp
 
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
@@ -87,13 +87,13 @@ def _resolve_solver(flag: str | None, n_binaries: int) -> str:
     return "external" if n_binaries > AUTO_EXTERNAL_BINARIES else "builtin"
 
 
-def _solve_routed(model, params: SolveParams, solver: str | None, lp_path: Path):
+def _solve_routed(model, time_limit_s: float | None, solver: str | None, lp_path: Path):
     """Solve in-process, or write ``lp_path`` and read the ``.sol`` beside it.
 
     Returns None on the external route while the solution file is missing.
     """
     if _resolve_solver(solver, len(model.registry.binary_columns())) == "builtin":
-        return solve_milp(model, params)
+        return solve_milp(model, time_limit_s=time_limit_s)
     lp_path.parent.mkdir(parents=True, exist_ok=True)
     lp_path.write_text(write_lp(model))
     sol_path = lp_path.with_suffix(".sol")
@@ -158,10 +158,9 @@ def _instance_options(fn):
     return fn
 
 
-def _search_options(fn):
-    fn = click.option("--gap", type=float, default=1e-6, show_default=True, help="Relative optimality gap.")(fn)
-    fn = click.option("--time-limit", type=float, default=None, help="Per-solve wall clock limit in seconds.")(fn)
-    return fn
+def _time_limit_option(fn):
+    return click.option("--time-limit", type=float, default=None,
+                        help="Per-solve wall clock limit in seconds.")(fn)
 
 
 def _solver_option(fn):
@@ -173,7 +172,7 @@ def _solver_option(fn):
 def _cell_options(fn):
     fn = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
                       help="Cells solved in parallel; the CSV is the same for any count.")(fn)
-    return _solver_option(_search_options(fn))
+    return _solver_option(_time_limit_option(fn))
 
 
 @click.group()
@@ -184,17 +183,16 @@ def main():
 
 @main.command()
 @_instance_options
-@_search_options
+@_time_limit_option
 @_solver_option
 @click.option("--objective", type=click.Choice(["z", "zz"]), default="z",
               show_default=True, help="Minimize timing cost (z) or unused area (zz).")
 @click.option("--fixed-orientation", is_flag=True, help="Pin every part to its as-delivered pose.")
 def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
-          solver, time_limit, gap):
+          solver, time_limit):
     """Solve one model and write schedule plus evaluation CSVs."""
     inst = _prepare(source, seed, machines, None, jobs)
     out.mkdir(parents=True, exist_ok=True)
-    params = SolveParams(time_limit_s=time_limit, gap_tolerance=gap)
     model = build_model(inst, Objective(objective), fixed_orientation=fixed_orientation)
     provenance = _provenance({
         "instance": instance_hash(inst),
@@ -204,7 +202,7 @@ def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
     })
 
     started = time.perf_counter()
-    sol = _solve_routed(model, params, solver, out / "model.lp")
+    sol = _solve_routed(model, time_limit, solver, out / "model.lp")
     wall = time.perf_counter() - started
     if sol is None:
         click.echo(f"LP written to {out / 'model.lp'}; solve it externally, save the "
@@ -230,20 +228,20 @@ def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
 
 @main.command()
 @_instance_options
-@_search_options
+@_time_limit_option
 @click.option("--epsilon-count", type=click.IntRange(min=1), default=10, show_default=True,
               help="Epsilon grid size.")
 @click.option("--fixed-orientation", is_flag=True, help="Pin every part to its as-delivered pose.")
-def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, time_limit, gap):
+def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, time_limit):
     """Sweep the area cap and write the trade-off front (builtin solver only)."""
     inst = _prepare(source, seed, machines, None, jobs)
     out.mkdir(parents=True, exist_ok=True)
     provenance = _provenance({"instance": instance_hash(inst), "cmd": "pareto", "K": epsilon_count})
     try:
-        front = pareto_front(inst, SolveParams(time_limit_s=time_limit, gap_tolerance=gap),
-                             grid_count=epsilon_count, fixed_orientation=fixed_orientation)
+        front = pareto_front(inst, time_limit_s=time_limit, grid_count=epsilon_count,
+                             fixed_orientation=fixed_orientation)
     except FrontError as exc:
-        # exit on the status of a payoff solve that ended without a schedule
+        # exit on the status of a payoff solve that ended without a proven optimum
         code = {SolveStatus.Infeasible: EXIT_INFEASIBLE,
                 SolveStatus.TimeLimit: EXIT_TIME_LIMIT}.get(exc.status, 1)
         _fail(code, str(exc))
@@ -265,10 +263,10 @@ def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, 
     click.echo(f"wrote {out / 'front.csv'} ({len(front.points)} nondominated points)")
 
 
-def _solve_cell(inst, fixed_orientation, params, solver, lp_path: Path):
+def _solve_cell(inst, fixed_orientation, time_limit_s, solver, lp_path: Path):
     """One scenario/sweep cell: (z or None, status string)."""
     model = build_model(inst, Objective.Z, fixed_orientation=fixed_orientation)
-    sol = _solve_routed(model, params, solver, lp_path)
+    sol = _solve_routed(model, time_limit_s, solver, lp_path)
     if sol is None:
         return None, "pending_external"
     if sol.status is SolveStatus.Infeasible:
@@ -298,7 +296,7 @@ def _parse_float_list(text: str) -> list[float]:
 @_cell_options
 @click.option("--parts-prefix", "prefixes", required=True,
               help="Comma-separated prefix sizes to compare, e.g. 2,4,6.")
-def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit, gap, threads):
+def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit, threads):
     """Compare free-orientation and fixed-orientation cost per part count.
 
     A part-count sweep over both scenarios, written one row per prefix
@@ -310,8 +308,7 @@ def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit, ga
         raise click.BadParameter("at least one prefix size required")
     base = _prepare(source, seed, machines, None, jobs)
     out.mkdir(parents=True, exist_ok=True)
-    cells = run_sweep(base, SweepSpec("part_count_prefix", tuple(sizes)),
-                      SolveParams(time_limit_s=time_limit, gap_tolerance=gap),
+    cells = run_sweep(base, SweepSpec("part_count_prefix", tuple(sizes)), time_limit,
                       solver, out, threads=threads, stem="scenario")
     # cells come as (free, fixed) pairs in prefix order
     rows = [[n, free[3], fixed[3], free[4], fixed[4]]
@@ -381,7 +378,7 @@ def _apply_sweep_value(base: ProblemInstance, parameter: str, value: float) -> P
     return replace(base, machines=tuple(machines))
 
 
-def run_sweep(base: ProblemInstance, spec: SweepSpec, params: SolveParams,
+def run_sweep(base: ProblemInstance, spec: SweepSpec, time_limit_s: float | None,
               solver: str | None, out: Path, threads: int = 1, stem: str = "sweep"):
     """Execute a sweep; returns rows [parameter, value, scenario, z, status].
 
@@ -418,7 +415,7 @@ def run_sweep(base: ProblemInstance, spec: SweepSpec, params: SolveParams,
             return None, "invalid_instance"
         label = f"p{value:g}" if spec.parameter == "part_count_prefix" else f"{spec.parameter}_{value:g}"
         tag = "fixed" if fixed else "free"
-        return _solve_cell(inst, fixed, params, solver, out / f"{stem}_{label}_{tag}.lp")
+        return _solve_cell(inst, fixed, time_limit_s, solver, out / f"{stem}_{label}_{tag}.lp")
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         outcomes = list(pool.map(run, cells))
@@ -473,15 +470,14 @@ def _check_sweep_dominance(spec: SweepSpec, rows) -> None:
 @click.option("--parts-prefix", type=int, default=None,
               help="Restrict to the first N parts before sweeping.")
 def sweep(source, seed, jobs, machines, out, parameter, values, scenario, parts_prefix,
-          solver, time_limit, gap, threads):
+          solver, time_limit, threads):
     """Sensitivity analysis: re-solve the cost model along one parameter."""
     value_list = _parse_float_list(values)
     base = _prepare(source, seed, machines, parts_prefix, jobs)
     out.mkdir(parents=True, exist_ok=True)
     spec = SweepSpec(parameter, tuple(value_list), scenario)
-    params = SolveParams(time_limit_s=time_limit, gap_tolerance=gap)
     try:
-        rows = run_sweep(base, spec, params, solver, out, threads=threads)
+        rows = run_sweep(base, spec, time_limit, solver, out, threads=threads)
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
 

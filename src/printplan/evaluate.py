@@ -49,12 +49,6 @@ class Schedule:
     completions: dict[tuple[str, int], float]
     activated: frozenset[tuple[str, int]]
 
-    def placement_for(self, part_id: str) -> Placement:
-        for pl in self.placements:
-            if pl.part_id == part_id:
-                return pl
-        raise KeyError(part_id)
-
     def jobs_used(self) -> list[tuple[str, int]]:
         """Jobs that are activated or hold a part, in machine/job order."""
         keys = set(self.activated)
@@ -93,12 +87,6 @@ class Evaluation:
     z: float
     zz: float
 
-    def job_report(self, machine_id: str, job_index: int) -> JobReport:
-        for job in self.jobs:
-            if job.machine_id == machine_id and job.job_index == job_index:
-                return job
-        raise KeyError((machine_id, job_index))
-
 
 @dataclass(frozen=True)
 class Violation:
@@ -106,7 +94,6 @@ class Violation:
 
     family: str
     subjects: tuple[str, ...]
-    message: str
 
 
 def decode(solution: MilpSolution, instance: ProblemInstance) -> Schedule:
@@ -267,7 +254,8 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
     """Run the full constraint predicate suite over a schedule.
 
     Returns one entry per violated constraint family, naming the parts
-    or jobs involved.  An empty list means the schedule is feasible.
+    or jobs involved; a part id the instance lacks counts under
+    ``assignment``.  An empty list means the schedule is feasible.
     """
     violations: list[Violation] = []
     members = _job_members(schedule)
@@ -275,16 +263,11 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
     seen: dict[str, int] = {}
     for pl in schedule.placements:
         seen[pl.part_id] = seen.get(pl.part_id, 0) + 1
+    parts = {p.id: p for p in instance.parts}
     bad_assign = [p.id for p in instance.parts if seen.get(p.id, 0) != 1]
-    bad_assign += sorted(pid for pid in seen if all(p.id != pid for p in instance.parts))
+    bad_assign += sorted(seen.keys() - parts.keys())
     if bad_assign:
-        violations.append(
-            Violation(
-                "assignment",
-                tuple(bad_assign),
-                "each part must appear exactly once",
-            )
-        )
+        violations.append(Violation("assignment", tuple(bad_assign)))
 
     too_tall = []
     for pl in schedule.placements:
@@ -292,13 +275,7 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
         if pl.orientation.height_mm > machine.height_mm + TOL:
             too_tall.append(pl.part_id)
     if too_tall:
-        violations.append(
-            Violation(
-                "machine_height",
-                tuple(too_tall),
-                "part stands taller than its machine's build height",
-            )
-        )
+        violations.append(Violation("machine_height", tuple(too_tall)))
 
     overfull = []
     for (machine_id, job_index), group in sorted(members.items()):
@@ -307,9 +284,7 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
         if occupied > machine.base_area_mm2 + TOL:
             overfull.append(f"job {job_index} on {machine_id}")
     if overfull:
-        violations.append(
-            Violation("plate_capacity", tuple(overfull), "job footprint exceeds plate area")
-        )
+        violations.append(Violation("plate_capacity", tuple(overfull)))
 
     orphaned = [
         f"job {j} on {mid}"
@@ -317,9 +292,7 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
         if (mid, j) not in schedule.activated
     ]
     if orphaned:
-        violations.append(
-            Violation("activation", tuple(orphaned), "parts placed in a job never activated")
-        )
+        violations.append(Violation("activation", tuple(orphaned)))
 
     gaps = []
     populated = sorted(members)
@@ -327,13 +300,7 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
         if job_index > 1 and (machine_id, job_index - 1) not in members:
             gaps.append(f"job {job_index} on {machine_id}")
     if gaps:
-        violations.append(
-            Violation(
-                "contiguity",
-                tuple(gaps),
-                "a populated job follows an empty slot on its machine",
-            )
-        )
+        violations.append(Violation("contiguity", tuple(gaps)))
 
     broken = []
     for machine_id in sorted({mid for mid, _ in schedule.jobs_used()}):
@@ -343,9 +310,8 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
         for job_index in chain:
             group = members.get((machine_id, job_index), [])
             height = max((pl.orientation.height_mm for pl in group), default=0.0)
-            volume = sum(
-                volume_mm3(instance.parts[instance.part_index(pl.part_id)]) for pl in group
-            )
+            # an unknown part is an assignment violation, with no volume here
+            volume = sum(volume_mm3(parts[pl.part_id]) for pl in group if pl.part_id in parts)
             processing = machine.layer_time_h_per_mm * height
             processing += machine.volumetric_time_h_per_mm3 * volume
             completion = schedule.completions.get((machine_id, job_index), 0.0)
@@ -353,13 +319,7 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
                 broken.append(f"job {job_index} on {machine_id}")
             prev_end = completion
     if broken:
-        violations.append(
-            Violation(
-                "sequencing",
-                tuple(broken),
-                "job completes before the previous job plus its own processing time",
-            )
-        )
+        violations.append(Violation("sequencing", tuple(broken)))
 
     return violations
 

@@ -189,10 +189,6 @@ class MilpModel:
             rhs[r] = row.rhs
         return a, senses, rhs
 
-    def objective_value(self, values: np.ndarray, objective: Objective) -> float:
-        vec = self.objective_z if objective is Objective.Z else self.objective_zz
-        return float(vec @ np.asarray(values))
-
 
 def build_registry(
     instance: ProblemInstance,

@@ -19,7 +19,7 @@ import numpy as np
 from .evaluate import Evaluation, Schedule, check_feasible, decode, evaluate
 from .instance import ProblemInstance
 from .model import MilpModel, Objective, build_model, cap_objective, inject_epsilon
-from .solver import MilpSolution, SolveParams, SolveStatus, solve_milp
+from .solver import MilpSolution, SolveStatus, solve_milp
 
 
 @dataclass(frozen=True)
@@ -75,24 +75,28 @@ def _refinement_margin(value: float) -> float:
 
 
 def _require_optimal(solution: MilpSolution, what: str) -> MilpSolution:
+    """The solution if proven optimal; the payoff table holds only optima."""
     if solution.status is SolveStatus.Infeasible:
         raise FrontError(f"{what}: model is infeasible", solution.status)
     if solution.values is None:
         raise FrontError(f"{what}: no incumbent within the time limit", solution.status)
+    if solution.status is not SolveStatus.Optimal:
+        raise FrontError(f"{what}: ended {solution.status.value}, optimum not proven", solution.status)
     return solution
 
 
 def _payoff_with_seeds(
     instance: ProblemInstance,
-    params: SolveParams,
+    time_limit_s: float | None,
     fixed_orientation: bool,
 ) -> tuple[PayoffTable, list[np.ndarray], MilpModel]:
     """The payoff table, its two refined corners as seeds, and the Z model."""
     model_z = build_model(instance, Objective.Z, fixed_orientation=fixed_orientation)
     model_zz = replace(model_z, active_objective=Objective.ZZ)
 
-    sol_z = _require_optimal(solve_milp(model_z, params), "payoff: minimize cost")
-    sol_zz = _require_optimal(solve_milp(model_zz, params), "payoff: minimize unused area")
+    sol_z = _require_optimal(solve_milp(model_z, time_limit_s=time_limit_s), "payoff: minimize cost")
+    sol_zz = _require_optimal(solve_milp(model_zz, time_limit_s=time_limit_s),
+                              "payoff: minimize unused area")
     z_ideal = float(sol_z.objective)
     zz_ideal = float(sol_zz.objective)
 
@@ -100,12 +104,12 @@ def _payoff_with_seeds(
     # area-optimal solutions, the cheapest: those are the nadir estimates
     capped_zz = cap_objective(model_zz, Objective.Z, z_ideal + _refinement_margin(z_ideal))
     ref_z = _require_optimal(
-        solve_milp(capped_zz, params, warm_values=[sol_z.values]),
+        solve_milp(capped_zz, time_limit_s=time_limit_s, warm_values=[sol_z.values]),
         "payoff: refine the cost-optimal corner",
     )
     capped_z = cap_objective(model_z, Objective.ZZ, zz_ideal + _refinement_margin(zz_ideal))
     ref_zz = _require_optimal(
-        solve_milp(capped_z, params, warm_values=[sol_zz.values]),
+        solve_milp(capped_z, time_limit_s=time_limit_s, warm_values=[sol_zz.values]),
         "payoff: refine the area-optimal corner",
     )
 
@@ -120,19 +124,20 @@ def _payoff_with_seeds(
 
 def payoff_table(
     instance: ProblemInstance,
-    params: SolveParams | None = None,
     *,
+    time_limit_s: float | None = None,
     fixed_orientation: bool = False,
 ) -> PayoffTable:
     """Ideal and estimated nadir values of both objectives.
 
     Four exact solves: each objective unconstrained, then each
     re-optimized with the other capped at its optimum (plus a token
-    margin) so the estimates sit on the actual front.
+    margin) so the estimates sit on the actual front.  A solve that
+    ends without a proven optimum raises FrontError with its status.
     """
     if not instance.parts:
         return PayoffTable(0.0, 0.0, 0.0, 0.0)
-    return _payoff_with_seeds(instance, params or SolveParams(), fixed_orientation)[0]
+    return _payoff_with_seeds(instance, time_limit_s, fixed_orientation)[0]
 
 
 def epsilon_grid(table: PayoffTable, grid_count: int) -> tuple[float, ...]:
@@ -176,8 +181,8 @@ def filter_dominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
 
 def pareto_front(
     instance: ProblemInstance,
-    params: SolveParams | None = None,
     *,
+    time_limit_s: float | None = None,
     grid_count: int = 10,
     fixed_orientation: bool = False,
     epsilons: tuple[float, ...] | None = None,
@@ -193,7 +198,6 @@ def pareto_front(
     the solver objective within 1e-6; optimal cost must never increase as
     the cap loosens.
     """
-    params = params or SolveParams()
     if not instance.parts:
         table = PayoffTable(0.0, 0.0, 0.0, 0.0)
         sched = Schedule((), {}, frozenset())
@@ -201,7 +205,7 @@ def pareto_front(
         point = ParetoPoint(0.0, 0.0, 0.0, SolveStatus.Optimal, sched, ev)
         return ParetoFront((point,), (point,), table)
 
-    table, seeds, base = _payoff_with_seeds(instance, params, fixed_orientation)
+    table, seeds, base = _payoff_with_seeds(instance, time_limit_s, fixed_orientation)
     grid = epsilons if epsilons is not None else epsilon_grid(table, grid_count)
 
     attempts: list[ParetoPoint] = []
@@ -209,7 +213,7 @@ def pareto_front(
     last_optimal_z: float | None = None
     for eps in sorted(grid):
         model = inject_epsilon(base, eps)
-        sol = solve_milp(model, params, warm_values=warm)
+        sol = solve_milp(model, time_limit_s=time_limit_s, warm_values=warm)
         if sol.values is None:
             attempts.append(ParetoPoint(eps, None, None, sol.status, None, None))
             continue

@@ -12,6 +12,11 @@ first: its binaries are rounded, the LP is re-solved with them fixed, and
 the result counts only if it is feasible as it stands.  A point whose
 binaries are merely within tolerance of integral can otherwise sit below
 any objective its decisions attain, by up to big-M times the tolerance.
+
+``Optimal`` means proven: no open node's bound is below the incumbent by
+more than ``GAP_TOLERANCE`` (1e-6 relative), a constant, not a setting.
+The one early stop is the time limit, reported as ``TimeLimit`` with the
+best open bound.
 """
 
 from __future__ import annotations
@@ -38,12 +43,9 @@ class SolveStatus(str, Enum):
 
 # a binary within this distance of 0 or 1 counts as integral
 INTEGRALITY_TOLERANCE = 1e-6
-
-
-@dataclass(frozen=True)
-class SolveParams:
-    time_limit_s: float | None = None
-    gap_tolerance: float = 1e-6
+# a node is pruned once its bound is within this relative distance of
+# the incumbent, so ``Optimal`` means proven to this gap
+GAP_TOLERANCE = 1e-6
 
 
 @dataclass
@@ -54,10 +56,6 @@ class MilpSolution:
     bound: float
     gap: float
     node_count: int
-
-    @property
-    def ok(self) -> bool:
-        return self.values is not None
 
 
 @dataclass(order=True)
@@ -145,19 +143,19 @@ class _Propagator:
 
 def solve_milp(
     model: MilpModel,
-    params: SolveParams | None = None,
     *,
+    time_limit_s: float | None = None,
     warm_values: list[np.ndarray] | None = None,
 ) -> MilpSolution:
     """Exact minimization of the model's active objective.
 
-    ``warm_values`` may carry full solution vectors known to be feasible
+    The search stops early only at ``time_limit_s``, with status
+    ``TimeLimit`` and the best open bound.  ``warm_values`` may carry full solution vectors known to be feasible
     (from a related solve, say a neighboring epsilon cap); each one that
     checks out seeds the incumbent, which skips the feasibility dive and
     prunes from the start.
     """
-    params = params or SolveParams()
-    deadline = None if params.time_limit_s is None else time.perf_counter() + params.time_limit_s
+    deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
 
     a, senses, rhs = model.dense_rows()
     base_lo, base_up = model.registry.bounds()
@@ -282,7 +280,7 @@ def solve_milp(
     def cutoff() -> float:
         if incumbent_obj is None:
             return math.inf
-        return incumbent_obj - params.gap_tolerance * max(1.0, abs(incumbent_obj))
+        return incumbent_obj - GAP_TOLERANCE * max(1.0, abs(incumbent_obj))
 
     def process(node: _Node) -> list[_Node]:
         nonlocal node_count
@@ -383,15 +381,6 @@ def _is_feasible(values, a, senses, rhs, lo, up, binary_cols) -> bool:
     return not np.any(over | under)
 
 
-_STATUS_TOKENS = {
-    "optimal": SolveStatus.Optimal,
-    "feasible": SolveStatus.Feasible,
-    "infeasible": SolveStatus.Infeasible,
-    "time_limit": SolveStatus.TimeLimit,
-    "timelimit": SolveStatus.TimeLimit,
-}
-
-
 def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
     """Read a solution file produced outside this package.
 
@@ -408,9 +397,10 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
     if len(head) != 2:
         raise ValueError("header must be 'STATUS objective'")
     token = head[0].lower()
-    if token not in _STATUS_TOKENS:
-        raise ValueError(f"unknown status {head[0]!r}")
-    status = _STATUS_TOKENS[token]
+    try:
+        status = SolveStatus("time_limit" if token == "timelimit" else token)
+    except ValueError:
+        raise ValueError(f"unknown status {head[0]!r}") from None
     if status is SolveStatus.Infeasible:
         return MilpSolution(status, None, None, math.inf, math.inf, 0)
     try:
@@ -434,12 +424,7 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
 
 def write_solution(solution: MilpSolution, model: MilpModel) -> str:
     """Inverse of parse_external_solution, columns above 1e-9 in magnitude only."""
-    status = {
-        SolveStatus.Optimal: "OPTIMAL",
-        SolveStatus.Feasible: "FEASIBLE",
-        SolveStatus.Infeasible: "INFEASIBLE",
-        SolveStatus.TimeLimit: "TIME_LIMIT",
-    }[solution.status]
+    status = solution.status.value.upper()
     if solution.values is None:
         return f"{status} nan\n"
     lines = [f"{status} {solution.objective:.12g}"]

@@ -2,14 +2,17 @@
 
 ``perfbench/spans.py`` patches package entry points by name and
 ``perfbench/workloads.py`` imports others; if one of those names goes
-away, every traced operation of the benchmark fails.  These tests load
-both files by path and change nothing under ``perfbench/``.
+away, or a signature stops accepting the way the workloads call it,
+every traced operation of the benchmark fails.  These tests load both
+files by path and change nothing under ``perfbench/``.
 """
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -63,3 +66,39 @@ def test_tracer_installs_and_restores(spans):
 def test_workloads_import_cleanly():
     workloads = _load("workloads")
     assert workloads.FrontNine.name == "front_nine"
+
+
+def test_workload_calls_bind_to_package_signatures():
+    # read, not run: each call to a name imported from printplan (or an
+    # attribute of one) must bind its positional count and keyword names
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "printplan":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                imported[alias.asname or alias.name] = getattr(module, alias.name)
+
+    def resolve(func):
+        if isinstance(func, ast.Name):
+            return imported.get(func.id)
+        if isinstance(func, ast.Attribute):
+            owner = resolve(func.value)
+            return None if owner is None else getattr(owner, func.attr)
+        return None
+
+    checked = 0
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        target = resolve(node.func)
+        if target is None:
+            continue
+        assert not any(isinstance(a, ast.Starred) for a in node.args), node.lineno
+        assert all(k.arg is not None for k in node.keywords), node.lineno
+        try:
+            inspect.signature(target).bind(*node.args, **{k.arg: k.value for k in node.keywords})
+        except TypeError as exc:
+            pytest.fail(f"workloads.py:{node.lineno} {ast.unparse(node.func)}: {exc}")
+        checked += 1
+    assert checked

@@ -28,7 +28,7 @@ from printplan.datasets import load_builtin, part_prefix, random_instance, with_
 from printplan.instance import instance_hash
 from printplan.model import Objective, build_model
 from printplan.pareto import pareto_front
-from printplan.solver import SolveParams, solve_milp, write_solution
+from printplan.solver import SolveStatus, solve_milp, write_solution
 import click
 
 
@@ -122,6 +122,20 @@ def test_count_below_one_exits_2_before_solving(runner, tmp_path, args, option):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
     assert result.exit_code == 2
     assert option in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--instance", "random"],
+    ["pareto", "--instance", "random"],
+    ["scenario", "--instance", "random", "--parts-prefix", "2"],
+    ["sweep", "--instance", "random", "--parameter", "layer_time", "--values", "0.1"],
+], ids=["solve", "pareto", "scenario", "sweep"])
+def test_gap_option_is_gone(runner, tmp_path, args):
+    # optimal means proven to solver.GAP_TOLERANCE; no run can loosen it
+    result = runner.invoke(main, args + ["--gap", "0.5", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--gap" in result.output
     assert not list(tmp_path.glob("*.csv"))
 
 
@@ -319,8 +333,8 @@ def test_pareto_consistency_failure_exits_1(runner, tmp_path, monkeypatch):
     real = printplan.pareto.solve_milp
     calls = itertools.count()
 
-    def understated(model, params=None, **kwargs):
-        sol = real(model, params, **kwargs)
+    def understated(model, **kwargs):
+        sol = real(model, **kwargs)
         if next(calls) < 4:  # the payoff solves stay exact
             return sol
         return replace(sol, objective=sol.objective - 1.0)
@@ -344,6 +358,28 @@ def test_pareto_payoff_time_limit_exits_4(runner, tmp_path):
     )
     assert result.exit_code == 4
     assert "no incumbent within the time limit" in result.output
+
+
+def test_pareto_unproven_payoff_exits_4(runner, tmp_path, monkeypatch):
+    # the first payoff solve stops at the time limit with an incumbent
+    real = printplan.pareto.solve_milp
+    calls = itertools.count()
+
+    def first_stopped(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        if next(calls) == 0:
+            return replace(sol, status=SolveStatus.TimeLimit)
+        return sol
+
+    monkeypatch.setattr(printplan.pareto, "solve_milp", first_stopped)
+    result = runner.invoke(
+        main,
+        ["pareto", "--instance", "random", "--seed", "2", "--epsilon-count", "3",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 4
+    assert "ended time_limit, optimum not proven" in result.output
+    assert not (tmp_path / "front.csv").exists()
 
 
 def test_pareto_has_no_external_solver_path(runner, tmp_path):
@@ -553,13 +589,12 @@ def test_sweep_dominance_check_skips_unsolved_cells():
 
 def test_run_sweep_validates_spec():
     inst = random_instance(0)
-    params = SolveParams()
     with pytest.raises(ValueError, match="unknown sweep parameter"):
-        run_sweep(inst, SweepSpec("nozzle_count", (1.0,)), params, "builtin", Path("."))
+        run_sweep(inst, SweepSpec("nozzle_count", (1.0,)), None, "builtin", Path("."))
     with pytest.raises(ValueError, match="at least one value"):
-        run_sweep(inst, SweepSpec("layer_time", ()), params, "builtin", Path("."))
+        run_sweep(inst, SweepSpec("layer_time", ()), None, "builtin", Path("."))
     with pytest.raises(ValueError, match="unknown scenario"):
-        run_sweep(inst, SweepSpec("layer_time", (0.1,), "upside_down"), params, "builtin", Path("."))
+        run_sweep(inst, SweepSpec("layer_time", (0.1,), "upside_down"), None, "builtin", Path("."))
 
 
 # dependency line

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from printplan.datasets import load_builtin, random_instance
 from printplan.evaluate import (
     Placement,
     Schedule,
+    Violation,
     check_feasible,
     decode,
     evaluate,
@@ -15,7 +18,7 @@ from printplan.evaluate import (
 from printplan.geometry import OrientationKind, orientation_for, orientations
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance, instance_hash
 from printplan.model import Objective, build_model, build_registry
-from printplan.solver import MilpSolution, SolveParams, SolveStatus, solve_milp
+from printplan.solver import MilpSolution, SolveStatus, solve_milp
 
 
 def reference_machine() -> MachineSpec:
@@ -127,7 +130,7 @@ def test_empty_activated_job_counts_plate_only():
         frozenset({(mid, 1), (mid, 2)}),
     )
     ev = evaluate(sched, inst)
-    empty = ev.job_report(mid, 2)
+    empty = next(job for job in ev.jobs if (job.machine_id, job.job_index) == (mid, 2))
     assert empty.processing_h == 0.0
     assert empty.height_mm == 0.0
     assert empty.occupied_mm2 == 0.0
@@ -159,7 +162,7 @@ def test_utilization_identity_on_random_instances():
     for seed in range(6):
         inst = random_instance(seed, n_parts=3, jobs_per_machine=2)
         model = build_model(inst, Objective.ZZ)
-        sol = solve_milp(model, SolveParams(time_limit_s=60))
+        sol = solve_milp(model, time_limit_s=60)
         assert sol.status is SolveStatus.Optimal
         sched = decode(sol, inst)
         ev = evaluate(sched, inst)
@@ -263,7 +266,7 @@ def test_decode_requires_values():
 def test_recanonicalized_height_never_exceeds_solver_column():
     inst = load_builtin("nine_parts")
     model = build_model(inst, Objective.ZZ)
-    sol = solve_milp(model, SolveParams(time_limit_s=60))
+    sol = solve_milp(model, time_limit_s=60)
     sched = decode(sol, inst)
     ev = evaluate(sched, inst)
     reg = model.registry
@@ -277,7 +280,7 @@ def test_solver_evaluator_agreement_small_instances():
         inst = random_instance(seed, n_parts=3)
         for objective in (Objective.Z, Objective.ZZ):
             model = build_model(inst, objective)
-            sol = solve_milp(model, SolveParams(time_limit_s=60))
+            sol = solve_milp(model, time_limit_s=60)
             assert sol.status is SolveStatus.Optimal
             ev = evaluate(decode(sol, inst), inst)
             got = ev.z if objective is Objective.Z else ev.zz
@@ -341,6 +344,15 @@ def test_check_feasible_assignment_and_activation():
     assert "activation" in fams
 
 
+def test_check_feasible_reports_unknown_part():
+    # a placement for a part the instance lacks is reported, not raised
+    inst = random_instance(0)
+    sched = decode(solve_milp(build_model(inst, Objective.Z)), inst)
+    ghost = replace(sched.placements[0], part_id="ghost")
+    sched = replace(sched, placements=sched.placements + (ghost,))
+    assert check_feasible(sched, inst) == [Violation("assignment", ("ghost",))]
+
+
 def test_check_feasible_contiguity_entry():
     inst = ProblemInstance(
         machines=(reference_machine(),),
@@ -371,7 +383,7 @@ def test_check_feasible_height_entry():
 
 def test_check_feasible_accepts_solver_output():
     inst = load_builtin("nine_parts")
-    sol = solve_milp(build_model(inst, Objective.ZZ), SolveParams(time_limit_s=60))
+    sol = solve_milp(build_model(inst, Objective.ZZ), time_limit_s=60)
     assert check_feasible(decode(sol, inst), inst) == []
 
 

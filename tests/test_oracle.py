@@ -24,7 +24,7 @@ from printplan.oracle import (
     optimal_timing,
     single_batch_oracle,
 )
-from printplan.solver import SolveParams, SolveStatus, solve_milp
+from printplan.solver import SolveStatus, solve_milp
 
 
 def reference_machine(mid: str = "m1") -> MachineSpec:
@@ -301,8 +301,8 @@ def test_agrees_with_milp_on_seeded_instances():
     for seed in (0, 3, 5, 7):
         inst = random_instance(seed)
         res = brute_force(inst)
-        sol_z = solve_milp(build_model(inst, Objective.Z), SolveParams(time_limit_s=120))
-        sol_zz = solve_milp(build_model(inst, Objective.ZZ), SolveParams(time_limit_s=120))
+        sol_z = solve_milp(build_model(inst, Objective.Z), time_limit_s=120)
+        sol_zz = solve_milp(build_model(inst, Objective.ZZ), time_limit_s=120)
         assert sol_z.status is SolveStatus.Optimal
         assert sol_z.objective == pytest.approx(res.min_z.z, abs=1e-6)
         assert sol_zz.objective == pytest.approx(res.min_zz.zz, abs=1e-6)
@@ -316,7 +316,7 @@ def test_epsilon_constrained_agrees_with_milp():
         eps = lo + frac * (hi - lo)
         want = res.constrained(eps)
         model = inject_epsilon(build_model(inst, Objective.Z), eps)
-        got = solve_milp(model, SolveParams(time_limit_s=120))
+        got = solve_milp(model, time_limit_s=120)
         assert got.status is SolveStatus.Optimal
         assert got.objective == pytest.approx(want.z, abs=1e-6)
 
@@ -329,7 +329,7 @@ def test_identical_machines_canonical_witness():
     )
     res = brute_force(inst)
     for point in res.points:
-        first = point.schedule.placement_for("p1")
+        first = next(pl for pl in point.schedule.placements if pl.part_id == "p1")
         assert first.machine_id == "m1"
 
 

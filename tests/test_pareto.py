@@ -23,7 +23,7 @@ from printplan.pareto import (
     write_front_gnuplot,
 )
 from printplan.evaluate import check_feasible
-from printplan.solver import SolveParams, SolveStatus
+from printplan.solver import SolveStatus
 
 
 def one_part_instance() -> ProblemInstance:
@@ -74,7 +74,25 @@ def test_payoff_matches_oracle_corners():
 def test_payoff_propagates_time_limit():
     inst = random_instance(0)
     with pytest.raises(FrontError, match="no incumbent"):
-        payoff_table(inst, SolveParams(time_limit_s=1e-9))
+        payoff_table(inst, time_limit_s=1e-9)
+
+
+def test_payoff_rejects_unproven_optimum(monkeypatch):
+    # the first payoff solve stops at the time limit holding an incumbent:
+    # an unproven value is no ideal, so the table is refused
+    real = pareto_module.solve_milp
+    calls = itertools.count()
+
+    def first_stopped(*args, **kwargs):
+        sol = real(*args, **kwargs)
+        if next(calls) == 0:
+            return replace(sol, status=SolveStatus.TimeLimit)
+        return sol
+
+    monkeypatch.setattr(pareto_module, "solve_milp", first_stopped)
+    with pytest.raises(FrontError, match="minimize cost: ended time_limit") as info:
+        payoff_table(random_instance(0))
+    assert info.value.status is SolveStatus.TimeLimit
 
 
 # --------------------------------------------------------------- grid
@@ -181,8 +199,8 @@ def test_time_limited_points_are_checked_too(monkeypatch):
     real = pareto_module.solve_milp
     calls = itertools.count()
 
-    def understated(model, params=None, **kwargs):
-        sol = real(model, params, **kwargs)
+    def understated(model, **kwargs):
+        sol = real(model, **kwargs)
         if next(calls) < 4:
             return sol
         return replace(sol, status=SolveStatus.TimeLimit, objective=sol.objective - 1.0)

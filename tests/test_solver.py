@@ -17,7 +17,6 @@ from printplan.model import Objective, build_model, inject_epsilon
 from printplan.solver import (
     INTEGRALITY_TOLERANCE,
     MilpSolution,
-    SolveParams,
     SolveStatus,
     _Propagator,
     _is_feasible,
@@ -65,7 +64,7 @@ def infeasible_instance():
 def test_optimal_solve_reports_closed_gap():
     sol = solve_milp(build_model(tiny_instance(), Objective.Z))
     assert sol.status is SolveStatus.Optimal
-    assert sol.ok
+    assert sol.values is not None
     assert sol.gap == 0.0
     assert sol.bound == pytest.approx(sol.objective, abs=1e-9)
     assert sol.node_count >= 1
@@ -76,12 +75,11 @@ def test_infeasible_model_is_reported():
     sol = solve_milp(build_model(infeasible_instance(), Objective.Z))
     assert sol.status is SolveStatus.Infeasible
     assert sol.values is None
-    assert not sol.ok
 
 
 def test_time_limit_without_incumbent():
     model = build_model(load_builtin("nine_parts"), Objective.Z)
-    sol = solve_milp(model, SolveParams(time_limit_s=1e-9))
+    sol = solve_milp(model, time_limit_s=1e-9)
     assert sol.status is SolveStatus.TimeLimit
     assert sol.values is None
 
@@ -147,7 +145,7 @@ def test_epsilon_cap_binds():
     model = build_model(inst, Objective.Z)
     capped = solve_milp(inject_epsilon(model, free.objective + 0.5))
     assert capped.status is SolveStatus.Optimal
-    zz = model.objective_value(capped.values, Objective.ZZ)
+    zz = float(model.objective_zz @ capped.values)
     assert zz <= free.objective + 0.5 + 1e-6
 
 
