@@ -30,7 +30,7 @@ import click
 
 from . import __version__
 from .datasets import BUILTIN_NAMES, load_builtin, part_prefix, random_instance, reference_curves, with_machine_count
-from .evaluate import evaluate, decode, write_schedule_csv
+from .evaluate import check_feasible, evaluate, decode, write_schedule_csv
 from .instance import InstanceError, ProblemInstance, instance_hash, load_instance, validate
 from .model import Objective, build_model, write_lp
 from .pareto import FrontError, attach_schedule_files, pareto_front, write_front_csv, write_front_gnuplot
@@ -91,6 +91,8 @@ def _solve_routed(model, time_limit_s: float | None, solver: str | None, lp_path
     """Solve in-process, or write ``lp_path`` and read the ``.sol`` beside it.
 
     Returns None on the external route while the solution file is missing.
+    A solution file that does not parse, or whose decoded schedule fails
+    `check_feasible`, raises ``ValueError`` naming the file.
     """
     if _resolve_solver(solver, len(model.registry.binary_columns())) == "builtin":
         return solve_milp(model, time_limit_s=time_limit_s)
@@ -99,7 +101,18 @@ def _solve_routed(model, time_limit_s: float | None, solver: str | None, lp_path
     sol_path = lp_path.with_suffix(".sol")
     if not sol_path.exists():
         return None
-    return parse_external_solution(sol_path.read_text(), model)
+    try:
+        sol = parse_external_solution(sol_path.read_text(), model)
+        if sol.values is None:
+            return sol
+        schedule = decode(sol, model.instance)
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"{sol_path}: {exc}") from None
+    violations = check_feasible(schedule, model.instance)
+    if violations:
+        families = ", ".join(v.family for v in violations)
+        raise ValueError(f"{sol_path}: solution violates {families}")
+    return sol
 
 
 def _write_rows(path: Path, provenance: str, header: list[str], rows: list[list], extra_comments=()) -> None:
@@ -202,7 +215,10 @@ def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
     })
 
     started = time.perf_counter()
-    sol = _solve_routed(model, time_limit, solver, out / "model.lp")
+    try:
+        sol = _solve_routed(model, time_limit, solver, out / "model.lp")
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     wall = time.perf_counter() - started
     if sol is None:
         click.echo(f"LP written to {out / 'model.lp'}; solve it externally, save the "
@@ -308,8 +324,11 @@ def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit, th
         raise click.BadParameter("at least one prefix size required")
     base = _prepare(source, seed, machines, None, jobs)
     out.mkdir(parents=True, exist_ok=True)
-    cells = run_sweep(base, SweepSpec("part_count_prefix", tuple(sizes)), time_limit,
-                      solver, out, threads=threads, stem="scenario")
+    try:
+        cells = run_sweep(base, SweepSpec("part_count_prefix", tuple(sizes)), time_limit,
+                          solver, out, threads=threads, stem="scenario")
+    except ValueError as exc:
+        _fail(EXIT_VALIDATION, str(exc))
     # cells come as (free, fixed) pairs in prefix order
     rows = [[n, free[3], fixed[3], free[4], fixed[4]]
             for n, free, fixed in zip(sizes, cells[::2], cells[1::2])]

@@ -254,42 +254,47 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
     """Run the full constraint predicate suite over a schedule.
 
     Returns one entry per violated constraint family, naming the parts
-    or jobs involved; a part id the instance lacks counts under
-    ``assignment``.  An empty list means the schedule is feasible.
+    or jobs involved.  A part id the instance lacks, or a part placed on
+    a machine the instance lacks, counts under ``assignment``; a job on
+    such a machine counts under ``activation``, and the height, capacity
+    and sequencing checks skip it.  An empty list means the schedule is
+    feasible.
     """
     violations: list[Violation] = []
     members = _job_members(schedule)
+    machines = {m.id: m for m in instance.machines}
 
     seen: dict[str, int] = {}
     for pl in schedule.placements:
         seen[pl.part_id] = seen.get(pl.part_id, 0) + 1
     parts = {p.id: p for p in instance.parts}
-    bad_assign = [p.id for p in instance.parts if seen.get(p.id, 0) != 1]
+    stray = {pl.part_id for pl in schedule.placements if pl.machine_id not in machines}
+    bad_assign = [p.id for p in instance.parts if seen.get(p.id, 0) != 1 or p.id in stray]
     bad_assign += sorted(seen.keys() - parts.keys())
     if bad_assign:
         violations.append(Violation("assignment", tuple(bad_assign)))
 
     too_tall = []
     for pl in schedule.placements:
-        machine = instance.machines[instance.machine_index(pl.machine_id)]
-        if pl.orientation.height_mm > machine.height_mm + TOL:
+        machine = machines.get(pl.machine_id)
+        if machine and pl.orientation.height_mm > machine.height_mm + TOL:
             too_tall.append(pl.part_id)
     if too_tall:
         violations.append(Violation("machine_height", tuple(too_tall)))
 
     overfull = []
     for (machine_id, job_index), group in sorted(members.items()):
-        machine = instance.machines[instance.machine_index(machine_id)]
+        machine = machines.get(machine_id)
         occupied = sum(pl.orientation.base_area_mm2 for pl in group)
-        if occupied > machine.base_area_mm2 + TOL:
+        if machine and occupied > machine.base_area_mm2 + TOL:
             overfull.append(f"job {job_index} on {machine_id}")
     if overfull:
         violations.append(Violation("plate_capacity", tuple(overfull)))
 
     orphaned = [
         f"job {j} on {mid}"
-        for (mid, j) in sorted(members)
-        if (mid, j) not in schedule.activated
+        for (mid, j) in schedule.jobs_used()
+        if mid not in machines or (mid, j) not in schedule.activated
     ]
     if orphaned:
         violations.append(Violation("activation", tuple(orphaned)))
@@ -303,8 +308,8 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
         violations.append(Violation("contiguity", tuple(gaps)))
 
     broken = []
-    for machine_id in sorted({mid for mid, _ in schedule.jobs_used()}):
-        machine = instance.machines[instance.machine_index(machine_id)]
+    for machine_id in sorted({mid for mid, _ in schedule.jobs_used()} & machines.keys()):
+        machine = machines[machine_id]
         chain = sorted(j for mid, j in schedule.jobs_used() if mid == machine_id)
         prev_end = 0.0
         for job_index in chain:

@@ -50,24 +50,6 @@ class Objective(str, Enum):
 
 BINARY_FAMILIES = ("x", "y", "b", "f")
 
-# family -> index arity; order fixes the column layout
-_FAMILIES = (
-    ("x", 3),
-    ("y", 2),
-    ("b", 1),
-    ("f", 1),
-    ("ph", 1),
-    ("pa", 1),
-    ("jh", 2),
-    ("jp", 2),
-    ("jc", 2),
-    ("pc", 1),
-    ("e", 1),
-    ("t", 1),
-    ("la", 3),
-    ("lc", 3),
-)
-
 
 @dataclass(frozen=True)
 class BigMBundle:
@@ -172,7 +154,6 @@ class MilpModel:
     objective_z: np.ndarray
     objective_zz: np.ndarray
     active_objective: Objective
-    big_m: BigMBundle
 
     @property
     def objective(self) -> np.ndarray:
@@ -476,7 +457,6 @@ def build_model(
         objective_z=obj_z,
         objective_zz=obj_zz,
         active_objective=objective,
-        big_m=bundle,
     )
 
 

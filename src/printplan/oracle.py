@@ -17,6 +17,11 @@ from .evaluate import Evaluation, Placement, Schedule, evaluate
 from .geometry import feasible_orientations, volume_mm3
 from .instance import MachineSpec, ProblemInstance
 
+# brute_force refuses instances with more parts than this
+_MAX_PARTS = 6
+# a point fits an area cap it exceeds by at most this much
+_CAP_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class TimingPart:
@@ -129,11 +134,11 @@ class BruteForceResult:
     def min_z(self) -> OraclePoint:
         return self.points[-1]
 
-    def constrained(self, epsilon: float, tol: float = 1e-9) -> OraclePoint | None:
+    def constrained(self, epsilon: float) -> OraclePoint | None:
         """Cheapest point with zz at most epsilon, or None if none fits."""
         best = None
         for point in self.points:
-            if point.zz <= epsilon + tol:
+            if point.zz <= epsilon + _CAP_TOL:
                 best = point
         return best
 
@@ -207,22 +212,22 @@ def _pareto_min2(points):
     return out
 
 
-def brute_force(instance: ProblemInstance, *, max_parts: int = 6) -> BruteForceResult:
+def brute_force(instance: ProblemInstance) -> BruteForceResult:
     """Exhaustively enumerate schedules and keep the nondominated set.
 
     Covers every distribution of parts over machines, every ordered
     partition of a machine's parts into jobs, and every orientation
     combination, with the completion times of each candidate solved
     exactly.  The result answers min z, min zz, and any area-capped
-    query.  Instances above ``max_parts`` are rejected outright.
+    query.  Instances above ``_MAX_PARTS`` parts are rejected outright.
     """
     n = len(instance.parts)
     n_m = len(instance.machines)
     jobs = instance.jobs_per_machine
-    if n > max_parts:
+    if n > _MAX_PARTS:
         estimate = (3 * n_m * jobs) ** n
         raise ValueError(
-            f"instance has {n} parts, brute-force limit is {max_parts} "
+            f"instance has {n} parts, brute-force limit is {_MAX_PARTS} "
             f"(roughly {estimate:.1e} candidate schedules)"
         )
     if n == 0:

@@ -3,6 +3,10 @@
 Solves   min c.x  subject to  A x {<=,=,>=} b,  lower <= x <= upper
 with a dense revised simplex that keeps an explicit basis inverse.
 
+The rows come in one form: the `LpRows` that `prepare_rows` builds once
+for every LP over the same rows.  Every column needs at least one finite
+bound, so each nonbasic column sits at a finite bound (no free columns).
+
 Key mechanics:
 
 * every row gets a slack column, bounded so the slack encodes the row
@@ -24,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-AT_LO, AT_UP, BASIC, FREE = 0, 1, 2, 3
+AT_LO, AT_UP, BASIC = 0, 1, 2
 
 _REFACTOR_EVERY = 100
 _DEGENERATE_RUN = 300
@@ -108,23 +112,18 @@ def prepare_rows(a, senses, b) -> LpRows:
 
 def solve_lp(
     c,
-    a,
-    senses,
-    b,
+    rows: LpRows,
     lower,
     upper,
     *,
     start: tuple[tuple[int, ...], bytes] | None = None,
 ) -> LpResult:
-    """Solve one LP. `senses` is a sequence of '<', '=' or '>' per row.
+    """Solve one LP over the rows that `prepare_rows` returned.
 
-    ``a`` may instead be the `LpRows` that `prepare_rows(a, senses, b)`
-    returned, which saves the row preparation when many LPs share their
-    rows; ``senses`` and ``b`` are then not read.
+    Raises ``ValueError`` for a column whose bounds are both infinite.
     """
     c = np.asarray(c, dtype=float)
     n = c.shape[0]
-    rows = a if isinstance(a, LpRows) else prepare_rows(np.reshape(a, (len(b), n)), senses, b)
     a_full, b = rows.a_full, rows.b
     m = b.shape[0]
     if a_full.shape[1] != n + m:
@@ -135,6 +134,8 @@ def solve_lp(
     cols[:n] = c
     lo = np.concatenate([np.asarray(lower, dtype=float), rows.slack_lo])
     up = np.concatenate([np.asarray(upper, dtype=float), rows.slack_up])
+    if np.any(~np.isfinite(lo) & ~np.isfinite(up)):
+        raise ValueError("every column needs a finite lower or upper bound")
     # a basic variable past these limits counts as out of bounds
     lo_lim = lo - _btol(lo, _BOUND_TOL)
     up_lim = up + _btol(up, _BOUND_TOL)
@@ -143,7 +144,7 @@ def solve_lp(
 
     def cold_state():
         basis = np.arange(n, n + m)
-        status = _default_nonbasic_status(lo, up)
+        status = _default_nonbasic_status(lo)
         status[basis] = BASIC
         values = _nonbasic_values(status, lo, up)
         binv = np.eye(m)
@@ -157,10 +158,9 @@ def solve_lp(
         status = np.frombuffer(start[1], dtype=np.int8).copy()
         if basis.shape[0] != m or status.shape[0] != total:
             raise ValueError("warm start does not match problem shape")
-        # bounds may have changed since the start basis was recorded:
-        # re-anchor nonbasic variables onto currently finite bounds
-        status = _reanchor(status, lo, up)
-        if len(start) > 2 and start[2] is not None and start[2].shape == (m, m):
+        # only finite bounds change between solves, so a nonbasic status
+        # from an earlier solve still names a finite bound here
+        if len(start) > 2 and start[2] is not None:
             binv = np.array(start[2])
             values = _nonbasic_values(status, lo, up)
             values[basis] = _basic_values(a_full, b, basis, values, binv)
@@ -213,9 +213,8 @@ def solve_lp(
         y = c_eff[basis] @ binv
         d = c_eff - y @ a_full
 
-        free_mask = status == FREE
-        can_up = ((status == AT_LO) | free_mask) & (d < -price_tol)
-        can_dn = ((status == AT_UP) | free_mask) & (d > price_tol)
+        can_up = (status == AT_LO) & (d < -price_tol)
+        can_dn = (status == AT_UP) & (d > price_tol)
         eligible = can_up | can_dn
 
         if not eligible.any():
@@ -301,24 +300,8 @@ def _btol(bound, tol):
     return tol * np.maximum(1.0, np.abs(np.where(np.isfinite(bound), bound, 0.0)))
 
 
-def _default_nonbasic_status(lo, up):
-    status = np.full(lo.shape[0], FREE, dtype=np.int8)
-    status[np.isfinite(lo)] = AT_LO
-    only_up = ~np.isfinite(lo) & np.isfinite(up)
-    status[only_up] = AT_UP
-    return status
-
-
-def _reanchor(status, lo, up):
-    """Move each nonbasic status that names an infinite bound, or a FREE
-    one that now has a finite bound, to the default for its bounds."""
-    fin_lo, fin_up = np.isfinite(lo), np.isfinite(up)
-    stale = (
-        ((status == AT_LO) & ~fin_lo)
-        | ((status == AT_UP) & ~fin_up)
-        | ((status == FREE) & (fin_lo | fin_up))
-    )
-    return np.where(stale, _default_nonbasic_status(lo, up), status).astype(np.int8)
+def _default_nonbasic_status(lo):
+    return np.where(np.isfinite(lo), AT_LO, AT_UP).astype(np.int8)
 
 
 def _nonbasic_values(status, lo, up):

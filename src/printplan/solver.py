@@ -46,6 +46,8 @@ INTEGRALITY_TOLERANCE = 1e-6
 # a node is pruned once its bound is within this relative distance of
 # the incumbent, so ``Optimal`` means proven to this gap
 GAP_TOLERANCE = 1e-6
+# bound-propagation sweeps over all rows per node, at most
+_PROPAGATION_PASSES = 4
 
 
 @dataclass
@@ -98,13 +100,13 @@ class _Propagator:
         self.binary_mask = np.zeros(a.shape[1], dtype=bool)
         self.binary_mask[list(binary_cols)] = True
 
-    def run(self, lo: np.ndarray, up: np.ndarray, passes: int = 4) -> bool:
+    def run(self, lo: np.ndarray, up: np.ndarray) -> bool:
         if not self.active:
             return True
         tol = 1e-7
         row, col, val, pos = self.row, self.col, self.val, self.pos
         n_rows = self.rhs.shape[0]
-        for _ in range(passes):
+        for _ in range(_PROPAGATION_PASSES):
             with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
                 contrib = np.where(pos, val * lo[col], val * up[col])
                 inf_mask = np.isneginf(contrib)
@@ -186,7 +188,7 @@ def solve_milp(
         bm = propagator.binary_mask
         lo[bm] = plo[bm]
         up[bm] = pup[bm]
-        return solve_lp(cost, rows, senses, rhs, lo, up, start=start)
+        return solve_lp(cost, rows, lo, up, start=start)
 
     bin_idx = np.asarray(binary_cols, dtype=int)
 

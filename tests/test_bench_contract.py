@@ -19,6 +19,9 @@ from pathlib import Path
 import pytest
 
 import printplan.cli  # noqa: F401  (the tracer patches the CLI too)
+import printplan.solver
+from printplan.datasets import random_instance
+from printplan.model import Objective, build_model
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -61,6 +64,21 @@ def test_tracer_installs_and_restores(spans):
         tracer.uninstall()
     for (module_name, attr), original in originals.items():
         assert getattr(sys.modules[module_name], attr) is original
+
+
+def test_tracer_annotations_read_a_real_solve(spans):
+    # the spans must carry what the solve did: its node count, and warm
+    # node LPs after the cold root
+    model = build_model(random_instance(0), Objective.Z)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        sol = printplan.solver.solve_milp(model)
+    finally:
+        tracer.uninstall()
+    metrics = spans.layer_metrics(tracer.spans)
+    assert metrics["solver.nodes"] == sol.node_count
+    assert 0 < metrics["simplex.cold_share"] < 1
 
 
 def test_workloads_import_cleanly():

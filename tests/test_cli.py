@@ -243,6 +243,47 @@ def test_external_solution_read_back_matches_builtin(runner, tmp_path):
     assert abs(float(line.split(":")[1]) - builtin.objective) <= 1e-6
 
 
+def test_external_solution_failing_check_feasible_exits_2(runner, tmp_path):
+    inst = random_instance(0)
+    model = build_model(inst, Objective.Z)
+    text = write_solution(solve_milp(model), model)
+    # without its activation the job's plate would go uncounted
+    assert "y_j1_m2 1\n" in text
+    (tmp_path / "model.sol").write_text(text.replace("y_j1_m2 1\n", ""))
+
+    result = runner.invoke(
+        main,
+        ["solve", "--instance", "random", "--seed", "0", "--solver", "external",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "model.sol: solution violates activation" in result.output
+    assert not (tmp_path / "schedule.csv").exists()
+
+
+def test_unparsable_external_solution_exits_2(runner, tmp_path):
+    (tmp_path / "model.sol").write_text("OPTIMAL abc\n")
+    result = runner.invoke(
+        main,
+        ["solve", "--instance", "random", "--seed", "0", "--solver", "external",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "model.sol: unparsable objective 'abc'" in result.output
+    assert not (tmp_path / "schedule.csv").exists()
+
+    # scenario cells read their solution files the same way
+    (tmp_path / "scenario_p2_free.sol").write_text("OPTIMAL abc\n")
+    result = runner.invoke(
+        main,
+        ["scenario", "--instance", "twenty_parts", "--machines", "1", "--parts-prefix", "2",
+         "--solver", "external", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "scenario_p2_free.sol: unparsable objective 'abc'" in result.output
+    assert not (tmp_path / "scenario.csv").exists()
+
+
 def test_auto_external_above_binary_threshold(runner, tmp_path):
     # ten twenty-part prefixes on one machine carry 130 binaries, above the cutoff
     result = runner.invoke(

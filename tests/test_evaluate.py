@@ -349,8 +349,18 @@ def test_check_feasible_reports_unknown_part():
     inst = random_instance(0)
     sched = decode(solve_milp(build_model(inst, Objective.Z)), inst)
     ghost = replace(sched.placements[0], part_id="ghost")
-    sched = replace(sched, placements=sched.placements + (ghost,))
-    assert check_feasible(sched, inst) == [Violation("assignment", ("ghost",))]
+    assert check_feasible(replace(sched, placements=sched.placements + (ghost,)), inst) == [
+        Violation("assignment", ("ghost",))
+    ]
+    # so is a part or an activated job on a machine the instance lacks
+    moved = replace(sched.placements[0], machine_id="ghost_m")
+    astray = replace(sched, placements=(moved,) + sched.placements[1:])
+    assert check_feasible(astray, inst) == [
+        Violation("assignment", (moved.part_id,)),
+        Violation("activation", ("job 1 on ghost_m",)),
+    ]
+    extra = replace(sched, activated=sched.activated | {("ghost_m", 1)})
+    assert check_feasible(extra, inst) == [Violation("activation", ("job 1 on ghost_m",))]
 
 
 def test_check_feasible_contiguity_entry():

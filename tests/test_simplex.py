@@ -13,9 +13,7 @@ def test_two_variable_optimum():
     # min -x - 2y s.t. x + y <= 4, x <= 3, y <= 2  ->  (2, 2), obj -6
     res = solve_lp(
         c=[-1, -2],
-        a=[[1, 1]],
-        senses=["<"],
-        b=[4],
+        rows=prepare_rows([[1, 1]], ["<"], [4]),
         lower=[0, 0],
         upper=[3, 2],
     )
@@ -26,7 +24,7 @@ def test_two_variable_optimum():
 
 def test_equality_row():
     # min x + y s.t. x + 2y = 4, 0 <= x,y <= 10 -> (0, 2)
-    res = solve_lp([1, 1], [[1, 2]], ["="], [4], [0, 0], [10, 10])
+    res = solve_lp([1, 1], prepare_rows([[1, 2]], ["="], [4]), [0, 0], [10, 10])
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(2)
     assert res.x == pytest.approx([0, 2])
@@ -34,39 +32,39 @@ def test_equality_row():
 
 def test_ge_row():
     # min 2x + y s.t. x + y >= 3 -> (0, 3)
-    res = solve_lp([2, 1], [[1, 1]], [">"], [3], [0, 0], [np.inf, np.inf])
+    res = solve_lp([2, 1], prepare_rows([[1, 1]], [">"], [3]), [0, 0], [np.inf, np.inf])
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(3)
 
 
 def test_infeasible():
     # x <= 1 and x >= 2 cannot both hold
-    res = solve_lp([1], [[1], [1]], ["<", ">"], [1, 2], [0], [np.inf])
+    res = solve_lp([1], prepare_rows([[1], [1]], ["<", ">"], [1, 2]), [0], [np.inf])
     assert res.status is LpStatus.INFEASIBLE
     assert res.objective is None
 
 
 def test_infeasible_by_bounds():
     # row forces x = 5 but the upper bound is 1
-    res = solve_lp([1], [[1]], ["="], [5], [0], [1])
+    res = solve_lp([1], prepare_rows([[1]], ["="], [5]), [0], [1])
     assert res.status is LpStatus.INFEASIBLE
 
 
 def test_unbounded():
-    res = solve_lp([-1], [[1]], [">"], [0], [0], [np.inf])
+    res = solve_lp([-1], prepare_rows([[1]], [">"], [0]), [0], [np.inf])
     assert res.status is LpStatus.UNBOUNDED
 
 
 def test_nonzero_lower_bounds():
     # min x + y with x >= 2, y >= 3, x + y >= 6 -> objective 6
-    res = solve_lp([1, 1], [[1, 1]], [">"], [6], [2, 3], [np.inf, np.inf])
+    res = solve_lp([1, 1], prepare_rows([[1, 1]], [">"], [6]), [2, 3], [np.inf, np.inf])
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(6)
 
 
 def test_negative_bounds():
     # min x with -5 <= x <= -1 and x >= -3
-    res = solve_lp([1], [[1]], [">"], [-3], [-5], [-1])
+    res = solve_lp([1], prepare_rows([[1]], [">"], [-3]), [-5], [-1])
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(-3)
 
@@ -75,9 +73,7 @@ def test_degenerate_vertex():
     # several redundant rows meet at the optimum
     res = solve_lp(
         c=[-1, -1],
-        a=[[1, 0], [1, 0], [0, 1], [1, 1]],
-        senses=["<", "<", "<", "<"],
-        b=[1, 1, 1, 2],
+        rows=prepare_rows([[1, 0], [1, 0], [0, 1], [1, 1]], ["<", "<", "<", "<"], [1, 1, 1, 2]),
         lower=[0, 0],
         upper=[np.inf, np.inf],
     )
@@ -89,9 +85,9 @@ def test_badly_scaled_rows():
     # same feasible set expressed at wildly different row scales
     res = solve_lp(
         c=[1, 1],
-        a=[[60000.0, 60000.0], [0.00003, 0.00006]],
-        senses=[">", ">"],
-        b=[120000.0, 0.00012],
+        rows=prepare_rows(
+            [[60000.0, 60000.0], [0.00003, 0.00006]], [">", ">"], [120000.0, 0.00012]
+        ),
         lower=[0, 0],
         upper=[np.inf, np.inf],
     )
@@ -100,11 +96,11 @@ def test_badly_scaled_rows():
 
 
 def test_row_free_problem():
-    res = solve_lp([1, -1], np.zeros((0, 2)), [], [], [0, 0], [4, 4])
+    res = solve_lp([1, -1], prepare_rows(np.zeros((0, 2)), [], []), [0, 0], [4, 4])
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(-4)
     # a cost pulling toward an infinite bound with no row to stop it
-    res = solve_lp([-1], np.zeros((0, 1)), [], [], [0], [np.inf])
+    res = solve_lp([-1], prepare_rows(np.zeros((0, 1)), [], []), [0], [np.inf])
     assert res.status is LpStatus.UNBOUNDED
     assert res.objective is None
 
@@ -126,7 +122,7 @@ def test_timing_shape_lp():
     ]
     senses = [">", ">", ">", ">", ">", ">"]
     b = [1, 1, 0.5, -0.5, 10, -10]
-    res = solve_lp(c, a, senses, b, [0] * 6, [inf] * 6)
+    res = solve_lp(c, prepare_rows(a, senses, b), [0] * 6, [inf] * 6)
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(0.5)
     assert res.x[0] == pytest.approx(1.0)
@@ -140,14 +136,15 @@ def test_warm_start_after_bound_change():
     b = [4, 5]
     lower = [0.0, 0.0, 0.0]
     upper = [3.0, 2.0, 1.0]
-    cold = solve_lp(c, a, senses, b, lower, upper)
+    rows = prepare_rows(a, senses, b)
+    cold = solve_lp(c, rows, lower, upper)
     assert cold.status is LpStatus.OPTIMAL
 
     # fix the first variable to 1 (as a branching step would) and re-solve
     lower2 = [1.0, 0.0, 0.0]
     upper2 = [1.0, 2.0, 1.0]
-    warm = solve_lp(c, a, senses, b, lower2, upper2, start=cold.start)
-    cold2 = solve_lp(c, a, senses, b, lower2, upper2)
+    warm = solve_lp(c, rows, lower2, upper2, start=cold.start)
+    cold2 = solve_lp(c, rows, lower2, upper2)
     assert warm.status is cold2.status is LpStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold2.objective)
 
@@ -175,7 +172,7 @@ def random_lp(draw):
 @given(random_lp())
 def test_matches_independent_solver(lp):
     c, a, senses, b, lower, upper = lp
-    mine = solve_lp(c, a, senses, b, lower, upper)
+    mine = solve_lp(c, prepare_rows(a, senses, b), lower, upper)
 
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for row, sense, rhs in zip(a, senses, b):
@@ -212,25 +209,20 @@ def test_matches_independent_solver(lp):
 def test_zero_row_within_bound_tolerance():
     # an all-zero row scales by 1, so 0 <= -1e-10 sits inside the 1e-9
     # bound tolerance, while 0 <= -1 stays infeasible
-    res = solve_lp([1], [[0.0]], ["<"], [-1e-10], [0], [1])
+    res = solve_lp([1], prepare_rows([[0.0]], ["<"], [-1e-10]), [0], [1])
     assert res.status is LpStatus.OPTIMAL
-    res = solve_lp([1], [[0.0]], ["<"], [-1], [0], [1])
+    res = solve_lp([1], prepare_rows([[0.0]], ["<"], [-1]), [0], [1])
     assert res.status is LpStatus.INFEASIBLE
 
 
-def test_prepared_rows_give_the_same_solve():
-    c = [-1, -2, 0.5]
-    a = [[1, 1, 1], [2, 1, 0], [0, 3, -1]]
-    senses = ["<", "<", ">"]
-    b = [4, 5, -2]
-    lower, upper = [0.0, 0.0, 0.0], [3.0, 2.0, 1.0]
-    plain = solve_lp(c, a, senses, b, lower, upper)
-    rows = prepare_rows(np.array(a, dtype=float), senses, b)
-    prepared = solve_lp(c, rows, senses, b, lower, upper)
-    assert prepared.status is plain.status is LpStatus.OPTIMAL
-    assert prepared.objective == plain.objective
-    assert np.array_equal(prepared.x, plain.x)
-    assert prepared.iterations == plain.iterations
+def test_free_column_is_refused():
+    # min x with x >= -3 as a row: x needs a finite bound of its own
+    rows = prepare_rows([[1]], [">"], [-3])
+    with pytest.raises(ValueError, match="finite lower or upper bound"):
+        solve_lp([1], rows, [-np.inf], [np.inf])
+    res = solve_lp([1], rows, [-5], [np.inf])
+    assert res.status is LpStatus.OPTIMAL
+    assert res.objective == pytest.approx(-3)
 
 
 def _reference_ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, basis):

@@ -13,7 +13,7 @@ from printplan import solver as solver_module
 from printplan.datasets import load_builtin, random_instance
 from printplan.evaluate import decode, evaluate
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
-from printplan.model import Objective, build_model, inject_epsilon
+from printplan.model import Objective, build_model, compute_big_m, inject_epsilon
 from printplan.solver import (
     INTEGRALITY_TOLERANCE,
     MilpSolution,
@@ -119,7 +119,7 @@ def test_warm_vector_leaking_through_big_m_rows_is_polished():
     # lc >= jc - horizon * (1 - x) a slack of horizon * (1 - x)
     reg = model.registry
     slip = 0.9 * INTEGRALITY_TOLERANCE
-    drop = model.big_m.horizon * slip
+    drop = compute_big_m(inst).horizon * slip
     leaky = exact.values.copy()
     for i in range(len(inst.parts)):
         assert leaky[reg.col("t", i)] > drop
