@@ -171,8 +171,14 @@ def _instance_options(fn):
     return fn
 
 
+def _not_nan(ctx, param, value):
+    if value is not None and math.isnan(value):
+        raise click.BadParameter("must be a number of seconds, not nan")
+    return value
+
+
 def _time_limit_option(fn):
-    return click.option("--time-limit", type=float, default=None,
+    return click.option("--time-limit", type=float, default=None, callback=_not_nan,
                         help="Per-solve wall clock limit in seconds.")(fn)
 
 

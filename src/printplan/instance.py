@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -35,8 +36,8 @@ class Part:
     def __post_init__(self) -> None:
         for name in ("width_mm", "length_mm", "height_mm", "due_h"):
             value = getattr(self, name)
-            if not value > 0:
-                raise InstanceError(f"part {self.id!r}: {name} must be strictly positive, got {value!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise InstanceError(f"part {self.id!r}: {name} must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,12 @@ class MachineSpec:
     def __post_init__(self) -> None:
         for name in ("width_mm", "length_mm", "height_mm"):
             value = getattr(self, name)
-            if not value > 0:
-                raise InstanceError(f"machine {self.id!r}: {name} must be strictly positive, got {value!r}")
+            if not (math.isfinite(value) and value > 0):
+                raise InstanceError(f"machine {self.id!r}: {name} must be finite and strictly positive, got {value!r}")
         for name in ("layer_time_h_per_mm", "volumetric_time_h_per_mm3"):
             value = getattr(self, name)
-            if value < 0:
-                raise InstanceError(f"machine {self.id!r}: {name} must be nonnegative, got {value!r}")
+            if not (math.isfinite(value) and value >= 0):
+                raise InstanceError(f"machine {self.id!r}: {name} must be finite and nonnegative, got {value!r}")
 
     @property
     def base_area_mm2(self) -> float:
@@ -72,8 +73,10 @@ class PenaltyCoefficients:
     tardiness: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.earliness < 0 or self.tardiness < 0:
-            raise InstanceError("penalty rates must be nonnegative")
+        for name in ("earliness", "tardiness"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InstanceError(f"penalties: {name} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)

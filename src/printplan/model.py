@@ -475,10 +475,12 @@ def cap_objective(model: MilpModel, objective: Objective, bound: float) -> MilpM
     """Keep the named objective expression at or below ``bound``.
 
     The row is named ``cap_<objective>`` and replaces any earlier cap on
-    that objective.  An infinite bound removes the cap: the row would be
+    that objective.  A bound of ``+inf`` removes the cap: the row would be
     vacuous, and infinite right-hand sides have no place in the solver
-    arithmetic.
+    arithmetic.  A bound of ``-inf`` or NaN raises ``ValueError``.
     """
+    if not (math.isfinite(bound) or bound == math.inf):
+        raise ValueError(f"cap on {objective.value} must be finite or +inf, got {bound!r}")
     vec = model.objective_z if objective is Objective.Z else model.objective_zz
     name = f"cap_{objective.value}"
     rows = tuple(r for r in model.rows if r.name != name)

@@ -18,7 +18,11 @@ Key mechanics:
 * rows are scaled by their max-abs coefficient before solving;
 * Dantzig pricing with a switch to Bland's rule after a run of
   degenerate steps, and periodic refactorization of the basis inverse
-  with a feasibility audit at termination.
+  with a feasibility audit at termination;
+* a refactorization inverts only the basis nucleus: basic slack columns
+  are unit vectors, so only the block of structural basic columns on
+  the rows no basic slack covers is inverted, and the rest of the
+  inverse follows in closed form (Suhl & Suhl 1990).
 """
 
 from __future__ import annotations
@@ -312,10 +316,31 @@ def _nonbasic_values(status, lo, up):
 
 
 def _refactor(a_full, basis):
+    """Basis inverse from the nucleus alone.
+
+    Column ``n + i`` of ``a_full`` is exactly ``e_i``, so a basic slack
+    covers its own row.  Ordering the basis positions as (structural K,
+    slack S) and the rows as (R, the slacks' rows), the basis is
+    ``[[A_K[R], 0], [A_K[s_rows], I]]``; only the nucleus ``A_K[R]`` is
+    inverted, and the other blocks of the inverse follow in closed form.
+    """
+    m = a_full.shape[0]
+    n = a_full.shape[1] - m
+    is_slack = basis >= n
+    k_pos = np.flatnonzero(~is_slack)
+    s_pos = np.flatnonzero(is_slack)
+    s_rows = basis[s_pos] - n
+    r_rows = np.setdiff1d(np.arange(m), s_rows, assume_unique=True)
+    a_k = a_full[:, basis[k_pos]]
     try:
-        return np.linalg.inv(a_full[:, basis])
+        nucleus_inv = np.linalg.inv(a_k[r_rows])
     except np.linalg.LinAlgError as exc:
         raise SimplexError("singular basis during refactorization") from exc
+    binv = np.zeros((m, m))
+    binv[np.ix_(k_pos, r_rows)] = nucleus_inv
+    binv[np.ix_(s_pos, r_rows)] = -a_k[s_rows] @ nucleus_inv
+    binv[s_pos, s_rows] = 1.0
+    return binv
 
 
 def _basic_values(a_full, b, basis, values, binv):

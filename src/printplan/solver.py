@@ -152,11 +152,14 @@ def solve_milp(
     """Exact minimization of the model's active objective.
 
     The search stops early only at ``time_limit_s``, with status
-    ``TimeLimit`` and the best open bound.  ``warm_values`` may carry full solution vectors known to be feasible
+    ``TimeLimit`` and the best open bound; a NaN limit raises
+    ``ValueError``.  ``warm_values`` may carry full solution vectors known to be feasible
     (from a related solve, say a neighboring epsilon cap); each one that
     checks out seeds the incumbent, which skips the feasibility dive and
     prunes from the start.
     """
+    if time_limit_s is not None and math.isnan(time_limit_s):
+        raise ValueError("time_limit_s must be a number of seconds, not nan")
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
 
     a, senses, rhs = model.dense_rows()

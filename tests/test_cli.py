@@ -25,7 +25,7 @@ from printplan.cli import (
 )
 from printplan import __version__
 from printplan.datasets import load_builtin, part_prefix, random_instance, with_machine_count
-from printplan.instance import instance_hash
+from printplan.instance import instance_hash, instance_to_doc
 from printplan.model import Objective, build_model
 from printplan.pareto import pareto_front
 from printplan.solver import SolveStatus, solve_milp, write_solution
@@ -136,6 +136,51 @@ def test_gap_option_is_gone(runner, tmp_path, args):
     result = runner.invoke(main, args + ["--gap", "0.5", "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert "No such option" in result.output and "--gap" in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("section, name, value", [
+    ("machines", "width_mm", float("inf")),
+    ("machines", "layer_time_h_per_mm", float("nan")),
+    ("parts", "due_h", float("inf")),
+], ids=["machine-width-inf", "layer-time-nan", "due-inf"])
+def test_non_finite_instance_number_exits_2(runner, tmp_path, section, name, value):
+    doc = instance_to_doc(random_instance(1))
+    doc[section][0][name] = value
+    path = write_instance(tmp_path, doc)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["solve", "--instance", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"{name} must be finite" in result.output
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+@pytest.mark.parametrize("parameter, value", [
+    ("machine_area", "inf"),
+    ("layer_time", "nan"),
+], ids=["area-inf", "layer-time-nan"])
+def test_sweep_non_finite_value_marks_cells_invalid(runner, tmp_path, parameter, value):
+    result = runner.invoke(
+        main,
+        ["sweep", "--instance", "random", "--seed", "1", "--parameter", parameter,
+         "--values", value, "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    rows = [l.split(",") for l in (tmp_path / "sweep.csv").read_text().splitlines()[2:]]
+    assert [(r[2], r[4]) for r in rows] == [
+        ("free_orientation", "invalid_instance"), ("fixed_orientation", "invalid_instance")]
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--instance", "random"],
+    ["pareto", "--instance", "random"],
+    ["scenario", "--instance", "random", "--parts-prefix", "2"],
+    ["sweep", "--instance", "random", "--parameter", "layer_time", "--values", "0.1"],
+], ids=["solve", "pareto", "scenario", "sweep"])
+def test_nan_time_limit_exits_2(runner, tmp_path, args):
+    result = runner.invoke(main, args + ["--time-limit", "nan", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "--time-limit" in result.output and "nan" in result.output
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -75,6 +75,27 @@ def test_parse_rejects_nonpositive_dimension():
         parse_instance(json.dumps(doc))
 
 
+_NUMBER_FIELDS = (
+    [("machines", name) for name in ("width_mm", "length_mm", "height_mm",
+                                     "layer_time_h_per_mm", "volumetric_time_h_per_mm3")]
+    + [("parts", name) for name in ("width_mm", "length_mm", "height_mm", "due_h")]
+    + [("penalties", name) for name in ("earliness", "tardiness")]
+)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")], ids=["inf", "-inf", "nan"])
+@pytest.mark.parametrize("section,name", _NUMBER_FIELDS, ids=[f"{s}.{n}" for s, n in _NUMBER_FIELDS])
+def test_parse_rejects_non_finite_number(section, name, value):
+    # Python's json reads Infinity and NaN, so the documents carry them
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    target = doc[section] if section == "penalties" else doc[section][0]
+    target[name] = value
+    text = json.dumps(doc)
+    assert "Infinity" in text or "NaN" in text
+    with pytest.raises(InstanceError, match=f"{name} must be finite"):
+        parse_instance(text)
+
+
 def test_parse_rejects_duplicate_part_ids():
     doc = json.loads(json.dumps(MINIMAL_DOC))
     doc["parts"].append(dict(doc["parts"][0]))

@@ -226,6 +226,17 @@ def test_infinite_cap_adds_no_row(nine_model):
     assert inject_epsilon(capped, math.inf).rows == nine_model.rows
 
 
+@pytest.mark.parametrize("bound", [-math.inf, math.nan], ids=["-inf", "nan"])
+def test_minus_infinity_or_nan_cap_is_refused(bound):
+    # only +inf lifts a cap; neither of these may silently drop it
+    model_z = build_model(random_instance(0), Objective.Z)
+    with pytest.raises(ValueError, match=r"cap on zz must be finite or \+inf"):
+        inject_epsilon(model_z, bound)
+    with pytest.raises(ValueError, match=r"cap on z must be finite or \+inf"):
+        cap_objective(model_z, Objective.Z, bound)
+    assert solve_milp(inject_epsilon(model_z, -1.0)).status is SolveStatus.Infeasible
+
+
 def test_infinite_cap_solves_like_no_cap():
     zz_model = build_model(random_instance(3), Objective.ZZ)
     free = solve_milp(zz_model)

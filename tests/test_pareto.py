@@ -193,6 +193,11 @@ def test_front_infeasible_floor_flagged_not_dropped():
     assert len(front.points) == 1
 
 
+def test_front_refuses_nan_epsilon():
+    with pytest.raises(ValueError, match=r"cap on zz must be finite or \+inf, got nan"):
+        pareto_front(random_instance(0), epsilons=(float("nan"),))
+
+
 def test_time_limited_points_are_checked_too(monkeypatch):
     # every capped solve ends time-limited, with an objective 1.0 below
     # what its schedule costs; the four payoff solves stay exact

@@ -2,11 +2,20 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from printplan.simplex import AT_LO, AT_UP, LpStatus, _ratio_test, prepare_rows, solve_lp
+from printplan.simplex import (
+    AT_LO,
+    AT_UP,
+    LpStatus,
+    SimplexError,
+    _ratio_test,
+    _refactor,
+    prepare_rows,
+    solve_lp,
+)
 
 
 def test_two_variable_optimum():
@@ -223,6 +232,51 @@ def test_free_column_is_refused():
     res = solve_lp([1], rows, [-5], [np.inf])
     assert res.status is LpStatus.OPTIMAL
     assert res.objective == pytest.approx(-3)
+
+
+@st.composite
+def refactor_cases(draw):
+    """Prepared rows and a basis of k structural columns and m - k slacks."""
+    m = draw(st.integers(min_value=0, max_value=7))
+    n = draw(st.integers(min_value=1, max_value=7))
+    k = draw(st.integers(min_value=0, max_value=min(m, n)))
+    structural = draw(st.permutations(range(n)))[:k]
+    slack_rows = draw(st.permutations(range(m)))[: m - k]
+    basis = np.array(draw(st.permutations(structural + [n + i for i in slack_rows])), dtype=int)
+    entries = st.floats(min_value=-4, max_value=4, allow_subnormal=False)
+    a = np.array(draw(st.lists(entries, min_size=m * n, max_size=m * n))).reshape(m, n)
+    senses = [draw(st.sampled_from("<=>")) for _ in range(m)]
+    # a structural column that is zero on every row no slack covers
+    # makes the nucleus exactly singular
+    singular = k > 0 and draw(st.booleans())
+    if singular:
+        nucleus_rows = [i for i in range(m) if i not in slack_rows]
+        a[nucleus_rows, structural[0]] = 0.0
+    return prepare_rows(a, senses, np.zeros(m)), n, basis, singular
+
+
+@settings(max_examples=300, deadline=None)
+@given(refactor_cases())
+@example((prepare_rows(np.zeros((0, 3)), [], []), 3, np.array([], dtype=int), False))
+@example((prepare_rows([[2, 1], [1, 3], [0, 5]], "<=>", [0, 0, 0]), 2, np.array([4, 2, 3]), False))
+@example((prepare_rows([[2, 1], [1, 3]], "<>", [0, 0]), 2, np.array([1, 0]), False))
+def test_refactor_inverts_the_basis_from_its_nucleus(case):
+    rows, n, basis, singular = case
+    m = basis.shape[0]
+    # the closed form relies on every slack column being exactly e_i
+    assert np.array_equal(rows.a_full[:, n:], np.eye(m))
+    if singular:
+        with pytest.raises(SimplexError, match="singular basis"):
+            _refactor(rows.a_full, basis)
+        return
+    b = rows.a_full[:, basis]
+    assume(m == 0 or np.linalg.cond(b) < 1e6)
+    binv = _refactor(rows.a_full, basis)
+    assert binv.shape == (m, m)
+    assert np.abs(binv @ b - np.eye(m)).max(initial=0.0) <= 1e-8
+    if (basis >= n).all():
+        # an all-slack basis is a permutation of I, inverted exactly
+        assert np.array_equal(binv @ b, np.eye(m))
 
 
 def _reference_ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, basis):

@@ -84,6 +84,12 @@ def test_time_limit_without_incumbent():
     assert sol.values is None
 
 
+def test_nan_time_limit_is_refused():
+    model = build_model(random_instance(0), Objective.Z)
+    with pytest.raises(ValueError, match="not nan"):
+        solve_milp(model, time_limit_s=float("nan"))
+
+
 def test_nine_part_area_solve_hits_reference_area(nine_parts):
     sol = solve_milp(build_model(nine_parts, Objective.ZZ))
     assert sol.status is SolveStatus.Optimal
