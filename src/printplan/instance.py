@@ -2,9 +2,11 @@
 
 An instance bundles the machine park, the parts to print with their due
 times, the earliness/tardiness penalty rates, and the number of batch
-slots (jobs) available per machine.  Instances round-trip through a JSON
-document; a CSV pair (machines.csv plus parts.csv) is accepted as an
-alternative input format for data lifted from printed tables.
+slots (jobs) available per machine.  The dataclasses are the schema: a
+JSON document holds one object per record with the dataclass's field
+names, and ``serialize_instance`` writes ``dataclasses.asdict`` of the
+instance.  ``load_instance`` also reads a directory holding a CSV pair
+(machines.csv plus parts.csv) for data lifted from printed tables.
 """
 
 from __future__ import annotations
@@ -15,14 +17,27 @@ import io
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import asdict, dataclass, fields
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import geometry
 
 
 class InstanceError(ValueError):
     """Raised for malformed or internally inconsistent instance documents."""
+
+
+def _check(record, where: str, positive=(), nonnegative=()) -> None:
+    """Require the named fields of ``record`` to be finite and in range."""
+    for name in positive + nonnegative:
+        value = getattr(record, name)
+        if name in positive:
+            ok, rule = value > 0, "strictly positive"
+        else:
+            ok, rule = value >= 0, "nonnegative"
+        if not (math.isfinite(value) and ok):
+            raise InstanceError(f"{where}: {name} must be finite and {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -34,10 +49,7 @@ class Part:
     due_h: float
 
     def __post_init__(self) -> None:
-        for name in ("width_mm", "length_mm", "height_mm", "due_h"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InstanceError(f"part {self.id!r}: {name} must be finite and strictly positive, got {value!r}")
+        _check(self, f"part {self.id!r}", positive=("width_mm", "length_mm", "height_mm", "due_h"))
 
 
 @dataclass(frozen=True)
@@ -50,14 +62,12 @@ class MachineSpec:
     volumetric_time_h_per_mm3: float
 
     def __post_init__(self) -> None:
-        for name in ("width_mm", "length_mm", "height_mm"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise InstanceError(f"machine {self.id!r}: {name} must be finite and strictly positive, got {value!r}")
-        for name in ("layer_time_h_per_mm", "volumetric_time_h_per_mm3"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InstanceError(f"machine {self.id!r}: {name} must be finite and nonnegative, got {value!r}")
+        _check(
+            self,
+            f"machine {self.id!r}",
+            positive=("width_mm", "length_mm", "height_mm"),
+            nonnegative=("layer_time_h_per_mm", "volumetric_time_h_per_mm3"),
+        )
 
     @property
     def base_area_mm2(self) -> float:
@@ -73,10 +83,7 @@ class PenaltyCoefficients:
     tardiness: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("earliness", "tardiness"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise InstanceError(f"penalties: {name} must be finite and nonnegative, got {value!r}")
+        _check(self, "penalties", nonnegative=("earliness", "tardiness"))
 
 
 @dataclass(frozen=True)
@@ -150,7 +157,20 @@ def _number(mapping: Mapping, key: str, where: str) -> float:
     value = _require(mapping, key, where)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InstanceError(f"{where}: field {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise InstanceError(f"{where}: field {key!r} is too large for a float") from None
+
+
+def _record(cls, raw, where: str):
+    """Build one ``cls`` record from its JSON object, field by field."""
+    if not isinstance(raw, Mapping):
+        raise InstanceError(f"{where} must be a JSON object")
+    return cls(**{
+        f.name: str(_require(raw, "id", where)) if f.name == "id" else _number(raw, f.name, where)
+        for f in fields(cls)
+    })
 
 
 def _from_json_doc(doc) -> ProblemInstance:
@@ -167,52 +187,17 @@ def _from_json_doc(doc) -> ProblemInstance:
     if not machines_raw:
         raise InstanceError("instance needs at least one machine")
 
-    machines = []
-    for k, m in enumerate(machines_raw):
-        where = f"machines[{k}]"
-        machines.append(
-            MachineSpec(
-                id=str(_require(m, "id", where)),
-                width_mm=_number(m, "width_mm", where),
-                length_mm=_number(m, "length_mm", where),
-                height_mm=_number(m, "height_mm", where),
-                layer_time_h_per_mm=_number(m, "layer_time_h_per_mm", where),
-                volumetric_time_h_per_mm3=_number(m, "volumetric_time_h_per_mm3", where),
-            )
-        )
-    parts = []
-    for k, p in enumerate(parts_raw):
-        where = f"parts[{k}]"
-        parts.append(
-            Part(
-                id=str(_require(p, "id", where)),
-                width_mm=_number(p, "width_mm", where),
-                length_mm=_number(p, "length_mm", where),
-                height_mm=_number(p, "height_mm", where),
-                due_h=_number(p, "due_h", where),
-            )
-        )
-
+    machines = tuple(_record(MachineSpec, m, f"machines[{k}]") for k, m in enumerate(machines_raw))
+    parts = tuple(_record(Part, p, f"parts[{k}]") for k, p in enumerate(parts_raw))
     pen_raw = doc.get("penalties")
-    if pen_raw is None:
-        penalties = PenaltyCoefficients()
-    else:
-        penalties = PenaltyCoefficients(
-            earliness=_number(pen_raw, "earliness", "penalties"),
-            tardiness=_number(pen_raw, "tardiness", "penalties"),
-        )
+    penalties = PenaltyCoefficients() if pen_raw is None else _record(PenaltyCoefficients, pen_raw, "penalties")
 
     jobs = doc.get("jobs_per_machine")
     if jobs is not None:
         if isinstance(jobs, bool) or not isinstance(jobs, int):
             raise InstanceError("jobs_per_machine must be an integer")
 
-    return ProblemInstance(
-        machines=tuple(machines),
-        parts=tuple(parts),
-        penalties=penalties,
-        jobs_per_machine=jobs,
-    )
+    return ProblemInstance(machines=machines, parts=parts, penalties=penalties, jobs_per_machine=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +220,34 @@ def _find_column(fieldnames: Iterable[str], *needles: str) -> str:
     raise InstanceError(f"CSV is missing a column matching {needles!r}")
 
 
+def _csv_rows(path: Path, columns: Mapping[str, tuple[str, ...]]) -> Iterator[tuple[str, dict[str, str]]]:
+    """Yield ``(where, cells)`` for each data row of a CSV file.
+
+    ``columns`` maps a key to the header needles that find its column;
+    ``cells`` maps the same keys to the row's stripped text, and ``where``
+    names the file and the line.  A row without one of the cells raises.
+    """
+    reader = csv.DictReader(io.StringIO(path.read_text(encoding="utf-8")))
+    if not reader.fieldnames:
+        raise InstanceError(f"{path.name} has no header row")
+    found = {key: _find_column(reader.fieldnames, *needles) for key, needles in columns.items()}
+    for row in reader:
+        where = f"{path.name} line {reader.line_num}"
+        cells = {}
+        for key, column in found.items():
+            if row[column] is None:
+                raise InstanceError(f"{where}: missing {column!r} cell")
+            cells[key] = row[column].strip()
+        yield where, cells
+
+
+def _csv_number(cells: Mapping[str, str], key: str, where: str) -> float:
+    try:
+        return float(cells[key])
+    except ValueError:
+        raise InstanceError(f"{where}: {key} cell {cells[key]!r} is not a number") from None
+
+
 def _parse_dimension_triple(cell: str, where: str) -> tuple[float, float, float]:
     pieces = re.split(r"[x×]", cell.lower())
     if len(pieces) != 3:
@@ -246,145 +259,83 @@ def _parse_dimension_triple(cell: str, where: str) -> tuple[float, float, float]
     return h, w, l
 
 
-def _machines_from_csv(text: str) -> list[MachineSpec]:
-    reader = csv.DictReader(io.StringIO(text))
-    if not reader.fieldnames:
-        raise InstanceError("machines CSV has no header row")
-    col_id = _find_column(reader.fieldnames, "machine")
-    col_layer = _find_column(reader.fieldnames, "layer")
-    col_vol = _find_column(reader.fieldnames, "volumetric")
-    col_dims = _find_column(reader.fieldnames, "dimension")
+def _machines_from_csv(path: Path) -> list[MachineSpec]:
+    columns = {
+        "id": ("machine",), "layer": ("layer",), "volumetric": ("volumetric",), "dimensions": ("dimension",),
+    }
     machines = []
-    for row in reader:
-        ident = row[col_id].strip()
-        h, w, l = _parse_dimension_triple(row[col_dims], f"machine {ident!r}")
+    for where, cells in _csv_rows(path, columns):
+        h, w, l = _parse_dimension_triple(cells["dimensions"], where)
         machines.append(
             MachineSpec(
-                id=ident,
+                id=cells["id"],
                 width_mm=w,
                 length_mm=l,
                 height_mm=h,
-                layer_time_h_per_mm=float(row[col_layer]),
-                volumetric_time_h_per_mm3=float(row[col_vol]),
+                layer_time_h_per_mm=_csv_number(cells, "layer", where),
+                volumetric_time_h_per_mm3=_csv_number(cells, "volumetric", where),
             )
         )
     return machines
 
 
-def _parts_from_csv(text: str) -> list[Part]:
-    reader = csv.DictReader(io.StringIO(text))
-    if not reader.fieldnames:
-        raise InstanceError("parts CSV has no header row")
-    col_id = _find_column(reader.fieldnames, "part")
-    col_w = _find_column(reader.fieldnames, "width")
-    col_l = _find_column(reader.fieldnames, "length")
-    col_h = _find_column(reader.fieldnames, "height")
-    col_d = _find_column(reader.fieldnames, "deadline", "due")
-    parts = []
-    for row in reader:
-        parts.append(
-            Part(
-                id=row[col_id].strip(),
-                width_mm=float(row[col_w]),
-                length_mm=float(row[col_l]),
-                height_mm=float(row[col_h]),
-                due_h=float(row[col_d]),
-            )
+def _parts_from_csv(path: Path) -> list[Part]:
+    columns = {
+        "id": ("part",), "width": ("width",), "length": ("length",), "height": ("height",),
+        "due": ("deadline", "due"),
+    }
+    return [
+        Part(
+            id=cells["id"],
+            width_mm=_csv_number(cells, "width", where),
+            length_mm=_csv_number(cells, "length", where),
+            height_mm=_csv_number(cells, "height", where),
+            due_h=_csv_number(cells, "due", where),
         )
-    return parts
+        for where, cells in _csv_rows(path, columns)
+    ]
+
+
+def _from_csv_pair(directory: Path) -> ProblemInstance:
+    """Read machines.csv and parts.csv; penalties and job slots take their defaults."""
+    machines = _machines_from_csv(directory / "machines.csv")
+    parts = _parts_from_csv(directory / "parts.csv")
+    if not parts:
+        raise InstanceError("empty part set")
+    return ProblemInstance(machines=machines, parts=parts)
 
 
 # ---------------------------------------------------------------------------
 # Public entry points
 
 
-def parse_instance(source, format: str = "json") -> ProblemInstance:
-    """Parse an instance document.
-
-    For ``format="json"`` the source is a JSON string (or an already
-    decoded mapping).  For ``format="csv-pair"`` the source is a mapping
-    with the machines CSV text under ``"machines"`` and the parts CSV
-    text under ``"parts"``; penalty rates and the job count per machine
-    then take their defaults (1.0/1.0 and one job slot per part).
-    """
-    if format == "json":
-        if isinstance(source, (str, bytes)):
-            try:
-                doc = json.loads(source)
-            except json.JSONDecodeError as exc:
-                raise InstanceError(f"malformed JSON: {exc}") from exc
-        else:
-            doc = source
-        return _from_json_doc(doc)
-    if format == "csv-pair":
-        if not isinstance(source, Mapping) or "machines" not in source or "parts" not in source:
-            raise InstanceError("csv-pair source must map 'machines' and 'parts' to CSV text")
-        machines = _machines_from_csv(source["machines"])
-        parts = _parts_from_csv(source["parts"])
-        if not parts:
-            raise InstanceError("empty part set")
-        if not machines:
-            raise InstanceError("instance needs at least one machine")
-        return ProblemInstance(machines=tuple(machines), parts=tuple(parts))
-    raise InstanceError(f"unknown instance format {format!r}")
-
-
-def instance_to_doc(instance: ProblemInstance) -> dict:
-    return {
-        "machines": [
-            {
-                "id": m.id,
-                "width_mm": m.width_mm,
-                "length_mm": m.length_mm,
-                "height_mm": m.height_mm,
-                "layer_time_h_per_mm": m.layer_time_h_per_mm,
-                "volumetric_time_h_per_mm3": m.volumetric_time_h_per_mm3,
-            }
-            for m in instance.machines
-        ],
-        "parts": [
-            {
-                "id": p.id,
-                "width_mm": p.width_mm,
-                "length_mm": p.length_mm,
-                "height_mm": p.height_mm,
-                "due_h": p.due_h,
-            }
-            for p in instance.parts
-        ],
-        "penalties": {
-            "earliness": instance.penalties.earliness,
-            "tardiness": instance.penalties.tardiness,
-        },
-        "jobs_per_machine": instance.jobs_per_machine,
-    }
+def parse_instance(source) -> ProblemInstance:
+    """Parse a JSON instance document: text, bytes or an already decoded mapping."""
+    if isinstance(source, (str, bytes)):
+        try:
+            source = json.loads(source)
+        except ValueError as exc:
+            raise InstanceError(f"malformed JSON: {exc}") from exc
+    return _from_json_doc(source)
 
 
 def serialize_instance(instance: ProblemInstance) -> str:
     """Render an instance as a JSON document that parse_instance accepts."""
-    return json.dumps(instance_to_doc(instance), indent=2, sort_keys=True) + "\n"
+    return json.dumps(asdict(instance), indent=2, sort_keys=True) + "\n"
 
 
 def instance_hash(instance: ProblemInstance) -> str:
     """Stable short content hash used to stamp output files."""
-    canonical = json.dumps(instance_to_doc(instance), sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(asdict(instance), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
 
 
 def load_instance(path) -> ProblemInstance:
     """Load an instance from a .json file or a directory holding a CSV pair."""
-    from pathlib import Path
-
     p = Path(path)
     if p.is_dir():
-        return parse_instance(
-            {
-                "machines": (p / "machines.csv").read_text(),
-                "parts": (p / "parts.csv").read_text(),
-            },
-            format="csv-pair",
-        )
-    return parse_instance(p.read_text(), format="json")
+        return _from_csv_pair(p)
+    return parse_instance(p.read_bytes())
 
 
 def validate(instance: ProblemInstance) -> ValidationReport:

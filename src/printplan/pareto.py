@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -196,8 +197,14 @@ def pareto_front(
     a schedule, optimal or time-limited, must pass the feasibility
     predicates, keep within its cap, and have its evaluation reproduce
     the solver objective within 1e-6; optimal cost must never increase as
-    the cap loosens.
+    the cap loosens.  A NaN or ``-inf`` cap, or a ``grid_count`` below 1
+    without ``epsilons``, raises ``ValueError`` before any solve.
     """
+    if epsilons is None and grid_count < 1:
+        raise ValueError("grid_count must be at least 1")
+    for eps in epsilons or ():
+        if not (math.isfinite(eps) or eps == math.inf):
+            raise ValueError(f"cap on zz must be finite or +inf, got {eps!r}")
     if not instance.parts:
         table = PayoffTable(0.0, 0.0, 0.0, 0.0)
         sched = Schedule((), {}, frozenset())

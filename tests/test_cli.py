@@ -7,7 +7,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -25,7 +25,7 @@ from printplan.cli import (
 )
 from printplan import __version__
 from printplan.datasets import load_builtin, part_prefix, random_instance, with_machine_count
-from printplan.instance import instance_hash, instance_to_doc
+from printplan.instance import instance_hash
 from printplan.model import Objective, build_model
 from printplan.pareto import pareto_front
 from printplan.solver import SolveStatus, solve_milp, write_solution
@@ -145,7 +145,7 @@ def test_gap_option_is_gone(runner, tmp_path, args):
     ("parts", "due_h", float("inf")),
 ], ids=["machine-width-inf", "layer-time-nan", "due-inf"])
 def test_non_finite_instance_number_exits_2(runner, tmp_path, section, name, value):
-    doc = instance_to_doc(random_instance(1))
+    doc = asdict(random_instance(1))
     doc[section][0][name] = value
     path = write_instance(tmp_path, doc)
     out = tmp_path / "out"
@@ -153,6 +153,36 @@ def test_non_finite_instance_number_exits_2(runner, tmp_path, section, name, val
     assert result.exit_code == 2
     assert f"{name} must be finite" in result.output
     assert not list(tmp_path.rglob("*.csv"))
+
+
+_CSV_MACHINES_HEADER = (
+    "Machine,Dimensions (h x w x l),Layer Production Time (h/mm),Volumetric Production Time (h/mm3)\n"
+)
+_CSV_PARTS = "Part,Width (mm),Length (mm),Height (mm),Delivery Deadline (h)\np1,10,10,10,5\n"
+
+
+@pytest.mark.parametrize("files, located", [
+    ({"instance.json": json.dumps({**TIGHT_DOC, "machines": [5]})},
+     "machines[0] must be a JSON object"),
+    ({"instance.json": json.dumps({**TIGHT_DOC, "penalties": 5})},
+     "penalties must be a JSON object"),
+    ({"machines.csv": _CSV_MACHINES_HEADER + "m1,200 x 250 x 250,0.00006\n", "parts.csv": _CSV_PARTS},
+     "machines.csv line 2: missing 'Volumetric Production Time (h/mm3)' cell"),
+    ({"machines.csv": _CSV_MACHINES_HEADER + "m1,200 x 250 x 250,0.00006,abc\n", "parts.csv": _CSV_PARTS},
+     "machines.csv line 2: volumetric cell 'abc' is not a number"),
+], ids=["machine-not-object", "penalties-not-object", "csv-short-row", "csv-not-a-number"])
+def test_malformed_record_exits_2_with_its_location(runner, tmp_path, files, located):
+    source = tmp_path / "source"
+    source.mkdir()
+    for name, text in files.items():
+        (source / name).write_text(text, encoding="utf-8")
+    instance = source / "instance.json" if "instance.json" in files else source
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["solve", "--instance", str(instance), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert located in result.output
+    assert "Traceback" not in result.output
+    assert not list(out.rglob("*.csv"))
 
 
 @pytest.mark.parametrize("parameter, value", [
@@ -537,7 +567,7 @@ def test_sweep_matches_direct_solve(runner, tmp_path):
     assert row[:3] == ["layer_time", "0.05", "free_orientation"]
     assert row[4] == "optimal"
 
-    from dataclasses import replace
+    from dataclasses import asdict, replace
     inst = random_instance(3)
     inst = type(inst)(
         machines=tuple(replace(m, layer_time_h_per_mm=0.05) for m in inst.machines),

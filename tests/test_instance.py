@@ -108,7 +108,7 @@ def test_parse_rejects_bad_json():
         parse_instance("{not json")
 
 
-def test_csv_pair_round_trip():
+def test_csv_pair_round_trip(tmp_path):
     machines_csv = (
         "Machine,Layer Production Time (h/mm),Volumetric Production Time (h/mm3),Dimensions (h x w x l)\n"
         "m1,0.00006,0.000003,200 x 250 x 250\n"
@@ -119,7 +119,9 @@ def test_csv_pair_round_trip():
         "p1,5,100,14,24\n"
         "p2,19,19,8,26\n"
     )
-    inst = parse_instance({"machines": machines_csv, "parts": parts_csv}, format="csv-pair")
+    (tmp_path / "machines.csv").write_text(machines_csv, encoding="utf-8")
+    (tmp_path / "parts.csv").write_text(parts_csv, encoding="utf-8")
+    inst = load_instance(tmp_path)
     assert len(inst.machines) == 2
     assert inst.machines[0].height_mm == 200
     assert inst.machines[0].width_mm == 250
@@ -130,19 +132,45 @@ def test_csv_pair_round_trip():
     assert inst.jobs_per_machine == 2
 
 
-def test_csv_pair_accepts_multiplication_sign():
+def test_csv_pair_accepts_multiplication_sign(tmp_path):
     machines_csv = (
         "Machine,Layer Production Time (h/mm),Volumetric Production Time (h/mm3),Dimensions (h × w × l)\n"
         "m1,0.00006,0.000003,200 × 250 × 250\n"
     )
     parts_csv = "Part,Width (mm),Length (mm),Height (mm),Delivery Deadline (h)\np1,1,2,3,4\n"
-    inst = parse_instance({"machines": machines_csv, "parts": parts_csv}, format="csv-pair")
+    (tmp_path / "machines.csv").write_text(machines_csv, encoding="utf-8")
+    (tmp_path / "parts.csv").write_text(parts_csv, encoding="utf-8")
+    inst = load_instance(tmp_path)
     assert inst.machines[0].length_mm == 250
 
 
 def test_serialize_then_parse_is_identity(nine_parts):
     again = parse_instance(serialize_instance(nine_parts))
     assert again == nine_parts
+
+
+# Every output CSV's provenance line carries instance_hash, so these values
+# pin the instance schema's bytes across changes to the reader and writer.
+PINNED_HASHES = {
+    "nine_parts": "1a6a90add8ae",
+    "twenty_parts": "8796fdf42ea4",
+    "fifteen_parts_time_study": "64910a7aedc1",
+    "fifteen_parts_area_study": "f50356814dcd",
+}
+
+
+def test_instance_hash_pinned(nine_parts, twenty_parts):
+    assert {name: instance_hash(datasets.load_builtin(name)) for name in PINNED_HASHES} == PINNED_HASHES
+    reshaped = {
+        "5a5b9ed67051": datasets.with_machine_count(nine_parts, 3),
+        "b2b5bf3d06ce": datasets.part_prefix(twenty_parts, 6),
+    }
+    for digest, inst in reshaped.items():
+        text = serialize_instance(inst)
+        again = parse_instance(text)
+        assert again == inst
+        assert serialize_instance(again) == text
+        assert instance_hash(again) == instance_hash(inst) == digest
 
 
 def test_instance_hash_stable(nine_parts):
@@ -262,3 +290,46 @@ ids = st.integers(min_value=0, max_value=10_000)
 def test_random_instance_round_trips(seed):
     inst = datasets.random_instance(seed)
     assert parse_instance(serialize_instance(inst)) == inst
+
+
+# JSON-like documents: arbitrary nesting, and documents shaped like an
+# instance whose records are valid, partly junk, or not objects at all
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10**400), st.floats(), st.text(max_size=4)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=10,
+)
+
+
+def _record_like(example):
+    plausible = {
+        name: st.sampled_from(["a", "b"]) if name == "id" else st.floats(min_value=1e-3, max_value=1e3)
+        for name in example
+    }
+    mixed = {name: value | json_values for name, value in plausible.items()}
+    return st.fixed_dictionaries(plausible) | st.fixed_dictionaries({}, optional=mixed) | json_values
+
+
+instance_like = st.fixed_dictionaries(
+    {
+        "machines": st.lists(_record_like(MINIMAL_DOC["machines"][0]), min_size=1, max_size=2),
+        "parts": st.lists(_record_like(MINIMAL_DOC["parts"][0]), min_size=1, max_size=3),
+    },
+    optional={
+        "penalties": _record_like(MINIMAL_DOC["penalties"]),
+        "jobs_per_machine": st.integers(min_value=-1, max_value=3) | json_values,
+    },
+)
+
+
+@given(json_values | instance_like)
+def test_parse_instance_raises_only_instance_error(doc):
+    for source in (doc, json.dumps(doc)):
+        try:
+            inst = parse_instance(source)
+        except InstanceError:
+            continue
+        assert isinstance(inst, ProblemInstance)

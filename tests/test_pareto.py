@@ -193,9 +193,19 @@ def test_front_infeasible_floor_flagged_not_dropped():
     assert len(front.points) == 1
 
 
-def test_front_refuses_nan_epsilon():
-    with pytest.raises(ValueError, match=r"cap on zz must be finite or \+inf, got nan"):
-        pareto_front(random_instance(0), epsilons=(float("nan"),))
+def test_front_refuses_nan_epsilon(monkeypatch):
+    # a bad cap or grid is refused before the payoff solves
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solve_milp called before the arguments were checked")
+
+    monkeypatch.setattr(pareto_module, "solve_milp", no_solve)
+    for kwargs, message in [
+        ({"epsilons": (float("nan"),)}, r"cap on zz must be finite or \+inf, got nan"),
+        ({"epsilons": (float("-inf"),)}, r"cap on zz must be finite or \+inf, got -inf"),
+        ({"grid_count": 0}, "grid_count must be at least 1"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            pareto_front(random_instance(0), **kwargs)
 
 
 def test_time_limited_points_are_checked_too(monkeypatch):
