@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import geometry
 
@@ -212,12 +212,14 @@ def _norm_header(name: str) -> str:
     return re.sub(r"[^a-z0-9]+", "", name.lower())
 
 
-def _find_column(fieldnames: Iterable[str], *needles: str) -> str:
+def _find_column(path: Path, fieldnames: Sequence[str], *needles: str) -> str:
     for raw in fieldnames:
         normed = _norm_header(raw)
         if any(needle in normed for needle in needles):
             return raw
-    raise InstanceError(f"CSV is missing a column matching {needles!r}")
+    raise InstanceError(
+        f"{path.name}: no column matching {needles!r} in header {','.join(fieldnames)!r}"
+    )
 
 
 def _csv_rows(path: Path, columns: Mapping[str, tuple[str, ...]]) -> Iterator[tuple[str, dict[str, str]]]:
@@ -230,7 +232,7 @@ def _csv_rows(path: Path, columns: Mapping[str, tuple[str, ...]]) -> Iterator[tu
     reader = csv.DictReader(io.StringIO(path.read_text(encoding="utf-8")))
     if not reader.fieldnames:
         raise InstanceError(f"{path.name} has no header row")
-    found = {key: _find_column(reader.fieldnames, *needles) for key, needles in columns.items()}
+    found = {key: _find_column(path, reader.fieldnames, *needles) for key, needles in columns.items()}
     for row in reader:
         where = f"{path.name} line {reader.line_num}"
         cells = {}

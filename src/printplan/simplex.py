@@ -16,9 +16,21 @@ Key mechanics:
   only out-of-bound basic variables, so the method can start from an
   arbitrary basis (used for warm starts between branch-and-bound nodes);
 * rows are scaled by their max-abs coefficient before solving;
-* Dantzig pricing with a switch to Bland's rule after a run of
-  degenerate steps, and periodic refactorization of the basis inverse
-  with a feasibility audit at termination;
+* the pivot loop keeps its state in basis order: the basic values, their
+  bounds, bound-tolerance limits and costs are arrays indexed by basis
+  position, each pivot rewrites one position, and nonbasic columns keep
+  their bound values, so the full value vector is written only when the
+  solve finishes;
+* sign pricing: each column carries -1 at its lower bound, +1 at its
+  upper bound and 0 when basic, so ``sgn * d`` is the improvement rate of
+  every eligible column and at most the tolerance elsewhere; Dantzig's
+  rule takes its argmax, Bland's rule (after a run of degenerate steps)
+  its first entry above the tolerance;
+* the ratio test and the rank-1 update of the basis inverse touch only
+  the rows where the entering column moves, and the update only the
+  columns where the pivot row of the inverse is nonzero;
+* periodic refactorization of the basis inverse, and a feasibility audit
+  (drift and row residual) at termination;
 * a refactorization inverts only the basis nucleus: basic slack columns
   are unit vectors, so only the block of structural basic columns on
   the rows no basic slack covers is inverted, and the rest of the
@@ -27,12 +39,16 @@ Key mechanics:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 AT_LO, AT_UP, BASIC = 0, 1, 2
+# the pivot loop keeps sgn = _SIGN[status] per column: -1 at the lower
+# bound, +1 at the upper bound, 0 when basic
+_SIGN = np.array([-1.0, 1.0, 0.0])
 
 _REFACTOR_EVERY = 100
 _DEGENERATE_RUN = 300
@@ -124,20 +140,30 @@ def solve_lp(
 ) -> LpResult:
     """Solve one LP over the rows that `prepare_rows` returned.
 
-    Raises ``ValueError`` for a column whose bounds are both infinite.
+    Raises ``ValueError`` for a cost or bound vector of the wrong length,
+    a cost that is not finite, a NaN bound, and a column whose bounds are
+    both infinite.
     """
     c = np.asarray(c, dtype=float)
-    n = c.shape[0]
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
     a_full, b = rows.a_full, rows.b
     m = b.shape[0]
-    if a_full.shape[1] != n + m:
+    if c.ndim != 1 or a_full.shape[1] != c.shape[0] + m:
         raise ValueError("row width does not match the cost vector")
+    n = c.shape[0]
+    if lower.shape != (n,) or upper.shape != (n,):
+        raise ValueError("lower and upper need one bound per column")
+    if not np.isfinite(c).all():
+        raise ValueError("every cost must be finite")
+    if np.isnan(lower).any() or np.isnan(upper).any():
+        raise ValueError("a bound must not be NaN")
 
     total = n + m
     cols = np.zeros(total)
     cols[:n] = c
-    lo = np.concatenate([np.asarray(lower, dtype=float), rows.slack_lo])
-    up = np.concatenate([np.asarray(upper, dtype=float), rows.slack_up])
+    lo = np.concatenate([lower, rows.slack_lo])
+    up = np.concatenate([upper, rows.slack_up])
     if np.any(~np.isfinite(lo) & ~np.isfinite(up)):
         raise ValueError("every column needs a finite lower or upper bound")
     # a basic variable past these limits counts as out of bounds
@@ -150,38 +176,33 @@ def solve_lp(
         basis = np.arange(n, n + m)
         status = _default_nonbasic_status(lo)
         status[basis] = BASIC
-        values = _nonbasic_values(status, lo, up)
-        binv = np.eye(m)
-        values[basis] = _basic_values(a_full, b, basis, values, binv)
-        return basis, status, values, binv
+        return basis, _SIGN[status], _nonbasic_values(status, lo, up), np.eye(m)
 
     if start is None:
-        basis, status, values, binv = cold_state()
+        basis, sgn, values, binv = cold_state()
     else:
         basis = np.array(start[0], dtype=int)
-        status = np.frombuffer(start[1], dtype=np.int8).copy()
+        status = np.frombuffer(start[1], dtype=np.int8)
         if basis.shape[0] != m or status.shape[0] != total:
             raise ValueError("warm start does not match problem shape")
         # only finite bounds change between solves, so a nonbasic status
         # from an earlier solve still names a finite bound here
+        sgn, values = _SIGN[status], _nonbasic_values(status, lo, up)
         if len(start) > 2 and start[2] is not None:
-            binv = np.array(start[2])
-            values = _nonbasic_values(status, lo, up)
-            values[basis] = _basic_values(a_full, b, basis, values, binv)
+            # C order: the rank-1 update writes through a flat view
+            binv = np.array(start[2], dtype=float, order="C")
         else:
             try:
                 binv = _refactor(a_full, basis)
             except SimplexError:
-                basis, status, values, binv = cold_state()
-            else:
-                values = _nonbasic_values(status, lo, up)
-                values[basis] = _basic_values(a_full, b, basis, values, binv)
+                basis, sgn, values, binv = cold_state()
 
     dual_tol = 1e-9 * max(1.0, float(np.abs(c).max()) if c.size else 1.0)
     bland = False
     degenerate_run = 0
     restarts = 0
     it = 0
+    reload = True  # recompute the basic values and the basis-ordered bounds and costs
 
     while True:
         if it >= max_iterations:
@@ -195,37 +216,34 @@ def solve_lp(
                 restarts += 1
                 if restarts > 5:
                     raise
-                basis, status, values, binv = cold_state()
-            else:
-                values[basis] = _basic_values(a_full, b, basis, values, binv)
+                basis, sgn, values, binv = cold_state()
+            reload = True
+        if reload:
+            xb = _basic_values(a_full, b, basis, values, binv)
+            lob, upb, c_b = lo[basis], up[basis], cols[basis]
+            lo_limb, up_limb = lo_lim[basis], up_lim[basis]
+            reload = False
 
-        xb = values[basis]
-        lob, upb = lo[basis], up[basis]
-        below = xb < lo_lim[basis]
-        above = xb > up_lim[basis]
+        below = xb < lo_limb
+        above = xb > up_limb
         in_phase1 = bool(below.any() or above.any())
 
         if in_phase1:
-            c_eff = np.zeros(total)
-            c_eff[basis[below]] = -1.0
-            c_eff[basis[above]] = 1.0
+            # composite cost: -1 on basics below their bound, +1 above
+            y = np.subtract(above, below, dtype=float) @ binv
+            d = -(y @ a_full)
             price_tol = 1e-9
         else:
-            c_eff = cols
+            y = c_b @ binv
+            d = cols - y @ a_full
             price_tol = dual_tol
 
-        y = c_eff[basis] @ binv
-        d = c_eff - y @ a_full
+        q = _entering(sgn, d, price_tol, bland)
 
-        can_up = (status == AT_LO) & (d < -price_tol)
-        can_dn = (status == AT_UP) & (d > price_tol)
-        eligible = can_up | can_dn
-
-        if not eligible.any():
+        if q < 0:
             if in_phase1:
-                return _finish(
-                    LpStatus.INFEASIBLE, None, values, n, it, basis, status
-                )
+                values[basis] = xb
+                return _finish(LpStatus.INFEASIBLE, None, values, n, it, basis, sgn)
             # claimed optimal: audit the basis before trusting it
             try:
                 binv = _refactor(a_full, basis)
@@ -233,41 +251,40 @@ def solve_lp(
                 restarts += 1
                 if restarts > 5:
                     raise
-                basis, status, values, binv = cold_state()
+                basis, sgn, values, binv = cold_state()
+                reload = True
                 it += 1
                 continue
             fresh = _basic_values(a_full, b, basis, values, binv)
-            drift = float(np.abs(fresh - values[basis]).max()) if m else 0.0
-            values[basis] = fresh
+            drift = float(np.abs(fresh - xb).max()) if m else 0.0
+            xb = fresh
             if drift > _FEAS_TOL:
                 restarts += 1
                 if restarts > 5:
                     raise SimplexError("feasibility drift persisted across refactorizations")
                 it += 1
                 continue
+            values[basis] = xb
             resid = float(np.abs(a_full @ values - b).max()) if m else 0.0
             if resid > 10 * _FEAS_TOL:
                 raise SimplexError(f"row residual {resid:.3e} above tolerance at optimum")
             obj = float(cols @ values)
-            return _finish(LpStatus.OPTIMAL, obj, values, n, it, basis, status, binv)
+            return _finish(LpStatus.OPTIMAL, obj, values, n, it, basis, sgn, binv)
 
-        if bland:
-            q = int(np.flatnonzero(eligible)[0])
-        else:
-            score = np.where(eligible, np.abs(d), -1.0)
-            q = int(np.argmax(score))
-        direction = 1.0 if can_up[q] else -1.0
+        direction = -float(sgn[q])  # +1 leaves the lower bound, -1 the upper
 
         w = binv @ a_full[:, q]
 
         theta, leave_pos, leave_to = _ratio_test(
-            xb, lob, upb, below, above, w, direction, lo[q], up[q], bland, basis
+            xb, lob, upb, below if in_phase1 else None, above if in_phase1 else None,
+            w, direction, lo[q], up[q], bland, basis,
         )
 
         if theta is None:
             if in_phase1:
                 raise SimplexError("phase-1 direction unbounded; numerical breakdown")
-            return _finish(LpStatus.UNBOUNDED, None, values, n, it, basis, status)
+            values[basis] = xb
+            return _finish(LpStatus.UNBOUNDED, None, values, n, it, basis, sgn)
 
         if theta <= 1e-10:
             degenerate_run += 1
@@ -277,26 +294,23 @@ def solve_lp(
             degenerate_run = 0
             bland = False
 
-        values[basis] = xb - theta * direction * w
+        xb -= theta * direction * w
         if leave_pos == -1:
             # entering variable runs to its opposite bound: bound flip only
-            status[q] = AT_UP if direction > 0 else AT_LO
+            sgn[q] = direction
             values[q] = up[q] if direction > 0 else lo[q]
         else:
             leaving = basis[leave_pos]
-            values[q] += theta * direction
-            status[q] = BASIC
-            status[leaving] = leave_to
-            values[leaving] = lo[leaving] if leave_to == AT_LO else up[leaving]
+            xb[leave_pos] = values[q] + theta * direction
+            sgn[q] = 0.0
+            if leave_to == AT_LO:
+                sgn[leaving], values[leaving] = -1.0, lo[leaving]
+            else:
+                sgn[leaving], values[leaving] = 1.0, up[leaving]
             basis[leave_pos] = q
-            # rank-1 basis inverse update; the ratio test guarantees a
-            # pivot magnitude above 1e-9
-            piv = w[leave_pos]
-            row = binv[leave_pos] / piv
-            # rows with w_i == 0 would only subtract 0 * row
-            nz = np.flatnonzero(w)
-            binv[nz] -= w[nz, None] * row[None, :]
-            binv[leave_pos] = row
+            lob[leave_pos], upb[leave_pos], c_b[leave_pos] = lo[q], up[q], cols[q]
+            lo_limb[leave_pos], up_limb[leave_pos] = lo_lim[q], up_lim[q]
+            _rank1_update(binv, w, leave_pos)
         it += 1
 
 
@@ -330,7 +344,9 @@ def _refactor(a_full, basis):
     k_pos = np.flatnonzero(~is_slack)
     s_pos = np.flatnonzero(is_slack)
     s_rows = basis[s_pos] - n
-    r_rows = np.setdiff1d(np.arange(m), s_rows, assume_unique=True)
+    uncovered = np.ones(m, dtype=bool)
+    uncovered[s_rows] = False
+    r_rows = np.flatnonzero(uncovered)
     a_k = a_full[:, basis[k_pos]]
     try:
         nucleus_inv = np.linalg.inv(a_k[r_rows])
@@ -357,44 +373,88 @@ def _ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, bas
     slope changes).  Returns (theta, blocking basis position or -1 for a
     bound flip, status the leaving variable takes).  Only the rows that
     move (|w| > 1e-9) can block, so only those are examined.
+
+    ``below`` and ``above`` mark the basics outside their bounds; phase 2
+    passes None for both, as every basic is then within its bounds.
     """
     best = np.inf
-    if np.isfinite(lo_q) and np.isfinite(up_q):
+    if math.isfinite(lo_q) and math.isfinite(up_q):
         best = up_q - lo_q
 
-    idx = np.flatnonzero(np.abs(w) > 1e-9)
-    dv = -direction * w[idx]
+    idx = (np.abs(w) > 1e-9).nonzero()[0]
+    w_idx = w[idx]
+    dv = -direction * w_idx
     x, lb, ub = xb[idx], lob[idx], upb[idx]
-    blw, abv = below[idx], above[idx]
     inc = dv > 0
-    dec = ~inc  # dv is nonzero on moving rows
-    feas = ~(blw | abv)
     # a feasible basic stops at the bound it heads for, an infeasible one
     # at the bound it crosses back over; (x - lb) / -dv equals
     # (lb - x) / dv up to the sign of zero, which the clamp at 0 removes
-    to_lo = np.where(feas, dec, blw & inc) & np.isfinite(lb)
-    to_up = np.where(feas, inc, abv & dec) & np.isfinite(ub)
-    target = np.where(to_lo, lb, ub)
-    cand_theta = np.where(to_lo | to_up, (target - x) / dv, np.inf)
+    if below is None:
+        # an infinite bound gives (+-inf - x) / dv = +inf: it never blocks
+        to_up = inc
+        cand_theta = (np.where(inc, ub, lb) - x) / dv
+    else:
+        blw, abv = below[idx], above[idx]
+        dec = ~inc  # dv is nonzero on moving rows
+        feas = ~(blw | abv)
+        to_lo = np.where(feas, dec, blw & inc) & np.isfinite(lb)
+        to_up = np.where(feas, inc, abv & dec) & np.isfinite(ub)
+        target = np.where(to_lo, lb, ub)
+        cand_theta = np.where(to_lo | to_up, (target - x) / dv, np.inf)
     cand_theta = np.maximum(cand_theta, 0.0)
 
     row_min = float(cand_theta.min()) if idx.size else np.inf
     theta = min(best, row_min)
-    if not np.isfinite(theta):
+    if not math.isfinite(theta):
         return None, -1, AT_LO
 
     if row_min > theta + 1e-9:
         return theta, -1, AT_LO  # entering variable flips to its other bound
 
-    near = np.flatnonzero(cand_theta <= theta + 1e-9)
+    near = (cand_theta <= theta + 1e-9).nonzero()[0]
     if bland:
         k = int(near[np.argmin(basis[idx[near]])])
     else:
-        k = int(near[np.argmax(np.abs(w[idx[near]]))])
+        k = int(near[np.argmax(np.abs(w_idx[near]))])
     return float(cand_theta[k]), int(idx[k]), AT_UP if to_up[k] else AT_LO
 
 
-def _finish(status, objective, values, n, iterations, basis, statuses, binv=None):
+def _entering(sgn, d, tol, bland):
+    """Entering column by sign pricing, or -1 when none improves the objective.
+
+    ``sgn * d`` is ``|d|`` on a nonbasic column whose reduced cost
+    improves the objective as it leaves its bound, and at most ``tol`` on
+    every other column.  Dantzig's rule takes the largest (the first of
+    ties), Bland's rule the first column above ``tol``.
+    """
+    score = sgn * d
+    if not score.size:
+        return -1
+    q = int(np.argmax(score > tol if bland else score))
+    return q if score[q] > tol else -1
+
+
+def _rank1_update(binv, w, p):
+    """Swap the column at basis position ``p`` for the one with ``binv @ a = w``.
+
+    Row ``i`` of the new inverse is ``binv[i] - w[i] * row`` with
+    ``row = binv[p] / w[p]``, and row ``p`` becomes ``row``.  Only the block
+    of rows where ``w`` is nonzero and columns where ``row`` is nonzero is
+    touched: elsewhere the product is zero, and subtracting it leaves the
+    entry as it was up to the sign of a zero.  The ratio test guarantees
+    ``|w[p]| > 1e-9``.
+    """
+    m = binv.shape[0]
+    row = binv[p] / w[p]
+    r = w.nonzero()[0]
+    k = row.nonzero()[0]
+    flat = binv.reshape(-1)  # a view, as every binv here is C-contiguous
+    flat[(r * m)[:, None] + k] -= w[r][:, None] * row[k]
+    binv[p] = row
+
+
+def _finish(status, objective, values, n, iterations, basis, sgn, binv=None):
+    statuses = np.where(sgn < 0, AT_LO, np.where(sgn > 0, AT_UP, BASIC)).astype(np.int8)
     return LpResult(
         status=status,
         objective=objective,

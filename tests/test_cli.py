@@ -170,7 +170,12 @@ _CSV_PARTS = "Part,Width (mm),Length (mm),Height (mm),Delivery Deadline (h)\np1,
      "machines.csv line 2: missing 'Volumetric Production Time (h/mm3)' cell"),
     ({"machines.csv": _CSV_MACHINES_HEADER + "m1,200 x 250 x 250,0.00006,abc\n", "parts.csv": _CSV_PARTS},
      "machines.csv line 2: volumetric cell 'abc' is not a number"),
-], ids=["machine-not-object", "penalties-not-object", "csv-short-row", "csv-not-a-number"])
+    ({"machines.csv": _CSV_MACHINES_HEADER.replace(",Volumetric Production Time (h/mm3)", "")
+      + "m1,200 x 250 x 250,0.00006\n", "parts.csv": _CSV_PARTS},
+     "machines.csv: no column matching ('volumetric',) in header "
+     "'Machine,Dimensions (h x w x l),Layer Production Time (h/mm)'"),
+], ids=["machine-not-object", "penalties-not-object", "csv-short-row", "csv-not-a-number",
+        "csv-missing-column"])
 def test_malformed_record_exits_2_with_its_location(runner, tmp_path, files, located):
     source = tmp_path / "source"
     source.mkdir()

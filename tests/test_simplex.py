@@ -7,10 +7,14 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from printplan.simplex import (
+    _SIGN,
     AT_LO,
     AT_UP,
+    BASIC,
     LpStatus,
     SimplexError,
+    _entering,
+    _rank1_update,
     _ratio_test,
     _refactor,
     prepare_rows,
@@ -156,6 +160,12 @@ def test_warm_start_after_bound_change():
     cold2 = solve_lp(c, rows, lower2, upper2)
     assert warm.status is cold2.status is LpStatus.OPTIMAL
     assert warm.objective == pytest.approx(cold2.objective)
+    # a handed-over inverse in Fortran order is copied into the C order
+    # that the rank-1 update writes through
+    basis, statuses, binv = cold.start_with_binv
+    for order in (binv, np.asfortranarray(binv)):
+        again = solve_lp(c, rows, lower2, upper2, start=(basis, statuses, order))
+        assert (again.status, again.objective) == (warm.status, warm.objective)
 
 
 # random cross-check against an independent LP solver (test-only dependency)
@@ -222,6 +232,21 @@ def test_zero_row_within_bound_tolerance():
     assert res.status is LpStatus.OPTIMAL
     res = solve_lp([1], prepare_rows([[0.0]], ["<"], [-1]), [0], [1])
     assert res.status is LpStatus.INFEASIBLE
+
+
+@pytest.mark.parametrize("c, lower, upper, message", [
+    ([1, 1], [0, 0], [np.nan, 1], "must not be NaN"),
+    ([1, 1], [np.nan, 0], [4, 1], "must not be NaN"),
+    ([np.nan, 1], [0, 0], [4, 1], "every cost must be finite"),
+    ([np.inf, 1], [0, 0], [4, 1], "every cost must be finite"),
+    ([1, 1], [0], [4, 1], "one bound per column"),
+    ([1, 1], [0, 0], [4, 1, 2], "one bound per column"),
+], ids=["upper-nan", "lower-nan", "cost-nan", "cost-inf", "lower-short", "upper-long"])
+def test_bad_costs_and_bounds_are_refused(c, lower, upper, message):
+    # min x + y s.t. x + y >= 4 would otherwise answer from a NaN bound or cost
+    rows = prepare_rows([[1, 1]], [">"], [4])
+    with pytest.raises(ValueError, match=message):
+        solve_lp(c, rows, lower, upper)
 
 
 def test_free_column_is_refused():
@@ -360,3 +385,92 @@ def ratio_inputs(draw):
 @given(ratio_inputs())
 def test_ratio_test_matches_full_length_reference(args):
     assert _ratio_test(*args) == _reference_ratio_test(*args)
+
+
+@settings(max_examples=500, deadline=None)
+@given(ratio_inputs())
+def test_phase2_ratio_test_matches_reference_with_no_basic_out_of_bounds(args):
+    xb, lob, upb, below, above, *rest = args
+    none_out = np.zeros_like(below)
+    assert _ratio_test(xb, lob, upb, None, None, *rest) == _reference_ratio_test(
+        xb, lob, upb, none_out, none_out, *rest
+    )
+
+
+def _full_row_rank1_reference(binv, w, p):
+    """The row-restricted update the block update must match."""
+    row = binv[p] / w[p]
+    nz = np.flatnonzero(w)
+    binv[nz] -= w[nz, None] * row[None, :]
+    binv[p] = row
+
+
+# exact zeros of both signs make the sparsity of a real basis inverse
+sparse_values = st.one_of(
+    st.sampled_from([0.0, 0.0, 0.0, -0.0, 1.0, -0.5]),
+    st.floats(-4, 4, allow_subnormal=False),
+)
+
+
+@st.composite
+def rank1_inputs(draw):
+    m = draw(st.integers(min_value=1, max_value=8))
+    binv = np.array(draw(st.lists(sparse_values, min_size=m * m, max_size=m * m))).reshape(m, m)
+    w = np.array(draw(st.lists(sparse_values, min_size=m, max_size=m)))
+    p = draw(st.integers(min_value=0, max_value=m - 1))
+    # the ratio test only pivots on |w_p| > 1e-9
+    w[p] = draw(st.sampled_from([1.0, -2.0, 0.25, 3e-9, -7.5]))
+    return binv, w, p
+
+
+@settings(max_examples=500, deadline=None)
+@given(rank1_inputs())
+def test_block_rank1_update_matches_full_row_update(case):
+    binv, w, p = case
+    block, full = binv.copy(), binv.copy()
+    _rank1_update(block, w, p)
+    _full_row_rank1_reference(full, w, p)
+    # equal values: bit-identical up to the sign of a zero, which no
+    # comparison or later product can tell apart
+    assert np.array_equal(block, full)
+
+
+def _reference_entering(status, d, tol, bland):
+    """Dantzig's rule on the eligibility masks, or Bland's first eligible column."""
+    can_up = (status == AT_LO) & (d < -tol)
+    can_dn = (status == AT_UP) & (d > tol)
+    eligible = can_up | can_dn
+    if not eligible.any():
+        return -1
+    if bland:
+        return int(np.flatnonzero(eligible)[0])
+    return int(np.argmax(np.where(eligible, np.abs(d), -1.0)))
+
+
+@st.composite
+def pricing_inputs(draw):
+    total = draw(st.integers(min_value=1, max_value=10))
+    tol = draw(st.sampled_from([1e-9, 1e-6]))
+    # repeated magnitudes give ties; +-tol sits exactly on the boundary
+    grid = [0.0, -0.0, tol, -tol, 2 * tol, -2 * tol, 1.0, -1.0, 3.0, -3.0]
+    d = np.array(draw(st.lists(
+        st.one_of(st.sampled_from(grid), st.floats(-5, 5)), min_size=total, max_size=total
+    )))
+    status = np.array(draw(st.lists(
+        st.sampled_from([AT_LO, AT_UP, BASIC]), min_size=total, max_size=total
+    )), dtype=np.int8)
+    return status, d, tol, draw(st.booleans())
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pricing_inputs())
+@example((np.array([BASIC, AT_LO, AT_UP], dtype=np.int8), np.array([-5.0, 0.0, -0.0]), 1e-9, False))
+@example((np.array([AT_LO, AT_UP, AT_LO], dtype=np.int8), np.array([-2.0, 2.0, -2.0]), 1e-9, False))
+@example((np.array([AT_UP, AT_LO], dtype=np.int8), np.array([1e-9, -1e-9]), 1e-9, True))
+def test_sign_pricing_picks_the_reference_column(case):
+    status, d, tol, bland = case
+    q = _entering(_SIGN[status], d, tol, bland)
+    assert q == _reference_entering(status, d, tol, bland)
+    if q >= 0:
+        # the entering direction: up from the lower bound, down from the upper
+        assert -_SIGN[status[q]] == (1.0 if status[q] == AT_LO else -1.0)
