@@ -33,7 +33,7 @@ from .datasets import BUILTIN_NAMES, load_builtin, part_prefix, random_instance,
 from .evaluate import check_feasible, evaluate, decode, write_schedule_csv
 from .instance import InstanceError, ProblemInstance, instance_hash, load_instance, validate
 from .model import Objective, build_model, write_lp
-from .pareto import FrontError, attach_schedule_files, pareto_front, write_front_csv, write_front_gnuplot
+from .pareto import FrontError, pareto_front, write_front_csv, write_front_gnuplot
 from .solver import SolveStatus, parse_external_solution, solve_milp
 
 EXIT_VALIDATION = 2
@@ -268,14 +268,6 @@ def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, 
                 SolveStatus.TimeLimit: EXIT_TIME_LIMIT}.get(exc.status, 1)
         _fail(code, str(exc))
 
-    names = {}
-    for idx, point in enumerate(front.attempts):
-        if point.schedule is None:
-            continue
-        name = f"point_{idx}_schedule.csv"
-        write_schedule_csv(point.schedule, point.evaluation, out / name, params=provenance)
-        names[idx] = name
-    front = attach_schedule_files(front, names)
     write_front_csv(front, out / "front.csv", params=provenance)
     write_front_gnuplot(front, out / "front.dat")
     click.echo(f"payoff: z in [{front.payoff.z_ideal:.6f}, {front.payoff.z_nadir_est:.6f}], "
@@ -388,7 +380,7 @@ SWEEP_PARAMETERS = ("layer_time", "volumetric_time", "machine_area", "part_count
 
 def _apply_sweep_value(base: ProblemInstance, parameter: str, value: float) -> ProblemInstance:
     if parameter == "part_count_prefix":
-        if value != int(value):
+        if not float(value).is_integer():
             raise ValueError(f"part count prefix {value:g} is not an integer")
         return part_prefix(base, int(value))
     machines = []

@@ -161,77 +161,88 @@ def decode(solution: MilpSolution, instance: ProblemInstance) -> Schedule:
     return Schedule(tuple(placements), completions, activated)
 
 
-def _job_members(schedule: Schedule) -> dict[tuple[str, int], list[Placement]]:
-    """Group placements by (machine_id, job_index), keeping part order."""
+def _job_pass(schedule: Schedule, machines: dict, parts: dict):
+    """Recompute every job on a known machine, in machine/job order.
+
+    Job height is the true maximum member height (the model only
+    lower-bounds its height column), processing time is layer time times
+    that height plus volumetric time times member volume; a part the
+    instance lacks adds no volume.  Returns the job reports, the jobs
+    whose plate is overfull, and the chain breaks as ``(job, prev_end)``:
+    jobs that complete before the previous job on their machine ends
+    (``prev_end``) plus their own processing time.
+    """
     members: dict[tuple[str, int], list[Placement]] = {}
     for pl in schedule.placements:
         members.setdefault((pl.machine_id, pl.job_index), []).append(pl)
-    return members
+    reports, overfull, breaks = [], [], []
+    chain_end: dict[str, float] = {}
+    for machine_id, job_index in schedule.jobs_used():
+        machine = machines.get(machine_id)
+        if machine is None:
+            continue
+        group = members.get((machine_id, job_index), [])
+        height = max((pl.orientation.height_mm for pl in group), default=0.0)
+        volume = sum(volume_mm3(parts[pl.part_id]) for pl in group if pl.part_id in parts)
+        occupied = sum(pl.orientation.base_area_mm2 for pl in group)
+        processing = machine.layer_time_h_per_mm * height
+        processing += machine.volumetric_time_h_per_mm3 * volume
+        job = JobReport(
+            machine_id=machine_id,
+            job_index=job_index,
+            part_ids=tuple(pl.part_id for pl in group),
+            height_mm=height,
+            processing_h=processing,
+            completion_h=schedule.completions.get((machine_id, job_index), 0.0),
+            occupied_mm2=occupied,
+            utilization=occupied / machine.base_area_mm2,
+            activated=(machine_id, job_index) in schedule.activated,
+        )
+        reports.append(job)
+        if occupied > machine.base_area_mm2 + TOL:
+            overfull.append(job)
+        prev_end = chain_end.get(machine_id, 0.0)
+        if job.completion_h + TOL < prev_end + processing:
+            breaks.append((job, prev_end))
+        chain_end[machine_id] = job.completion_h
+    return reports, overfull, breaks
+
+
+def _job_name(job: JobReport) -> str:
+    return f"job {job.job_index} on {job.machine_id}"
 
 
 def evaluate(schedule: Schedule, instance: ProblemInstance) -> Evaluation:
     """Recompute every derived quantity of a schedule from scratch.
 
-    Job height is the true maximum member height (the model only
-    lower-bounds its height column), processing time is layer time
-    times that height plus volumetric time times member volume, and
-    earliness/tardiness come from the owning job's completion.  Raises
-    ValueError on a broken completion chain or an overfull plate; use
+    Jobs come from the same pass as check_feasible's; earliness and
+    tardiness come from the owning job's completion.  Raises ValueError
+    on an overfull plate or a broken completion chain (exactly when
+    check_feasible reports ``plate_capacity`` or ``sequencing``); use
     check_feasible for a non-raising report.
     """
-    members = _job_members(schedule)
-    job_reports = []
-    for machine_id, job_index in schedule.jobs_used():
-        machine = instance.machines[instance.machine_index(machine_id)]
-        group = members.get((machine_id, job_index), [])
-        height = max((pl.orientation.height_mm for pl in group), default=0.0)
-        volume = sum(
-            volume_mm3(instance.parts[instance.part_index(pl.part_id)]) for pl in group
+    machines = {m.id: m for m in instance.machines}
+    parts = {p.id: p for p in instance.parts}
+    job_reports, overfull, breaks = _job_pass(schedule, machines, parts)
+    if overfull:
+        job = overfull[0]
+        raise ValueError(
+            f"capacity violation: {_job_name(job)} occupies "
+            f"{job.occupied_mm2:g} mm2 of {machines[job.machine_id].base_area_mm2:g}"
         )
-        occupied = sum(pl.orientation.base_area_mm2 for pl in group)
-        if occupied > machine.base_area_mm2 + TOL:
-            raise ValueError(
-                f"capacity violation: job {job_index} on {machine_id} occupies "
-                f"{occupied:g} mm2 of {machine.base_area_mm2:g}"
-            )
-        processing = machine.layer_time_h_per_mm * height
-        processing += machine.volumetric_time_h_per_mm3 * volume
-        completion = schedule.completions.get((machine_id, job_index), 0.0)
-        job_reports.append(
-            JobReport(
-                machine_id=machine_id,
-                job_index=job_index,
-                part_ids=tuple(pl.part_id for pl in group),
-                height_mm=height,
-                processing_h=processing,
-                completion_h=completion,
-                occupied_mm2=occupied,
-                utilization=occupied / machine.base_area_mm2,
-                activated=(machine_id, job_index) in schedule.activated,
-            )
+    if breaks:
+        job, prev_end = breaks[0]
+        raise ValueError(
+            f"chain violation: {_job_name(job)} completes at "
+            f"{job.completion_h:g} h but cannot start before {prev_end:g} h "
+            f"and runs {job.processing_h:g} h"
         )
-
-    # completion chain per machine: each job starts after the previous ends
-    by_machine: dict[str, list[JobReport]] = {}
-    for job in job_reports:
-        by_machine.setdefault(job.machine_id, []).append(job)
-    for machine_id, chain in by_machine.items():
-        chain.sort(key=lambda job: job.job_index)
-        prev_end = 0.0
-        for job in chain:
-            if job.completion_h + TOL < prev_end + job.processing_h:
-                raise ValueError(
-                    f"chain violation: job {job.job_index} on {machine_id} completes at "
-                    f"{job.completion_h:g} h but cannot start before {prev_end:g} h "
-                    f"and runs {job.processing_h:g} h"
-                )
-            prev_end = job.completion_h
 
     lookup = {(job.machine_id, job.job_index): job for job in job_reports}
     part_reports = []
     z = 0.0
     for pl in schedule.placements:
-        part = instance.parts[instance.part_index(pl.part_id)]
+        part = parts[pl.part_id]
         completion = lookup[(pl.machine_id, pl.job_index)].completion_h
         earliness = max(0.0, part.due_h - completion)
         tardiness = max(0.0, completion - part.due_h)
@@ -241,10 +252,7 @@ def evaluate(schedule: Schedule, instance: ProblemInstance) -> Evaluation:
             PartReport(pl.part_id, completion, part.due_h, earliness, tardiness)
         )
 
-    plate_total = sum(
-        instance.machines[instance.machine_index(mid)].base_area_mm2
-        for mid, _ in schedule.activated
-    )
+    plate_total = sum(machines[mid].base_area_mm2 for mid, _ in schedule.activated)
     occupied_total = sum(pl.orientation.base_area_mm2 for pl in schedule.placements)
     zz = plate_total - occupied_total
     return Evaluation(tuple(job_reports), tuple(part_reports), z, zz)
@@ -261,13 +269,13 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
     feasible.
     """
     violations: list[Violation] = []
-    members = _job_members(schedule)
     machines = {m.id: m for m in instance.machines}
+    parts = {p.id: p for p in instance.parts}
+    _, overfull, breaks = _job_pass(schedule, machines, parts)
 
     seen: dict[str, int] = {}
     for pl in schedule.placements:
         seen[pl.part_id] = seen.get(pl.part_id, 0) + 1
-    parts = {p.id: p for p in instance.parts}
     stray = {pl.part_id for pl in schedule.placements if pl.machine_id not in machines}
     bad_assign = [p.id for p in instance.parts if seen.get(p.id, 0) != 1 or p.id in stray]
     bad_assign += sorted(seen.keys() - parts.keys())
@@ -282,14 +290,8 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
     if too_tall:
         violations.append(Violation("machine_height", tuple(too_tall)))
 
-    overfull = []
-    for (machine_id, job_index), group in sorted(members.items()):
-        machine = machines.get(machine_id)
-        occupied = sum(pl.orientation.base_area_mm2 for pl in group)
-        if machine and occupied > machine.base_area_mm2 + TOL:
-            overfull.append(f"job {job_index} on {machine_id}")
     if overfull:
-        violations.append(Violation("plate_capacity", tuple(overfull)))
+        violations.append(Violation("plate_capacity", tuple(_job_name(job) for job in overfull)))
 
     orphaned = [
         f"job {j} on {mid}"
@@ -299,32 +301,15 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
     if orphaned:
         violations.append(Violation("activation", tuple(orphaned)))
 
-    gaps = []
-    populated = sorted(members)
-    for machine_id, job_index in populated:
-        if job_index > 1 and (machine_id, job_index - 1) not in members:
-            gaps.append(f"job {job_index} on {machine_id}")
+    populated = {(pl.machine_id, pl.job_index) for pl in schedule.placements}
+    gaps = [
+        f"job {j} on {mid}" for mid, j in sorted(populated) if j > 1 and (mid, j - 1) not in populated
+    ]
     if gaps:
         violations.append(Violation("contiguity", tuple(gaps)))
 
-    broken = []
-    for machine_id in sorted({mid for mid, _ in schedule.jobs_used()} & machines.keys()):
-        machine = machines[machine_id]
-        chain = sorted(j for mid, j in schedule.jobs_used() if mid == machine_id)
-        prev_end = 0.0
-        for job_index in chain:
-            group = members.get((machine_id, job_index), [])
-            height = max((pl.orientation.height_mm for pl in group), default=0.0)
-            # an unknown part is an assignment violation, with no volume here
-            volume = sum(volume_mm3(parts[pl.part_id]) for pl in group if pl.part_id in parts)
-            processing = machine.layer_time_h_per_mm * height
-            processing += machine.volumetric_time_h_per_mm3 * volume
-            completion = schedule.completions.get((machine_id, job_index), 0.0)
-            if completion + TOL < prev_end + processing:
-                broken.append(f"job {job_index} on {machine_id}")
-            prev_end = completion
-    if broken:
-        violations.append(Violation("sequencing", tuple(broken)))
+    if breaks:
+        violations.append(Violation("sequencing", tuple(_job_name(job) for job, _ in breaks)))
 
     return violations
 

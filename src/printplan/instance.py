@@ -113,18 +113,6 @@ class ProblemInstance:
                 raise InstanceError(f"duplicate part id {p.id!r}")
             seen.add(p.id)
 
-    def part_index(self, part_id: str) -> int:
-        for i, p in enumerate(self.parts):
-            if p.id == part_id:
-                return i
-        raise KeyError(part_id)
-
-    def machine_index(self, machine_id: str) -> int:
-        for i, m in enumerate(self.machines):
-            if m.id == machine_id:
-                return i
-        raise KeyError(machine_id)
-
 
 @dataclass(frozen=True)
 class ValidationIssue:

@@ -48,7 +48,27 @@ class Objective(str, Enum):
     ZZ = "zz"  # unused activated plate area
 
 
-BINARY_FAMILIES = ("x", "y", "b", "f")
+# Column layout: (family, index shape over parts i, job slots j and
+# machines m, binary), in column order; within a family the first index
+# varies slowest.
+_LAYOUT = (
+    ("x", "ijm", True),
+    ("y", "jm", True),
+    ("b", "i", True),
+    ("f", "i", True),
+    ("ph", "i", False),
+    ("pa", "i", False),
+    ("jh", "jm", False),
+    ("jp", "jm", False),
+    ("jc", "jm", False),
+    ("pc", "i", False),
+    ("e", "i", False),
+    ("t", "i", False),
+    ("la", "ijm", False),
+    ("lc", "ijm", False),
+)
+
+BINARY_FAMILIES = tuple(family for family, _, binary in _LAYOUT if binary)
 
 
 @dataclass(frozen=True)
@@ -91,23 +111,24 @@ class VarDef:
     family: str
     index: tuple[int, ...]
     binary: bool
-    lower: float
     upper: float
 
 
 class VariableRegistry:
-    """Column layout: name/family/index maps plus bounds for every column."""
+    """Column layout: name/family/index maps plus bounds for every column.
+
+    Every column's lower bound is 0.
+    """
 
     def __init__(self):
         self._defs: list[VarDef] = []
         self._by_name: dict[str, int] = {}
         self._by_key: dict[tuple, int] = {}
 
-    def _add(self, family: str, index: tuple[int, ...], binary: bool, lower: float, upper: float):
-        tokens = {1: ("i",), 2: ("j", "m"), 3: ("i", "j", "m")}[len(index)]
-        name = family + "".join(f"_{t}{k + 1}" for t, k in zip(tokens, index))
+    def _add(self, family: str, shape: str, index: tuple[int, ...], binary: bool, upper: float):
+        name = family + "".join(f"_{t}{k + 1}" for t, k in zip(shape, index))
         col = len(self._defs)
-        self._defs.append(VarDef(col, name, family, index, binary, lower, upper))
+        self._defs.append(VarDef(col, name, family, index, binary, upper))
         self._by_name[name] = col
         self._by_key[(family, index)] = col
 
@@ -133,9 +154,7 @@ class VariableRegistry:
         return [d.column for d in self._defs if d.binary]
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.array([d.lower for d in self._defs])
-        up = np.array([d.upper for d in self._defs])
-        return lo, up
+        return np.zeros(len(self._defs)), np.array([d.upper for d in self._defs])
 
 
 @dataclass(frozen=True)
@@ -183,42 +202,28 @@ def build_registry(
     decoder can rebuild it to interpret a raw value vector without
     re-deriving the whole model.
     """
-    n = len(instance.parts)
-    jobs = instance.jobs_per_machine
-    n_m = len(instance.machines)
+    sizes = {"i": len(instance.parts), "j": instance.jobs_per_machine, "m": len(instance.machines)}
     bundle = big_m if big_m is not None else compute_big_m(instance)
+    orient_up = 0.0 if fixed_orientation else 1.0
+    upper = {"x": 1.0, "y": 1.0, "b": orient_up, "f": orient_up, "jc": bundle.horizon}
 
     reg = VariableRegistry()
-    for i in range(n):
-        for j in range(jobs):
-            for m in range(n_m):
-                reg._add("x", (i, j, m), True, 0.0, 1.0)
-    for j in range(jobs):
-        for m in range(n_m):
-            reg._add("y", (j, m), True, 0.0, 1.0)
-    orient_up = 0.0 if fixed_orientation else 1.0
-    for i in range(n):
-        reg._add("b", (i,), True, 0.0, orient_up)
-    for i in range(n):
-        reg._add("f", (i,), True, 0.0, orient_up)
-    for i in range(n):
-        reg._add("ph", (i,), False, 0.0, math.inf)
-    for i in range(n):
-        reg._add("pa", (i,), False, 0.0, math.inf)
-    for fam in ("jh", "jp", "jc"):
-        cap = bundle.horizon if fam == "jc" else math.inf
-        for j in range(jobs):
-            for m in range(n_m):
-                reg._add(fam, (j, m), False, 0.0, cap)
-    for fam in ("pc", "e", "t"):
-        for i in range(n):
-            reg._add(fam, (i,), False, 0.0, math.inf)
-    for fam in ("la", "lc"):
-        for i in range(n):
-            for j in range(jobs):
-                for m in range(n_m):
-                    reg._add(fam, (i, j, m), False, 0.0, math.inf)
+    for family, shape, binary in _LAYOUT:
+        for index in np.ndindex(*(sizes[t] for t in shape)):
+            reg._add(family, shape, index, binary, upper.get(family, math.inf))
     return reg
+
+
+def _product_rows(p: int, c: int, x: int, bound: float):
+    """McCormick's (1976) envelope making column ``p = c*x`` for binary x
+    and ``0 <= c <= bound``: ``p <= bound*x``, ``p <= c`` and
+    ``p >= c - bound*(1 - x)``, each as (coefficients, rhs) of a ``<`` row.
+    The last row alone makes p cover c wherever x is set."""
+    return (
+        ({p: 1.0, x: -bound}, 0.0),
+        ({p: 1.0, c: -1.0}, 0.0),
+        ({c: 1.0, p: -1.0, x: bound}, bound),
+    )
 
 
 def build_model(
@@ -247,6 +252,10 @@ def build_model(
 
     def add(name, coeffs, sense, rhs):
         rows.append(Row(name, coeffs, sense, rhs))
+
+    def add_product(tags, sfx, p, c, x, bound):
+        for tag, (coeffs, rhs) in zip(tags, _product_rows(p, c, x, bound)):
+            add(tag + sfx, coeffs, "<", rhs)
 
     parts = instance.parts
     machines = instance.machines
@@ -323,37 +332,16 @@ def build_model(
                 machines[m].base_area_mm2,
             )
 
-    # la = pa * x envelope
-    for i in range(n):
-        m_area = bundle.area[i]
-        for j in range(jobs):
-            for m in range(n_m):
-                la = reg.col("la", i, j, m)
-                x = reg.col("x", i, j, m)
-                pa = reg.col("pa", i)
-                add(f"lau_i{i + 1}_j{j + 1}_m{m + 1}", {la: 1.0, x: -m_area}, "<", 0.0)
-                add(f"lap_i{i + 1}_j{j + 1}_m{m + 1}", {la: 1.0, pa: -1.0}, "<", 0.0)
-                add(
-                    f"lal_i{i + 1}_j{j + 1}_m{m + 1}",
-                    {pa: 1.0, la: -1.0, x: m_area},
-                    "<",
-                    m_area,
-                )
+    # la = pa * x
+    for i, j, m in np.ndindex(n, jobs, n_m):
+        add_product(("lau", "lap", "lal"), f"_i{i + 1}_j{j + 1}_m{m + 1}",
+                    reg.col("la", i, j, m), reg.col("pa", i), reg.col("x", i, j, m), bundle.area[i])
 
     # job height covers each member part's height
-    for i in range(n):
-        for j in range(jobs):
-            for m in range(n_m):
-                add(
-                    f"jmax_i{i + 1}_j{j + 1}_m{m + 1}",
-                    {
-                        reg.col("ph", i): 1.0,
-                        reg.col("jh", j, m): -1.0,
-                        reg.col("x", i, j, m): bundle.height,
-                    },
-                    "<",
-                    bundle.height,
-                )
+    for i, j, m in np.ndindex(n, jobs, n_m):
+        coeffs, rhs = _product_rows(reg.col("jh", j, m), reg.col("ph", i), reg.col("x", i, j, m),
+                                    bundle.height)[2]
+        add(f"jmax_i{i + 1}_j{j + 1}_m{m + 1}", coeffs, "<", rhs)
 
     # processing hours: layer time on the job height plus volumetric time
     for j in range(jobs):
@@ -396,20 +384,9 @@ def build_model(
             for m in range(n_m):
                 coeffs[reg.col("lc", i, j, m)] = -1.0
         add(f"cdef_i{i + 1}", coeffs, "=", 0.0)
-    for i in range(n):
-        for j in range(jobs):
-            for m in range(n_m):
-                lc = reg.col("lc", i, j, m)
-                x = reg.col("x", i, j, m)
-                jc = reg.col("jc", j, m)
-                add(f"lcu_i{i + 1}_j{j + 1}_m{m + 1}", {lc: 1.0, x: -bundle.horizon}, "<", 0.0)
-                add(f"lcc_i{i + 1}_j{j + 1}_m{m + 1}", {lc: 1.0, jc: -1.0}, "<", 0.0)
-                add(
-                    f"lcl_i{i + 1}_j{j + 1}_m{m + 1}",
-                    {jc: 1.0, lc: -1.0, x: bundle.horizon},
-                    "<",
-                    bundle.horizon,
-                )
+    for i, j, m in np.ndindex(n, jobs, n_m):
+        add_product(("lcu", "lcc", "lcl"), f"_i{i + 1}_j{j + 1}_m{m + 1}",
+                    reg.col("lc", i, j, m), reg.col("jc", j, m), reg.col("x", i, j, m), bundle.horizon)
 
     # tardiness and earliness, one-sided
     for i in range(n):
@@ -445,10 +422,8 @@ def build_model(
     for j in range(jobs):
         for m in range(n_m):
             obj_zz[reg.col("y", j, m)] = machines[m].base_area_mm2
-    for i in range(n):
-        for j in range(jobs):
-            for m in range(n_m):
-                obj_zz[reg.col("la", i, j, m)] = -1.0
+    for i, j, m in np.ndindex(n, jobs, n_m):
+        obj_zz[reg.col("la", i, j, m)] = -1.0
 
     return MilpModel(
         instance=instance,
@@ -504,15 +479,11 @@ def write_lp(model: MilpModel) -> str:
     reg = model.registry
     lines = ["Minimize"]
     obj = model.objective
-    terms = _linear_terms(obj.nonzero()[0], obj, reg)
+    terms = _linear_terms(((c, obj[c]) for c in obj.nonzero()[0]), reg)
     lines.append(" obj: " + (terms if terms else "0 " + reg.name(0)))
     lines.append("Subject To")
     for row in model.rows:
-        cols = sorted(row.coeffs)
-        coefs = np.zeros(reg.n_columns)
-        for c in cols:
-            coefs[c] = row.coeffs[c]
-        body = _linear_terms(cols, coefs, reg)
+        body = _linear_terms(sorted(row.coeffs.items()), reg)
         op = {"<": "<=", "=": "=", ">": ">="}[row.sense]
         lines.append(f" {row.name}: {body} {op} {_format_coef(row.rhs)}")
     lines.append("Bounds")
@@ -533,10 +504,10 @@ def write_lp(model: MilpModel) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _linear_terms(cols, coefs, reg) -> str:
+def _linear_terms(terms, reg) -> str:
+    """``(column, coefficient)`` pairs as LP text, zero coefficients left out."""
     pieces = []
-    for k, c in enumerate(cols):
-        v = coefs[c]
+    for c, v in terms:
         if v == 0.0:
             continue
         if not pieces:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import Evaluation, Schedule, check_feasible, decode, evaluate
+from .evaluate import Evaluation, Schedule, check_feasible, decode, evaluate, write_schedule_csv
 from .instance import ProblemInstance
 from .model import MilpModel, Objective, build_model, cap_objective, inject_epsilon
 from .solver import MilpSolution, SolveStatus, solve_milp
@@ -48,7 +48,6 @@ class ParetoPoint:
     status: SolveStatus
     schedule: Schedule | None
     evaluation: Evaluation | None
-    schedule_file: str = ""
 
 
 @dataclass(frozen=True)
@@ -264,7 +263,11 @@ def write_front_csv(
     path,
     params: str = "",
 ) -> None:
-    """One row per epsilon attempt, plus the payoff table in comments."""
+    """One row per epsilon attempt, plus the payoff table in comments.
+
+    Each attempt with a schedule also gets ``point_<k>_schedule.csv``
+    beside ``path`` (k its attempt index, same stamp), named in its row.
+    """
     from . import __version__
 
     stamp = f"# printplan={__version__}"
@@ -278,16 +281,12 @@ def write_front_csv(
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["epsilon", "z_hours", "zz_mm2", "status", "schedule_file"])
-    for point in front.attempts:
-        writer.writerow(
-            [
-                f"{point.epsilon:.6f}",
-                _cell(point.z),
-                _cell(point.zz),
-                point.status.value,
-                point.schedule_file,
-            ]
-        )
+    for k, point in enumerate(front.attempts):
+        name = ""
+        if point.schedule is not None:
+            name = f"point_{k}_schedule.csv"
+            write_schedule_csv(point.schedule, point.evaluation, Path(path).parent / name, params=params)
+        writer.writerow([f"{point.epsilon:.6f}", _cell(point.z), _cell(point.zz), point.status.value, name])
     Path(path).write_text(stamp + "\n" + payoff_line + "\n" + buf.getvalue())
 
 
@@ -298,17 +297,3 @@ def write_front_gnuplot(front: ParetoFront, path) -> None:
         lines.append(f"{point.zz:.6f} {point.z:.6f}")
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def attach_schedule_files(front: ParetoFront, names: dict[int, str]) -> ParetoFront:
-    """Return a front whose attempt rows carry the written file names.
-
-    ``names`` maps attempt indices to file names; kept points are
-    re-derived so both views stay in sync.
-    """
-    attempts = tuple(
-        replace(p, schedule_file=names.get(idx, p.schedule_file))
-        for idx, p in enumerate(front.attempts)
-    )
-    originals = list(front.attempts)
-    kept = tuple(attempts[originals.index(p)] for p in front.points)
-    return ParetoFront(kept, attempts, front.payoff)

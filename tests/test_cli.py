@@ -193,7 +193,8 @@ def test_malformed_record_exits_2_with_its_location(runner, tmp_path, files, loc
 @pytest.mark.parametrize("parameter, value", [
     ("machine_area", "inf"),
     ("layer_time", "nan"),
-], ids=["area-inf", "layer-time-nan"])
+    ("part_count_prefix", "inf"),
+], ids=["area-inf", "layer-time-nan", "prefix-inf"])
 def test_sweep_non_finite_value_marks_cells_invalid(runner, tmp_path, parameter, value):
     result = runner.invoke(
         main,

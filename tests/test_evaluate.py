@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from printplan.datasets import load_builtin, random_instance
 from printplan.evaluate import (
+    _job_pass,
     Placement,
     Schedule,
     Violation,
@@ -166,10 +170,8 @@ def test_utilization_identity_on_random_instances():
         assert sol.status is SolveStatus.Optimal
         sched = decode(sol, inst)
         ev = evaluate(sched, inst)
-        plate = sum(
-            inst.machines[inst.machine_index(mid)].base_area_mm2
-            for mid, _ in sched.activated
-        )
+        area = {m.id: m.base_area_mm2 for m in inst.machines}
+        plate = sum(area[mid] for mid, _ in sched.activated)
         occupied = sum(job.occupied_mm2 for job in ev.jobs if job.activated)
         assert ev.zz + occupied == plate
 
@@ -270,8 +272,9 @@ def test_recanonicalized_height_never_exceeds_solver_column():
     sched = decode(sol, inst)
     ev = evaluate(sched, inst)
     reg = model.registry
+    machine = {m.id: k for k, m in enumerate(inst.machines)}
     for job in ev.jobs:
-        col = reg.col("jh", job.job_index - 1, inst.machine_index(job.machine_id))
+        col = reg.col("jh", job.job_index - 1, machine[job.machine_id])
         assert job.height_mm <= sol.values[col] + 1e-9
 
 
@@ -398,6 +401,56 @@ def test_check_feasible_accepts_solver_output():
 
 
 # ---------------------------------------------------------------- CSV
+
+
+@cache
+def solved_schedules() -> tuple[tuple[ProblemInstance, Schedule], ...]:
+    # time- and area-optimal plans; seed 2's area optimum fills its plates
+    out = []
+    for seed in (2, 3, 4):
+        inst = random_instance(seed, n_parts=5, jobs_per_machine=2)
+        for objective in Objective:
+            sol = solve_milp(build_model(inst, objective), time_limit_s=60)
+            out.append((inst, decode(sol, inst)))
+    return tuple(out)
+
+
+@st.composite
+def perturbed_schedules(draw):
+    """A solver schedule with one completion shifted, one part moved to
+    another job, or one part's orientation swapped."""
+    inst, sched = draw(st.sampled_from(solved_schedules()))
+    kind = draw(st.sampled_from(("shift", "move", "orient")))
+    if kind == "shift":
+        key = draw(st.sampled_from(sorted(sched.completions)))
+        delta = draw(st.floats(-30.0, 30.0, allow_nan=False))
+        return inst, replace(sched, completions={**sched.completions, key: sched.completions[key] + delta})
+    k = draw(st.integers(0, len(sched.placements) - 1))
+    pl = sched.placements[k]
+    if kind == "move":
+        machine = draw(st.sampled_from(inst.machines)).id
+        pl = replace(pl, machine_id=machine, job_index=draw(st.integers(1, inst.jobs_per_machine)))
+    else:
+        part = next(p for p in inst.parts if p.id == pl.part_id)
+        pl = replace(pl, orientation=orientation_for(part, draw(st.sampled_from(OrientationKind))))
+    return inst, replace(sched, placements=sched.placements[:k] + (pl,) + sched.placements[k + 1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(perturbed_schedules())
+def test_evaluate_and_check_feasible_agree(case):
+    inst, sched = case
+    families = {v.family for v in check_feasible(sched, inst)}
+    breaks = families & {"plate_capacity", "sequencing"}
+    try:
+        ev = evaluate(sched, inst)
+    except ValueError:
+        assert breaks
+        return
+    assert not breaks
+    machines = {m.id: m for m in inst.machines}
+    parts = {p.id: p for p in inst.parts}
+    assert ev.jobs == tuple(_job_pass(sched, machines, parts)[0])
 
 
 def test_schedule_csv_round_trip(tmp_path):

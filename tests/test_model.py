@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from printplan.datasets import load_builtin, random_instance
+from printplan.datasets import BUILTIN_NAMES, load_builtin, random_instance
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
 from printplan.model import (
     Objective,
@@ -281,3 +282,44 @@ def test_lp_text_objective_line(nine):
     first = write_lp(model).splitlines()
     assert first[0] == "Minimize"
     assert first[1].startswith(" obj: 62500 y_j1_m1")
+
+
+# sha256 of write_lp for every builtin, objective and orientation mode:
+# any change to column order, row order, names, coefficients or bounds
+# changes the LP bytes an external solver reads
+PINNED_LP_SHA256 = {
+    ("nine_parts", "z", False): "1ce9c5e26c5ec0c704187dc5c008bfea888bd6421bf1e9e4d67fe7a02d89cd2a",
+    ("nine_parts", "z", True): "a13e18e8d3aa8231b7aeb9b2b3b4961e2afac5b2631a1afeed4b93567c28d1f2",
+    ("nine_parts", "zz", False): "07b6683622518d9f346d1de9da059f913191db15298758a6536f8cd5cee27c48",
+    ("nine_parts", "zz", True): "934ff38a4f5609e063b70a0eaec739340b15e2cb87cd807ece21c5fe26630a00",
+    ("twenty_parts", "z", False): "0338fd810cd440b0aed859aa4a1cb9229d520108b224dd32205f60afc0710dce",
+    ("twenty_parts", "z", True): "6a8cf4c3dce15f528b592aad507046d671f780ad79828fe3133f84322f6f8ad5",
+    ("twenty_parts", "zz", False): "fe8a798f0089ecf91734f7d0bb3444bf0053996276c309d093b04c6cfa263ea7",
+    ("twenty_parts", "zz", True): "f17284369b17689afd04942e7a244a35aa6fd4c27b154c24c8299dbe030f1978",
+    ("fifteen_parts_time_study", "z", False): "4e045eefa730335dbe56eee9974b75fc4e275e45218a970b117f6b45138c15c0",
+    ("fifteen_parts_time_study", "z", True): "8b58a2c77ee11e665e4d1de14274e342afa8af3fab2cdd9ec652acc3668b2ef3",
+    ("fifteen_parts_time_study", "zz", False): "0b8e454e891153b868f6e8a56603e71b5e22bee887ab05cc8fe47815ce09cdb3",
+    ("fifteen_parts_time_study", "zz", True): "17391776e061b088f9989eade661c85807bf978d43ea0a486e84c9d406f3acb4",
+    ("fifteen_parts_area_study", "z", False): "06ef562d9da51a9a55b4964a8e6d5c5e85f1787033fb61a60e9b530c6d782512",
+    ("fifteen_parts_area_study", "z", True): "692633507501fed440cee5e999d0e5f5bb8d768e3c552a2b6d230ca45a358d3c",
+    ("fifteen_parts_area_study", "zz", False): "3779d423ddd41b0677ac2d4c177b76ad2824e98f117442829428b91c001136bf",
+    ("fifteen_parts_area_study", "zz", True): "35cd69eb563048635d17f9abd8aeaeaac855fd3f15653003645f0fe28f3a9e10",
+}
+PINNED_EPSILON_LP_SHA256 = "7c27e2b1b422254dc4f59b9e55316b5c1e85ea53500997e4d570ff2a27718ff8"
+
+
+def _lp_sha256(model) -> str:
+    return hashlib.sha256(write_lp(model).encode()).hexdigest()
+
+
+def test_lp_text_pinned():
+    digests = {}
+    for name in BUILTIN_NAMES:
+        inst = load_builtin(name)
+        for objective in Objective:
+            for fixed in (False, True):
+                model = build_model(inst, objective, fixed_orientation=fixed)
+                digests[(name, objective.value, fixed)] = _lp_sha256(model)
+    assert digests == PINNED_LP_SHA256
+    capped = inject_epsilon(build_model(load_builtin("nine_parts"), Objective.Z), 70000.0)
+    assert _lp_sha256(capped) == PINNED_EPSILON_LP_SHA256

@@ -13,8 +13,8 @@ from printplan.instance import MachineSpec, Part, ProblemInstance
 from printplan.oracle import brute_force
 from printplan.pareto import (
     FrontError,
+    ParetoFront,
     ParetoPoint,
-    attach_schedule_files,
     epsilon_grid,
     filter_dominated,
     pareto_front,
@@ -250,6 +250,17 @@ def test_front_csv_layout(tmp_path):
     assert lines[2] == "epsilon,z_hours,zz_mm2,status,schedule_file"
     assert len(lines) == 3 + len(front.attempts)
     assert lines[3].split(",")[3] == "optimal"
+    # each attempt with a schedule names its file, written beside front.csv
+    names = [line.rsplit(",", 1)[1] for line in lines[3:]]
+    for name, point in zip(names, front.attempts):
+        assert bool(name) == (point.schedule is not None)
+        if name:
+            assert (tmp_path / name).read_text().startswith(lines[0] + "\n")
+    assert sorted(p.name for p in tmp_path.glob("point_*")) == sorted(filter(None, names))
+    without = ParetoPoint(1.0, None, None, SolveStatus.Infeasible, None, None)
+    lone = ParetoFront((), (without,), front.payoff)
+    write_front_csv(lone, tmp_path / "lone.csv")
+    assert (tmp_path / "lone.csv").read_text().splitlines()[3] == "1.000000,,,infeasible,"
     # byte stable
     again = tmp_path / "again.csv"
     write_front_csv(front, again, params="K=3")
@@ -268,13 +279,3 @@ def test_front_gnuplot_two_columns(tmp_path):
         assert float(zz) == pytest.approx(point.zz, abs=1e-6)
         assert float(z) == pytest.approx(point.z, abs=1e-6)
 
-
-def test_attach_schedule_files():
-    inst = random_instance(2)
-    front = pareto_front(inst, grid_count=2)
-    named = attach_schedule_files(front, {0: "point_0.csv", 1: "point_1.csv"})
-    assert named.attempts[0].schedule_file == "point_0.csv"
-    assert named.attempts[1].schedule_file == "point_1.csv"
-    assert all(p.schedule_file for p in named.points)
-    # original untouched
-    assert front.attempts[0].schedule_file == ""
