@@ -18,8 +18,6 @@ per prefix.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +28,8 @@ import click
 
 from . import __version__
 from .datasets import BUILTIN_NAMES, load_builtin, part_prefix, random_instance, reference_curves, with_machine_count
-from .evaluate import check_feasible, evaluate, decode, write_schedule_csv
+# perfbench/spans.py traces the one CSV writer under the name ``_write_rows``
+from .evaluate import accept, write_csv as _write_rows, write_schedule_csv
 from .instance import InstanceError, ProblemInstance, instance_hash, load_instance, validate
 from .model import Objective, build_model, write_lp
 from .pareto import FrontError, pareto_front, write_front_csv, write_front_gnuplot
@@ -90,40 +89,29 @@ def _resolve_solver(flag: str | None, n_binaries: int) -> str:
 def _solve_routed(model, time_limit_s: float | None, solver: str | None, lp_path: Path):
     """Solve in-process, or write ``lp_path`` and read the ``.sol`` beside it.
 
-    Returns None on the external route while the solution file is missing.
-    A solution file that does not parse, or whose decoded schedule fails
-    `check_feasible`, raises ``ValueError`` naming the file.
+    Returns ``(solution, schedule, evaluation)``, the last two from
+    `accept`, or None on the external route while the solution file is
+    missing.  A solve that ends without values has no schedule to accept
+    and comes back as ``(solution, None, None)``.  A rejected solution
+    raises ``ValueError`` with the gate's message; on the external route
+    the message, or that of a file that does not parse, is prefixed with
+    the ``.sol`` path.
     """
     if _resolve_solver(solver, len(model.registry.binary_columns())) == "builtin":
-        return solve_milp(model, time_limit_s=time_limit_s)
+        return _accepted(solve_milp(model, time_limit_s=time_limit_s), model)
     lp_path.parent.mkdir(parents=True, exist_ok=True)
     lp_path.write_text(write_lp(model))
     sol_path = lp_path.with_suffix(".sol")
     if not sol_path.exists():
         return None
     try:
-        sol = parse_external_solution(sol_path.read_text(), model)
-        if sol.values is None:
-            return sol
-        schedule = decode(sol, model.instance)
+        return _accepted(parse_external_solution(sol_path.read_text(), model), model)
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{sol_path}: {exc}") from None
-    violations = check_feasible(schedule, model.instance)
-    if violations:
-        families = ", ".join(v.family for v in violations)
-        raise ValueError(f"{sol_path}: solution violates {families}")
-    return sol
 
 
-def _write_rows(path: Path, provenance: str, header: list[str], rows: list[list], extra_comments=()) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    lines = [f"# printplan={__version__} {provenance}"]
-    lines.extend(extra_comments)
-    path.write_text("\n".join(lines) + "\n" + buf.getvalue())
+def _accepted(sol, model):
+    return (sol, None, None) if sol.values is None else (sol, *accept(sol, model))
 
 
 def _write_evaluation_csv(evaluation, path: Path, provenance: str) -> None:
@@ -147,7 +135,7 @@ def _write_evaluation_csv(evaluation, path: Path, provenance: str) -> None:
         ["machine_id", "job_index", "part_count", "height_mm", "processing_h",
          "completion_h", "occupied_mm2", "utilization", "activated"],
         rows,
-        extra_comments=[f"# totals z_hours={evaluation.z:.6f} zz_mm2={evaluation.zz:.6f}"],
+        comments=[f"# totals z_hours={evaluation.z:.6f} zz_mm2={evaluation.zz:.6f}"],
     )
 
 
@@ -222,22 +210,21 @@ def solve(source, seed, jobs, machines, out, objective, fixed_orientation,
 
     started = time.perf_counter()
     try:
-        sol = _solve_routed(model, time_limit, solver, out / "model.lp")
+        routed = _solve_routed(model, time_limit, solver, out / "model.lp")
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     wall = time.perf_counter() - started
-    if sol is None:
+    if routed is None:
         click.echo(f"LP written to {out / 'model.lp'}; solve it externally, save the "
                    f"solution as {out / 'model.sol'} and re-run")
         click.echo("status: pending_external")
         return
+    sol, schedule, ev = routed
     if sol.status is SolveStatus.Infeasible:
         _fail(EXIT_INFEASIBLE, "model is infeasible")
-    if sol.values is None:
+    if schedule is None:
         _fail(EXIT_TIME_LIMIT, "time limit reached before any feasible schedule")
 
-    schedule = decode(sol, inst)
-    ev = evaluate(schedule, inst)
     write_schedule_csv(schedule, ev, out / "schedule.csv", params=provenance)
     _write_evaluation_csv(ev, out / "evaluation.csv", provenance)
     click.echo(f"status: {sol.status.value}")
@@ -280,14 +267,14 @@ def pareto(source, seed, jobs, machines, out, epsilon_count, fixed_orientation, 
 def _solve_cell(inst, fixed_orientation, time_limit_s, solver, lp_path: Path):
     """One scenario/sweep cell: (z or None, status string)."""
     model = build_model(inst, Objective.Z, fixed_orientation=fixed_orientation)
-    sol = _solve_routed(model, time_limit_s, solver, lp_path)
-    if sol is None:
+    routed = _solve_routed(model, time_limit_s, solver, lp_path)
+    if routed is None:
         return None, "pending_external"
+    sol, _, ev = routed
     if sol.status is SolveStatus.Infeasible:
         return None, "infeasible"
-    if sol.values is None:
+    if ev is None:
         return None, "time_limit"
-    ev = evaluate(decode(sol, inst), inst)
     return ev.z, sol.status.value
 
 

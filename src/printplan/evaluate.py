@@ -6,7 +6,8 @@ completes.  Everything derived from those decisions (job heights,
 processing times, earliness, tardiness, both objective totals) is
 recomputed here from the instance data, so a Big-M leak or a loose
 linearization in the model shows up as a mismatch instead of silently
-propagating into reports.
+propagating into reports.  ``accept`` is that check, and every reported
+solution passes it; ``write_csv`` writes every CSV the package emits.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import __version__
 from .geometry import Orientation, OrientationKind, orientation_for, volume_mm3
 from .instance import ProblemInstance
-from .model import build_registry
+from .model import MilpModel, Objective, build_registry
 from .solver import MilpSolution
 
 # slack for reading a binary as set and for every capacity, height and chain test
@@ -217,12 +219,24 @@ def evaluate(schedule: Schedule, instance: ProblemInstance) -> Evaluation:
 
     Jobs come from the same pass as check_feasible's; earliness and
     tardiness come from the owning job's completion.  Raises ValueError
-    on an overfull plate or a broken completion chain (exactly when
-    check_feasible reports ``plate_capacity`` or ``sequencing``); use
+    naming the placement or job when a placement's part or machine, or
+    an activated job's machine, is not in the instance; and on an
+    overfull plate or a broken completion chain (exactly when
+    check_feasible reports ``plate_capacity`` or ``sequencing``).  Use
     check_feasible for a non-raising report.
     """
     machines = {m.id: m for m in instance.machines}
     parts = {p.id: p for p in instance.parts}
+    for pl in schedule.placements:
+        if pl.part_id not in parts or pl.machine_id not in machines:
+            missing = f"part {pl.part_id}" if pl.part_id not in parts else f"machine {pl.machine_id}"
+            raise ValueError(
+                f"placement of {pl.part_id} in job {pl.job_index} on {pl.machine_id}: "
+                f"the instance has no {missing}"
+            )
+    for mid, j in sorted(schedule.activated):
+        if mid not in machines:
+            raise ValueError(f"activated job {j} on {mid}: the instance has no machine {mid}")
     job_reports, overfull, breaks = _job_pass(schedule, machines, parts)
     if overfull:
         job = overfull[0]
@@ -314,6 +328,43 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
     return violations
 
 
+def accept(solution: MilpSolution, model: MilpModel) -> tuple[Schedule, Evaluation]:
+    """The schedule and evaluation of a solution, if both can be reported.
+
+    Decodes ``solution`` for ``model.instance``, raises ValueError if
+    check_feasible reports any family, evaluates the schedule, and raises
+    ValueError if the evaluated ``model.active_objective`` differs from
+    ``solution.objective`` by more than TOL.
+    """
+    instance = model.instance
+    schedule = decode(solution, instance)
+    violations = check_feasible(schedule, instance)
+    if violations:
+        raise ValueError(f"solution violates {', '.join(v.family for v in violations)}")
+    ev = evaluate(schedule, instance)
+    value = ev.z if model.active_objective is Objective.Z else ev.zz
+    if abs(value - solution.objective) > TOL:
+        raise ValueError(
+            f"evaluator disagrees with solver: {value:.12g} vs {solution.objective:.12g} "
+            f"(difference {value - solution.objective:.3g})"
+        )
+    return schedule, ev
+
+
+def write_csv(path, params: str, header: list[str], rows, comments=()) -> None:
+    """Write a CSV of ``rows`` under ``header``.
+
+    Above the header go the stamp ``# printplan=<version> <params>`` and
+    then the ``comments`` lines, each already starting with ``#``.
+    """
+    stamp = f"# printplan={__version__} {params}" if params else f"# printplan={__version__}"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text("\n".join([stamp, *comments, buf.getvalue()]))
+
+
 def _hours(value: float) -> str:
     return f"{value:.6f}"
 
@@ -325,31 +376,11 @@ def write_schedule_csv(
     params: str = "",
 ) -> None:
     """Write the per-part plan as CSV with a provenance comment line."""
-    from . import __version__
-
-    stamp = f"# printplan={__version__}"
-    if params:
-        stamp += f" {params}"
     due = {rep.part_id: rep for rep in evaluation.parts}
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "part_id",
-            "machine_id",
-            "job_index",
-            "orientation",
-            "height_mm",
-            "base_area_mm2",
-            "completion_h",
-            "due_h",
-            "earliness_h",
-            "tardiness_h",
-        ]
-    )
+    rows = []
     for pl in schedule.placements:
         rep = due[pl.part_id]
-        writer.writerow(
+        rows.append(
             [
                 pl.part_id,
                 pl.machine_id,
@@ -363,4 +394,10 @@ def write_schedule_csv(
                 _hours(rep.tardiness_h),
             ]
         )
-    Path(path).write_text(stamp + "\n" + buf.getvalue())
+    write_csv(
+        path,
+        params,
+        ["part_id", "machine_id", "job_index", "orientation", "height_mm", "base_area_mm2",
+         "completion_h", "due_h", "earliness_h", "tardiness_h"],
+        rows,
+    )

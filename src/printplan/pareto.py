@@ -9,15 +9,13 @@ measured on actual optima rather than arbitrary alternates.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from .evaluate import Evaluation, Schedule, check_feasible, decode, evaluate, write_schedule_csv
+from .evaluate import Evaluation, Schedule, accept, evaluate, write_csv, write_schedule_csv
 from .instance import ProblemInstance
 from .model import MilpModel, Objective, build_model, cap_objective, inject_epsilon
 from .solver import MilpSolution, SolveStatus, solve_milp
@@ -74,14 +72,18 @@ def _refinement_margin(value: float) -> float:
     return 1e-6 * max(1.0, abs(value))
 
 
-def _require_optimal(solution: MilpSolution, what: str) -> MilpSolution:
-    """The solution if proven optimal; the payoff table holds only optima."""
+def _require_optimal(solution: MilpSolution, model: MilpModel, what: str) -> MilpSolution:
+    """The solution if proven optimal and accepted; the payoff table holds only optima."""
     if solution.status is SolveStatus.Infeasible:
         raise FrontError(f"{what}: model is infeasible", solution.status)
     if solution.values is None:
         raise FrontError(f"{what}: no incumbent within the time limit", solution.status)
     if solution.status is not SolveStatus.Optimal:
         raise FrontError(f"{what}: ended {solution.status.value}, optimum not proven", solution.status)
+    try:
+        accept(solution, model)
+    except ValueError as exc:
+        raise FrontError(f"{exc}; in {what}") from None
     return solution
 
 
@@ -94,8 +96,9 @@ def _payoff_with_seeds(
     model_z = build_model(instance, Objective.Z, fixed_orientation=fixed_orientation)
     model_zz = replace(model_z, active_objective=Objective.ZZ)
 
-    sol_z = _require_optimal(solve_milp(model_z, time_limit_s=time_limit_s), "payoff: minimize cost")
-    sol_zz = _require_optimal(solve_milp(model_zz, time_limit_s=time_limit_s),
+    sol_z = _require_optimal(solve_milp(model_z, time_limit_s=time_limit_s), model_z,
+                             "payoff: minimize cost")
+    sol_zz = _require_optimal(solve_milp(model_zz, time_limit_s=time_limit_s), model_zz,
                               "payoff: minimize unused area")
     z_ideal = float(sol_z.objective)
     zz_ideal = float(sol_zz.objective)
@@ -105,11 +108,13 @@ def _payoff_with_seeds(
     capped_zz = cap_objective(model_zz, Objective.Z, z_ideal + _refinement_margin(z_ideal))
     ref_z = _require_optimal(
         solve_milp(capped_zz, time_limit_s=time_limit_s, warm_values=[sol_z.values]),
+        capped_zz,
         "payoff: refine the cost-optimal corner",
     )
     capped_z = cap_objective(model_z, Objective.ZZ, zz_ideal + _refinement_margin(zz_ideal))
     ref_zz = _require_optimal(
         solve_milp(capped_z, time_limit_s=time_limit_s, warm_values=[sol_zz.values]),
+        capped_z,
         "payoff: refine the area-optimal corner",
     )
 
@@ -133,7 +138,8 @@ def payoff_table(
     Four exact solves: each objective unconstrained, then each
     re-optimized with the other capped at its optimum (plus a token
     margin) so the estimates sit on the actual front.  A solve that
-    ends without a proven optimum raises FrontError with its status.
+    ends without a proven optimum raises FrontError with its status; one
+    that `accept` rejects raises FrontError with status None.
     """
     if not instance.parts:
         return PayoffTable(0.0, 0.0, 0.0, 0.0)
@@ -193,10 +199,9 @@ def pareto_front(
     solution (a schedule under a tight cap stays feasible under a loose
     one).  Time-limited attempts are flagged in the log rather than
     dropped; infeasible caps appear the same way.  Every solve that returns
-    a schedule, optimal or time-limited, must pass the feasibility
-    predicates, keep within its cap, and have its evaluation reproduce
-    the solver objective within 1e-6; optimal cost must never increase as
-    the cap loosens.  A NaN or ``-inf`` cap, or a ``grid_count`` below 1
+    a schedule, optimal or time-limited, must pass `accept` and keep within
+    its cap (absolute 1e-6); optimal cost must never increase as the cap
+    loosens.  A NaN or ``-inf`` cap, or a ``grid_count`` below 1
     without ``epsilons``, raises ``ValueError`` before any solve.
     """
     if epsilons is None and grid_count < 1:
@@ -223,17 +228,12 @@ def pareto_front(
         if sol.values is None:
             attempts.append(ParetoPoint(eps, None, None, sol.status, None, None))
             continue
-        schedule = decode(sol, instance)
-        ev = evaluate(schedule, instance)
-        point = ParetoPoint(eps, ev.z, ev.zz, sol.status, schedule, ev)
-        attempts.append(point)
+        try:
+            schedule, ev = accept(sol, model)
+        except ValueError as exc:
+            raise FrontError(f"{exc}; at eps={eps:g}") from None
+        attempts.append(ParetoPoint(eps, ev.z, ev.zz, sol.status, schedule, ev))
         warm.append(sol.values)
-        if abs(ev.z - sol.objective) > 1e-6:
-            raise FrontError(
-                f"evaluator disagrees with solver at eps={eps:g}: "
-                f"{ev.z:.12g} vs {sol.objective:.12g} "
-                f"(difference {ev.z - sol.objective:.3g})"
-            )
         if ev.zz > eps + 1e-6:
             raise FrontError(
                 f"solution breaches its own cap at eps={eps:g}: zz={ev.zz:g}"
@@ -245,10 +245,6 @@ def pareto_front(
                     f"loosened to {eps:g}"
                 )
             last_optimal_z = ev.z
-        bad = check_feasible(schedule, instance)
-        if bad:
-            families = ", ".join(v.family for v in bad)
-            raise FrontError(f"front schedule fails feasibility: {families}")
 
     kept = filter_dominated(attempts)
     return ParetoFront(tuple(kept), tuple(attempts), table)
@@ -268,26 +264,20 @@ def write_front_csv(
     Each attempt with a schedule also gets ``point_<k>_schedule.csv``
     beside ``path`` (k its attempt index, same stamp), named in its row.
     """
-    from . import __version__
-
-    stamp = f"# printplan={__version__}"
-    if params:
-        stamp += f" {params}"
     table = front.payoff
     payoff_line = (
         f"# payoff z_ideal={table.z_ideal:.6f} zz_ideal={table.zz_ideal:.6f} "
         f"z_nadir_est={table.z_nadir_est:.6f} zz_nadir_est={table.zz_nadir_est:.6f}"
     )
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epsilon", "z_hours", "zz_mm2", "status", "schedule_file"])
+    rows = []
     for k, point in enumerate(front.attempts):
         name = ""
         if point.schedule is not None:
             name = f"point_{k}_schedule.csv"
             write_schedule_csv(point.schedule, point.evaluation, Path(path).parent / name, params=params)
-        writer.writerow([f"{point.epsilon:.6f}", _cell(point.z), _cell(point.zz), point.status.value, name])
-    Path(path).write_text(stamp + "\n" + payoff_line + "\n" + buf.getvalue())
+        rows.append([f"{point.epsilon:.6f}", _cell(point.z), _cell(point.zz), point.status.value, name])
+    write_csv(path, params, ["epsilon", "z_hours", "zz_mm2", "status", "schedule_file"], rows,
+              comments=[payoff_line])
 
 
 def write_front_gnuplot(front: ParetoFront, path) -> None:

@@ -341,34 +341,15 @@ def solve_milp(
             for extra in children[1:]:
                 heapq.heappush(heap, extra)
 
-    if timed_out:
-        best_open = min((n.est for n in heap), default=math.inf)
-        if incumbent_obj is not None:
-            bound = min(best_open, incumbent_obj)
-            gap = (incumbent_obj - bound) / max(1.0, abs(incumbent_obj))
-            return MilpSolution(
-                SolveStatus.TimeLimit,
-                incumbent_obj,
-                incumbent_x,
-                bound,
-                max(gap, 0.0),
-                node_count,
-            )
-        return MilpSolution(
-            SolveStatus.TimeLimit, None, None, best_open, math.inf, node_count
-        )
+    # the loop empties the heap unless the search timed out
+    best_open = min((n.est for n in heap), default=math.inf)
     if incumbent_obj is None:
-        return MilpSolution(
-            SolveStatus.Infeasible, None, None, math.inf, math.inf, node_count
-        )
-    return MilpSolution(
-        SolveStatus.Optimal,
-        incumbent_obj,
-        incumbent_x,
-        incumbent_obj,
-        0.0,
-        node_count,
-    )
+        status = SolveStatus.TimeLimit if timed_out else SolveStatus.Infeasible
+        return MilpSolution(status, None, None, best_open, math.inf, node_count)
+    bound = min(best_open, incumbent_obj)
+    gap = max((incumbent_obj - bound) / max(1.0, abs(incumbent_obj)), 0.0)
+    status = SolveStatus.TimeLimit if timed_out else SolveStatus.Optimal
+    return MilpSolution(status, incumbent_obj, incumbent_x, bound, gap, node_count)
 
 
 def _is_feasible(values, a, senses, rhs, lo, up, binary_cols) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import os
@@ -253,6 +254,110 @@ def test_solve_outputs_are_byte_stable(runner, tmp_path):
         assert result.exit_code == 0, result.output
     assert (out_a / "schedule.csv").read_bytes() == (out_b / "schedule.csv").read_bytes()
     assert (out_a / "evaluation.csv").read_bytes() == (out_b / "evaluation.csv").read_bytes()
+
+
+# sha256 of every file each command writes.  Any change to an output
+# byte, the version in the stamp included, has to update these on purpose.
+PINNED_OUTPUTS = {
+    ("solve", "--instance", "random", "--seed", "0"): {
+        "evaluation.csv": "bba9bf2bbe7eed8cdc9e4657176fecd3691f4b914d64147dc7dbdd26caaed5ff",
+        "schedule.csv": "4fb093f3e706d8e61406e5a100723c64003f3faeee3a0e94e333cd1822684fcf",
+    },
+    ("solve", "--instance", "nine_parts", "--machines", "1", "--objective", "zz"): {
+        "evaluation.csv": "175c46b2f57fa8175972534eb14d588918ac3500ee0f1ec47538e7786afa4427",
+        "schedule.csv": "193e98676c7f75cf6dfb00a0b462f9c23bb40792c2dbde00c3f623f76f56f504",
+    },
+    ("pareto", "--instance", "nine_parts", "--machines", "1", "--epsilon-count", "4"): {
+        "front.csv": "bb938b31367a56b57d8f4b7986432acd0d2eb744deb86daa649b344b2fcefab5",
+        "front.dat": "05d737f249013043ff8a35d11bdff9854eddf48201ad0d155d38ebe0a8484eb4",
+        "point_0_schedule.csv": "b15e9fb1a6ee32f17c2bc0176466bf06c170c6767913644a23500e9664e30202",
+        "point_1_schedule.csv": "b15e9fb1a6ee32f17c2bc0176466bf06c170c6767913644a23500e9664e30202",
+        "point_2_schedule.csv": "b15e9fb1a6ee32f17c2bc0176466bf06c170c6767913644a23500e9664e30202",
+        "point_3_schedule.csv": "da2cb201691539ef6f1f99062d48f0453bf25325e8676348a7bacf59f9310f41",
+    },
+    ("sweep", "--instance", "fifteen_parts_time_study", "--machines", "1", "--parts-prefix", "3",
+     "--parameter", "layer_time", "--values", "0.1,0.01"): {
+        "sweep.csv": "0546af2af74bfafa77a9266da4dca7548a4350c6ed62e06aab79d85f7a2bc0f7",
+    },
+    ("scenario", "--instance", "twenty_parts", "--machines", "1", "--parts-prefix", "2,3"): {
+        "scenario.csv": "d6eb50129d3695b838d5618ec808b0a7f9cf8a9cbd6f82dd93e9d0c55cb3fcd4",
+    },
+    ("solve", "--instance", "random", "--seed", "1", "--solver", "external"): {
+        "model.lp": "b732a51308078ba0f584d6756c499c21044d028ceb8e3a4d53478d707cd1a8a7",
+    },
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_OUTPUTS), ids=lambda args: "-".join(args[:3]))
+def test_command_outputs_match_pinned_hashes(runner, tmp_path, args):
+    result = runner.invoke(main, [*args, "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    written = {
+        str(path.relative_to(tmp_path)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert written == PINNED_OUTPUTS[args]
+
+
+def _understating(real):
+    """A solve_milp whose reported objective sits 1.0 below the true one."""
+
+    def solve(model, **kwargs):
+        sol = real(model, **kwargs)
+        return replace(sol, objective=sol.objective - 1.0)
+
+    return solve
+
+
+@pytest.mark.parametrize("args", [
+    ["solve", "--instance", "random", "--seed", "0"],
+    ["sweep", "--instance", "fifteen_parts_time_study", "--machines", "1", "--parts-prefix", "3",
+     "--parameter", "layer_time", "--values", "0.1"],
+], ids=["solve", "sweep"])
+def test_gate_rejects_understated_builtin_solve(runner, tmp_path, monkeypatch, args):
+    monkeypatch.setattr(printplan.cli, "solve_milp", _understating(printplan.cli.solve_milp))
+    result = runner.invoke(main, args + ["--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert "error: evaluator disagrees with solver: " in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_gate_rejects_understated_external_header(runner, tmp_path):
+    model = build_model(random_instance(1), Objective.Z)
+    sol = solve_milp(model)
+    (tmp_path / "model.sol").write_text(
+        write_solution(replace(sol, objective=sol.objective - 1.0), model))
+    result = runner.invoke(
+        main,
+        ["solve", "--instance", "random", "--seed", "1", "--solver", "external",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "model.sol: evaluator disagrees with solver: " in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_gate_rejects_understated_payoff_solve(runner, tmp_path, monkeypatch):
+    # only the first payoff solve understates; a gate failure is a
+    # FrontError with status None, so the exit code is 1
+    real = printplan.pareto.solve_milp
+    calls = itertools.count()
+
+    def first_understated(model, **kwargs):
+        sol = real(model, **kwargs)
+        return replace(sol, objective=sol.objective - 1.0) if next(calls) == 0 else sol
+
+    monkeypatch.setattr(printplan.pareto, "solve_milp", first_understated)
+    result = runner.invoke(
+        main,
+        ["pareto", "--instance", "random", "--seed", "2", "--epsilon-count", "3",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 1, result.output
+    assert "error: evaluator disagrees with solver: " in result.output
+    assert "in payoff: minimize cost" in result.output
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_fixed_orientation_never_beats_free(runner, tmp_path):

@@ -364,6 +364,16 @@ def test_check_feasible_reports_unknown_part():
     ]
     extra = replace(sched, activated=sched.activated | {("ghost_m", 1)})
     assert check_feasible(extra, inst) == [Violation("activation", ("job 1 on ghost_m",))]
+    # evaluate names the placement or job instead
+    ghostly = replace(sched, placements=sched.placements + (ghost,))
+    with pytest.raises(ValueError, match=f"placement of ghost in job {ghost.job_index} on "
+                                         f"{ghost.machine_id}: the instance has no part ghost$"):
+        evaluate(ghostly, inst)
+    with pytest.raises(ValueError, match=f"placement of {moved.part_id} in job {moved.job_index} "
+                                         "on ghost_m: the instance has no machine ghost_m$"):
+        evaluate(astray, inst)
+    with pytest.raises(ValueError, match="activated job 1 on ghost_m: the instance has no machine ghost_m$"):
+        evaluate(extra, inst)
 
 
 def test_check_feasible_contiguity_entry():
