@@ -343,7 +343,7 @@ def accept(solution: MilpSolution, model: MilpModel) -> tuple[Schedule, Evaluati
         raise ValueError(f"solution violates {', '.join(v.family for v in violations)}")
     ev = evaluate(schedule, instance)
     value = ev.z if model.active_objective is Objective.Z else ev.zz
-    if abs(value - solution.objective) > TOL:
+    if not abs(value - solution.objective) <= TOL:  # a NaN objective fails too
         raise ValueError(
             f"evaluator disagrees with solver: {value:.12g} vs {solution.objective:.12g} "
             f"(difference {value - solution.objective:.3g})"

@@ -22,10 +22,12 @@ Key mechanics:
   their bound values, so the full value vector is written only when the
   solve finishes;
 * sign pricing: each column carries -1 at its lower bound, +1 at its
-  upper bound and 0 when basic, so ``sgn * d`` is the improvement rate of
-  every eligible column and at most the tolerance elsewhere; Dantzig's
-  rule takes its argmax, Bland's rule (after a run of degenerate steps)
-  its first entry above the tolerance;
+  upper bound and 0 when basic, or nonbasic with equal bounds, so
+  ``sgn * d`` is the improvement rate of every eligible column and at
+  most the tolerance elsewhere; Dantzig's rule takes its argmax, Bland's
+  rule (after a run of degenerate steps) its first entry above the
+  tolerance.  A fixed column (an equality-row slack, a binary fixed by
+  branching) cannot move, so it is never priced and never enters;
 * the ratio test and the rank-1 update of the basis inverse touch only
   the rows where the entering column moves, and the update only the
   columns where the pivot row of the inverse is nonzero;
@@ -46,8 +48,8 @@ from enum import Enum
 import numpy as np
 
 AT_LO, AT_UP, BASIC = 0, 1, 2
-# the pivot loop keeps sgn = _SIGN[status] per column: -1 at the lower
-# bound, +1 at the upper bound, 0 when basic
+# the pivot loop keeps a price sign per column (see `_sign`): -1 at the
+# lower bound, +1 at the upper bound, 0 when basic
 _SIGN = np.array([-1.0, 1.0, 0.0])
 
 _REFACTOR_EVERY = 100
@@ -169,6 +171,7 @@ def solve_lp(
     # a basic variable past these limits counts as out of bounds
     lo_lim = lo - _btol(lo, _BOUND_TOL)
     up_lim = up + _btol(up, _BOUND_TOL)
+    fixed = lo == up
 
     max_iterations = _MAX_ITERATIONS_BASE + _MAX_ITERATIONS_PER_DIM * (m + n)
 
@@ -176,7 +179,7 @@ def solve_lp(
         basis = np.arange(n, n + m)
         status = _default_nonbasic_status(lo)
         status[basis] = BASIC
-        return basis, _SIGN[status], _nonbasic_values(status, lo, up), np.eye(m)
+        return basis, _sign(status, fixed), _nonbasic_values(status, lo, up), np.eye(m)
 
     if start is None:
         basis, sgn, values, binv = cold_state()
@@ -187,7 +190,7 @@ def solve_lp(
             raise ValueError("warm start does not match problem shape")
         # only finite bounds change between solves, so a nonbasic status
         # from an earlier solve still names a finite bound here
-        sgn, values = _SIGN[status], _nonbasic_values(status, lo, up)
+        sgn, values = _sign(status, fixed), _nonbasic_values(status, lo, up)
         if len(start) > 2 and start[2] is not None:
             # C order: the rank-1 update writes through a flat view
             binv = np.array(start[2], dtype=float, order="C")
@@ -307,6 +310,8 @@ def solve_lp(
                 sgn[leaving], values[leaving] = -1.0, lo[leaving]
             else:
                 sgn[leaving], values[leaving] = 1.0, up[leaving]
+            if fixed[leaving]:
+                sgn[leaving] = 0.0
             basis[leave_pos] = q
             lob[leave_pos], upb[leave_pos], c_b[leave_pos] = lo[q], up[q], cols[q]
             lo_limb[leave_pos], up_limb[leave_pos] = lo_lim[q], up_lim[q]
@@ -316,6 +321,13 @@ def solve_lp(
 
 def _btol(bound, tol):
     return tol * np.maximum(1.0, np.abs(np.where(np.isfinite(bound), bound, 0.0)))
+
+
+def _sign(status, fixed):
+    """Price signs from statuses; a fixed column cannot move, so it gets 0."""
+    sgn = _SIGN[status]
+    sgn[fixed] = 0.0
+    return sgn
 
 
 def _default_nonbasic_status(lo):
@@ -424,8 +436,10 @@ def _entering(sgn, d, tol, bland):
 
     ``sgn * d`` is ``|d|`` on a nonbasic column whose reduced cost
     improves the objective as it leaves its bound, and at most ``tol`` on
-    every other column.  Dantzig's rule takes the largest (the first of
-    ties), Bland's rule the first column above ``tol``.
+    every other column.  A basic column and a nonbasic column with equal
+    bounds carry sign 0, so neither is ever picked.  Dantzig's rule takes
+    the largest (the first of ties), Bland's rule the first column above
+    ``tol``.
     """
     score = sgn * d
     if not score.size:
@@ -454,7 +468,15 @@ def _rank1_update(binv, w, p):
 
 
 def _finish(status, objective, values, n, iterations, basis, sgn, binv=None):
-    statuses = np.where(sgn < 0, AT_LO, np.where(sgn > 0, AT_UP, BASIC)).astype(np.int8)
+    """The result, with statuses for a warm start.
+
+    A fixed nonbasic column carries sign 0 like a basic one, so the
+    statuses come from basis membership: ``BASIC`` in the basis, and
+    otherwise ``AT_UP`` where the sign is +1 and ``AT_LO`` elsewhere (a
+    fixed column sits at both bounds).
+    """
+    statuses = np.where(sgn > 0, AT_UP, AT_LO).astype(np.int8)
+    statuses[basis] = BASIC
     return LpResult(
         status=status,
         objective=objective,

@@ -353,7 +353,9 @@ def solve_milp(
 
 
 def _is_feasible(values, a, senses, rhs, lo, up, binary_cols) -> bool:
-    """Within bounds, binaries integral, rows held within 1e-6 * max(1, |rhs|)."""
+    """Finite, within bounds, binaries integral, rows held within 1e-6 * max(1, |rhs|)."""
+    if not np.isfinite(values).all():
+        return False
     if np.any(values < lo - 1e-9) or np.any(values > up + 1e-9):
         return False
     binaries = values[binary_cols]
@@ -373,7 +375,8 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
     Expected layout: a header line ``STATUS objective`` followed by one
     ``variable value`` line per nonzero column.  Unlisted columns
     default to zero; unknown names are an error since they indicate a
-    model/solution mismatch.
+    model/solution mismatch.  Past an ``INFEASIBLE`` header, a number
+    that does not parse or is not finite (``nan``, ``inf``) is an error.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -389,23 +392,26 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
         raise ValueError(f"unknown status {head[0]!r}") from None
     if status is SolveStatus.Infeasible:
         return MilpSolution(status, None, None, math.inf, math.inf, 0)
-    try:
-        objective = float(head[1])
-    except ValueError as exc:
-        raise ValueError(f"unparsable objective {head[1]!r}") from exc
+    objective = _finite(head[1], "objective")
     values = np.zeros(model.registry.n_columns)
     for ln in lines[1:]:
         fields = ln.split()
         if len(fields) != 2:
             raise ValueError(f"malformed solution line {ln!r}")
-        col = model.registry.by_name(fields[0])
-        try:
-            values[col] = float(fields[1])
-        except ValueError as exc:
-            raise ValueError(f"unparsable value for {fields[0]}: {fields[1]!r}") from exc
+        values[model.registry.by_name(fields[0])] = _finite(fields[1], f"value for {fields[0]}:")
     bound = objective if status is SolveStatus.Optimal else -math.inf
     gap = 0.0 if status is SolveStatus.Optimal else math.inf
     return MilpSolution(status, objective, values, bound, gap, 0)
+
+
+def _finite(token: str, what: str) -> float:
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"unparsable {what} {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite {what} {token!r}")
+    return value
 
 
 def write_solution(solution: MilpSolution, model: MilpModel) -> str:

@@ -338,6 +338,23 @@ def test_gate_rejects_understated_external_header(runner, tmp_path):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("objective", ["nan", "inf", "-inf"])
+def test_external_header_not_finite_exits_2(runner, tmp_path, objective):
+    # a NaN objective compares unequal to everything, so it slipped past
+    # the gate's "differs by more than TOL" test
+    model = build_model(random_instance(1), Objective.Z)
+    body = write_solution(solve_milp(model), model).split("\n", 1)[1]
+    (tmp_path / "model.sol").write_text(f"OPTIMAL {objective}\n{body}")
+    result = runner.invoke(
+        main,
+        ["solve", "--instance", "random", "--seed", "1", "--solver", "external",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2, result.output
+    assert f"model.sol: non-finite objective '{objective}'" in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_gate_rejects_understated_payoff_solve(runner, tmp_path, monkeypatch):
     # only the first payoff solve understates; a gate failure is a
     # FrontError with status None, so the exit code is 1

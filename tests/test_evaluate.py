@@ -12,6 +12,7 @@ from printplan.datasets import load_builtin, random_instance
 from printplan.evaluate import (
     _job_pass,
     Placement,
+    accept,
     Schedule,
     Violation,
     check_feasible,
@@ -408,6 +409,16 @@ def test_check_feasible_accepts_solver_output():
     inst = load_builtin("nine_parts")
     sol = solve_milp(build_model(inst, Objective.ZZ), time_limit_s=60)
     assert check_feasible(decode(sol, inst), inst) == []
+
+
+@pytest.mark.parametrize("objective", [np.nan, np.inf])
+def test_accept_refuses_a_non_finite_objective(objective):
+    # |value - nan| > TOL is False, so the gate must ask for <= TOL instead
+    model = build_model(random_instance(1), Objective.Z)
+    sol = solve_milp(model)
+    accept(sol, model)
+    with pytest.raises(ValueError, match="evaluator disagrees with solver"):
+        accept(replace(sol, objective=objective), model)
 
 
 # ---------------------------------------------------------------- CSV

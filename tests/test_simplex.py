@@ -168,6 +168,81 @@ def test_warm_start_after_bound_change():
         assert (again.status, again.objective) == (warm.status, warm.objective)
 
 
+# fixed columns: lo == up, so they cannot move and are never priced
+
+
+@pytest.mark.parametrize("c, a, senses, b, lower, upper, fixed_col, pivots", [
+    # x0 = 2 has the best reduced cost; pricing it swaps it into the
+    # basis at a zero step before x2 enters
+    ([-5, -1, -2], [[1, 1, 0], [0, 1, 1]], "<<", [2, 3], [2, 0, 0], [2, 10, 10], 0, 1),
+    # the slack of x0 + x1 = 2 (column 2) leaves in phase 1, then
+    # prices as improving under the phase-2 costs
+    ([1, -1], [[1, 1], [1, -1]], "=<", [2, 0], [0, 0], [5, 5], 2, 3),
+], ids=["fixed-structural", "equality-slack"])
+def test_fixed_column_with_improving_cost_never_enters(c, a, senses, b, lower, upper,
+                                                       fixed_col, pivots):
+    res = solve_lp(c, prepare_rows(a, senses, b), lower, upper)
+    assert res.status is LpStatus.OPTIMAL
+    assert fixed_col not in res.basis
+    assert np.frombuffer(res.statuses, dtype=np.int8)[fixed_col] == AT_LO
+    # one pivot fewer than when the fixed column is priced like any other
+    assert res.iterations == pivots
+
+
+@st.composite
+def lp_with_fixed_columns(draw):
+    c, a, senses, b, lower, upper = draw(random_lp())
+    fixed = [draw(st.booleans()) for _ in c]
+    values = [draw(st.sampled_from([-2, 0, 1, 3])) for _ in c]
+    lower = [v if f else lo for lo, v, f in zip(lower, values, fixed)]
+    upper = [v if f else up for up, v, f in zip(upper, values, fixed)]
+    return c, a, senses, b, lower, upper, fixed
+
+
+@settings(max_examples=250, deadline=None)
+@given(lp_with_fixed_columns())
+def test_fixed_columns_match_their_substitution(lp):
+    c, a, senses, b, lower, upper, fixed = lp
+    mine = solve_lp(c, prepare_rows(a, senses, b), lower, upper)
+
+    keep = [j for j, f in enumerate(fixed) if not f]
+    gone = [j for j, f in enumerate(fixed) if f]
+    a_arr = np.array(a, dtype=float)
+    rhs = np.array(b, dtype=float) - a_arr[:, gone] @ np.array([lower[j] for j in gone])
+    offset = sum(c[j] * lower[j] for j in gone)
+    sub = solve_lp([c[j] for j in keep], prepare_rows(a_arr[:, keep], senses, rhs),
+                   [lower[j] for j in keep], [upper[j] for j in keep])
+
+    assert mine.status is sub.status
+    if mine.status is LpStatus.OPTIMAL:
+        expected = sub.objective + offset
+        assert abs(mine.objective - expected) <= 1e-7 * max(1.0, abs(expected))
+        np.testing.assert_array_equal(mine.x[gone], [lower[j] for j in gone])
+
+
+@pytest.mark.parametrize("relaxed", [(0.0, 5.0), (2.0, 5.0), (0.0, 2.0)],
+                         ids=["both", "upper", "lower"])
+def test_warm_token_with_fixed_nonbasic_column_survives_relaxing(relaxed):
+    c = [-5, -1, -2]
+    rows = prepare_rows([[1, 1, 0], [0, 1, 1]], "<<", [4, 3])
+    fixed = solve_lp(c, rows, [2, 0, 0], [2, 10, 10])
+    assert fixed.status is LpStatus.OPTIMAL
+    assert 0 not in fixed.basis
+    assert np.frombuffer(fixed.statuses, dtype=np.int8)[0] == AT_LO
+
+    lower, upper = [relaxed[0], 0, 0], [relaxed[1], 10, 10]
+    cold = solve_lp(c, rows, lower, upper)
+    assert cold.status is LpStatus.OPTIMAL
+    for start in (fixed.start, fixed.start_with_binv):
+        warm = solve_lp(c, rows, lower, upper, start=start)
+        assert warm.status is LpStatus.OPTIMAL
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+        np.testing.assert_allclose(warm.x, cold.x, atol=1e-9)
+        # and back: the relaxed token warm-starts the fixed LP again
+        again = solve_lp(c, rows, [2, 0, 0], [2, 10, 10], start=warm.start)
+        assert again.objective == pytest.approx(fixed.objective, abs=1e-9)
+
+
 # random cross-check against an independent LP solver (test-only dependency)
 
 finite_entries = st.integers(min_value=-5, max_value=5)

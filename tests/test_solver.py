@@ -112,6 +112,22 @@ def test_wrong_objective_warm_vector_is_ignored():
     assert sol.status is SolveStatus.Optimal
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_warm_vector_is_skipped(bad):
+    # every comparison with NaN is False, so a NaN entry once passed the
+    # feasibility check and reached the polish LP as a bound
+    model = build_model(random_instance(1), Objective.Z)
+    exact = solve_milp(model)
+    seed = exact.values.copy()
+    seed[0] = bad
+    a, senses, rhs = model.dense_rows()
+    lo, up = model.registry.bounds()
+    assert not _is_feasible(seed, a, senses, rhs, lo, up, model.registry.binary_columns())
+    sol = solve_milp(model, warm_values=[seed])
+    assert sol.status is SolveStatus.Optimal
+    assert sol.objective == pytest.approx(exact.objective, abs=1e-9)
+
+
 def test_warm_vector_leaking_through_big_m_rows_is_polished():
     # one job and both parts due before it can finish: each part is late,
     # so pulling its lc column below jc lowers the cost
@@ -378,6 +394,12 @@ def test_parse_rejects_bad_inputs():
         parse_external_solution("OPTIMAL 0\nbogus_name 1\n", model)
     with pytest.raises(ValueError, match="unparsable value"):
         parse_external_solution("OPTIMAL 0\nx_i1_j1_m1 one\n", model)
+    for header in ("OPTIMAL nan", "OPTIMAL inf", "TIME_LIMIT -inf"):
+        with pytest.raises(ValueError, match="non-finite objective"):
+            parse_external_solution(header + "\n", model)
+    for value in ("nan", "inf", "-inf"):
+        with pytest.raises(ValueError, match="non-finite value for x_i1_j1_m1"):
+            parse_external_solution(f"OPTIMAL 0\nx_i1_j1_m1 {value}\n", model)
 
 
 def test_parse_infeasible_has_no_values():
