@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -39,15 +38,6 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_TIME_LIMIT = 4
 AUTO_EXTERNAL_BINARIES = 120
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One sensitivity experiment: which knob, which values, which scenarios."""
-
-    parameter: str
-    values: tuple[float, ...]
-    scenario: str = "both"
 
 
 def _provenance(extra: dict) -> str:
@@ -176,12 +166,6 @@ def _solver_option(fn):
                              f"{AUTO_EXTERNAL_BINARIES} binaries).")(fn)
 
 
-def _cell_options(fn):
-    fn = click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
-                      help="Cells solved in parallel; the CSV is the same for any count.")(fn)
-    return _solver_option(_time_limit_option(fn))
-
-
 @click.group()
 @click.version_option(version=__version__, prog_name="printplan")
 def main():
@@ -294,10 +278,11 @@ def _parse_float_list(text: str) -> list[float]:
 
 @main.command()
 @_instance_options
-@_cell_options
+@_time_limit_option
+@_solver_option
 @click.option("--parts-prefix", "prefixes", required=True,
               help="Comma-separated prefix sizes to compare, e.g. 2,4,6.")
-def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit, threads):
+def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit):
     """Compare free-orientation and fixed-orientation cost per part count.
 
     A part-count sweep over both scenarios, written one row per prefix
@@ -310,8 +295,8 @@ def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit, th
     base = _prepare(source, seed, machines, None, jobs)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        cells = run_sweep(base, SweepSpec("part_count_prefix", tuple(sizes)), time_limit,
-                          solver, out, threads=threads, stem="scenario")
+        cells = run_sweep(base, "part_count_prefix", sizes, "both", time_limit, solver, out,
+                          stem="scenario")
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
     # cells come as (free, fixed) pairs in prefix order
@@ -363,6 +348,8 @@ def _report_reference_deviation(base, rows):
 
 
 SWEEP_PARAMETERS = ("layer_time", "volumetric_time", "machine_area", "part_count_prefix")
+# each scenario's fixed_orientation flags, in cell order
+SWEEP_SCENARIOS = {"free_orientation": (False,), "fixed_orientation": (True,), "both": (False, True)}
 
 
 def _apply_sweep_value(base: ProblemInstance, parameter: str, value: float) -> ProblemInstance:
@@ -382,8 +369,8 @@ def _apply_sweep_value(base: ProblemInstance, parameter: str, value: float) -> P
     return replace(base, machines=tuple(machines))
 
 
-def run_sweep(base: ProblemInstance, spec: SweepSpec, time_limit_s: float | None,
-              solver: str | None, out: Path, threads: int = 1, stem: str = "sweep"):
+def run_sweep(base: ProblemInstance, parameter: str, values, scenario: str,
+              time_limit_s: float | None, solver: str | None, out: Path, stem: str = "sweep"):
     """Execute a sweep; returns rows [parameter, value, scenario, z, status].
 
     Cells run value-major, free orientation before fixed.  A cell routed
@@ -391,61 +378,50 @@ def run_sweep(base: ProblemInstance, spec: SweepSpec, time_limit_s: float | None
     where the label is ``p<n>`` for a part-count prefix and
     ``<parameter>_<value>`` otherwise.
     """
-    if spec.parameter not in SWEEP_PARAMETERS:
-        raise ValueError(f"unknown sweep parameter {spec.parameter!r}")
-    if not spec.values:
+    if parameter not in SWEEP_PARAMETERS:
+        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    if not values:
         raise ValueError("sweep needs at least one value")
-    if spec.parameter != "part_count_prefix" and any(v <= 0 for v in spec.values):
+    if parameter != "part_count_prefix" and any(v <= 0 for v in values):
         raise ValueError("sweep values must be positive")
-    if spec.scenario not in ("free_orientation", "fixed_orientation", "both"):
-        raise ValueError(f"unknown scenario {spec.scenario!r}")
-
-    scenarios = {
-        "free_orientation": (False,),
-        "fixed_orientation": (True,),
-        "both": (False, True),
-    }[spec.scenario]
-
-    cells = [(value, fixed) for value in spec.values for fixed in scenarios]
-
-    def run(cell):
-        value, fixed = cell
-        try:
-            inst = _apply_sweep_value(base, spec.parameter, value)
-            report = validate(inst)
-            if not report.ok:
-                return None, "invalid_instance"
-        except (InstanceError, ValueError):
-            return None, "invalid_instance"
-        label = f"p{value:g}" if spec.parameter == "part_count_prefix" else f"{spec.parameter}_{value:g}"
-        tag = "fixed" if fixed else "free"
-        return _solve_cell(inst, fixed, time_limit_s, solver, out / f"{stem}_{label}_{tag}.lp")
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        outcomes = list(pool.map(run, cells))
+    if scenario not in SWEEP_SCENARIOS:
+        raise ValueError(f"unknown scenario {scenario!r}")
 
     rows = []
-    for (value, fixed), (z, status) in zip(cells, outcomes):
-        rows.append([
-            spec.parameter,
-            f"{value:g}",
-            "fixed_orientation" if fixed else "free_orientation",
-            "" if z is None else f"{z:.6f}",
-            status,
-        ])
-    _check_sweep_dominance(spec, rows)
+    for value in values:
+        label = f"p{value:g}" if parameter == "part_count_prefix" else f"{parameter}_{value:g}"
+        for fixed in SWEEP_SCENARIOS[scenario]:
+            try:
+                inst = _apply_sweep_value(base, parameter, value)
+                ok = validate(inst).ok
+            except (InstanceError, ValueError):
+                ok = False
+            if ok:
+                tag = "fixed" if fixed else "free"
+                z, status = _solve_cell(inst, fixed, time_limit_s, solver, out / f"{stem}_{label}_{tag}.lp")
+            else:
+                z, status = None, "invalid_instance"
+            rows.append([
+                parameter,
+                f"{value:g}",
+                "fixed_orientation" if fixed else "free_orientation",
+                "" if z is None else f"{z:.6f}",
+                status,
+            ])
+    _check_sweep_dominance(parameter, rows)
     return rows
 
 
-def _check_sweep_dominance(spec: SweepSpec, rows) -> None:
+def _check_sweep_dominance(parameter: str, rows) -> None:
     """Loud failure when emitted numbers contradict known monotonicity."""
     by_scenario: dict[str, list[tuple[float, float]]] = {}
-    for parameter, value, scen, z, status in rows:
+    for _, value, scen, z, status in rows:
         if status == "optimal" and z != "":
             by_scenario.setdefault(scen, []).append((float(value), float(z)))
-    for scen, pairs in by_scenario.items():
-        pairs.sort()
-        if spec.parameter == "machine_area" and scen == "free_orientation":
+    # a larger plate relaxes only the area-capacity rows, under either scenario
+    if parameter == "machine_area":
+        for pairs in by_scenario.values():
+            pairs.sort()
             for (v1, z1), (v2, z2) in zip(pairs, pairs[1:]):
                 if z2 > z1 + 1e-6 * max(1.0, abs(z1)):
                     raise click.ClickException(
@@ -458,30 +434,30 @@ def _check_sweep_dominance(spec: SweepSpec, rows) -> None:
     for value in free.keys() & fixed.keys():
         if float(free[value]) > float(fixed[value]) + 1e-6 * max(1.0, abs(float(fixed[value]))):
             raise click.ClickException(
-                f"restriction dominance violated at {spec.parameter}={value}: "
+                f"restriction dominance violated at {parameter}={value}: "
                 f"free {free[value]} exceeds fixed {fixed[value]}"
             )
 
 
 @main.command()
 @_instance_options
-@_cell_options
+@_time_limit_option
+@_solver_option
 @click.option("--parameter", type=click.Choice(list(SWEEP_PARAMETERS)), required=True,
               help="Which knob to sweep.")
 @click.option("--values", required=True, help="Comma-separated values, e.g. 0.1,0.01,0.001.")
-@click.option("--scenario", type=click.Choice(["free_orientation", "fixed_orientation", "both"]),
+@click.option("--scenario", type=click.Choice(list(SWEEP_SCENARIOS)),
               default="both", show_default=True)
 @click.option("--parts-prefix", type=int, default=None,
               help="Restrict to the first N parts before sweeping.")
 def sweep(source, seed, jobs, machines, out, parameter, values, scenario, parts_prefix,
-          solver, time_limit, threads):
+          solver, time_limit):
     """Sensitivity analysis: re-solve the cost model along one parameter."""
     value_list = _parse_float_list(values)
     base = _prepare(source, seed, machines, parts_prefix, jobs)
     out.mkdir(parents=True, exist_ok=True)
-    spec = SweepSpec(parameter, tuple(value_list), scenario)
     try:
-        rows = run_sweep(base, spec, time_limit, solver, out, threads=threads)
+        rows = run_sweep(base, parameter, value_list, scenario, time_limit, solver, out)
     except ValueError as exc:
         _fail(EXIT_VALIDATION, str(exc))
 

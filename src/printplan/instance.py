@@ -328,14 +328,30 @@ def load_instance(path) -> ProblemInstance:
     return parse_instance(p.read_bytes())
 
 
+def scheduling_horizon(instance: ProblemInstance) -> float:
+    """Hours that bound any job completion an optimal schedule needs (the model's big-M)."""
+    height = max(m.height_mm for m in instance.machines)
+    max_due = max((p.due_h for p in instance.parts), default=0.0)
+    total_volume = sum(geometry.volume_mm3(p) for p in instance.parts)
+    horizon = 0.0
+    for m in instance.machines:
+        horizon = max(
+            horizon,
+            max_due
+            + m.volumetric_time_h_per_mm3 * total_volume
+            + instance.jobs_per_machine * m.layer_time_h_per_mm * height,
+        )
+    return horizon
+
+
 def validate(instance: ProblemInstance) -> ValidationReport:
     """Check an instance for problems the model cannot recover from.
 
     Errors make the instance unsolvable (a part that fits no machine in
-    any orientation).  Warnings flag suspicious but legal data: zero
-    penalty rates (the time objective degenerates) and a total minimum
-    footprint that provably exceeds the plate area available across all
-    job slots.
+    any orientation, or a scheduling horizon too large for a float).
+    Warnings flag suspicious but legal data: zero penalty rates (the time
+    objective degenerates) and a total minimum footprint that provably
+    exceeds the plate area available across all job slots.
     """
     errors: list[ValidationIssue] = []
     warnings: list[ValidationIssue] = []
@@ -351,6 +367,16 @@ def validate(instance: ProblemInstance) -> ValidationReport:
                     ),
                 )
             )
+
+    horizon = scheduling_horizon(instance)
+    if not math.isfinite(horizon):
+        errors.append(
+            ValidationIssue(
+                code="horizon_overflow",
+                subject="machines",
+                message=f"scheduling horizon is {horizon!r}: due plus print times overflow a float",
+            )
+        )
 
     if instance.penalties.earliness == 0 and instance.penalties.tardiness == 0:
         warnings.append(

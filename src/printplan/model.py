@@ -38,7 +38,7 @@ from enum import Enum
 import numpy as np
 
 from . import geometry
-from .instance import ProblemInstance, validate
+from .instance import ProblemInstance, scheduling_horizon, validate
 
 
 class Objective(str, Enum):
@@ -91,17 +91,7 @@ def compute_big_m(instance: ProblemInstance) -> BigMBundle:
     count = float(len(parts))
     height = max(m.height_mm for m in instance.machines)
     area = tuple(geometry.max_base_area(p) for p in parts)
-    max_due = max((p.due_h for p in parts), default=0.0)
-    total_volume = sum(geometry.volume_mm3(p) for p in parts)
-    horizon = 0.0
-    for m in instance.machines:
-        horizon = max(
-            horizon,
-            max_due
-            + m.volumetric_time_h_per_mm3 * total_volume
-            + instance.jobs_per_machine * m.layer_time_h_per_mm * height,
-        )
-    return BigMBundle(count=count, height=height, area=area, horizon=horizon)
+    return BigMBundle(count=count, height=height, area=area, horizon=scheduling_horizon(instance))
 
 
 @dataclass(frozen=True)

@@ -372,9 +372,10 @@ def _is_feasible(values, a, senses, rhs, lo, up, binary_cols) -> bool:
 def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
     """Read a solution file produced outside this package.
 
-    Expected layout: a header line ``STATUS objective`` followed by one
-    ``variable value`` line per nonzero column.  Unlisted columns
-    default to zero; unknown names are an error since they indicate a
+    Expected layout: a header line ``STATUS objective`` (``INFEASIBLE`` or
+    ``TIME_LIMIT`` alone for a solve without values) followed by one
+    ``variable value`` line per nonzero column.  Unlisted columns default
+    to zero; unknown names are an error since they indicate a
     model/solution mismatch.  Past an ``INFEASIBLE`` header, a number
     that does not parse or is not finite (``nan``, ``inf``) is an error.
     """
@@ -383,7 +384,7 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
     if not lines:
         raise ValueError("missing header line with status and objective")
     head = lines[0].split()
-    if len(head) != 2:
+    if len(head) not in (1, 2):
         raise ValueError("header must be 'STATUS objective'")
     token = head[0].lower()
     try:
@@ -392,6 +393,10 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
         raise ValueError(f"unknown status {head[0]!r}") from None
     if status is SolveStatus.Infeasible:
         return MilpSolution(status, None, None, math.inf, math.inf, 0)
+    if len(head) == 1:
+        if status is not SolveStatus.TimeLimit:
+            raise ValueError("header must be 'STATUS objective'")
+        return MilpSolution(status, None, None, -math.inf, math.inf, 0)
     objective = _finite(head[1], "objective")
     values = np.zeros(model.registry.n_columns)
     for ln in lines[1:]:
@@ -418,7 +423,7 @@ def write_solution(solution: MilpSolution, model: MilpModel) -> str:
     """Inverse of parse_external_solution, columns above 1e-9 in magnitude only."""
     status = solution.status.value.upper()
     if solution.values is None:
-        return f"{status} nan\n"
+        return f"{status}\n"
     lines = [f"{status} {solution.objective:.12g}"]
     for col, val in enumerate(solution.values):
         if abs(val) > 1e-9:

@@ -324,7 +324,7 @@ def test_criterion_6_study_scale_routes_to_the_external_solver_path(tmp_path):
     result = runner.invoke(
         cli_main,
         ["scenario", "--instance", "twenty_parts", "--machines", "1",
-         "--parts-prefix", "4,6,12", "--threads", "2", "--out", str(tmp_path)],
+         "--parts-prefix", "4,6,12", "--out", str(tmp_path)],
     )
     assert result.exit_code == 0, result.output
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,7 +19,6 @@ import printplan.cli
 import printplan.pareto
 from printplan.cli import (
     AUTO_EXTERNAL_BINARIES,
-    SweepSpec,
     _check_sweep_dominance,
     _resolve_solver,
     main,
@@ -29,7 +29,7 @@ from printplan.datasets import load_builtin, part_prefix, random_instance, with_
 from printplan.instance import instance_hash
 from printplan.model import Objective, build_model
 from printplan.pareto import pareto_front
-from printplan.solver import SolveStatus, solve_milp, write_solution
+from printplan.solver import MilpSolution, SolveStatus, solve_milp, write_solution
 import click
 
 
@@ -116,9 +116,7 @@ def test_scenario_unfittable_part_exits_2(runner, tmp_path):
 
 @pytest.mark.parametrize("args, option", [
     (["pareto", "--instance", "nine_parts", "--epsilon-count", "0"], "--epsilon-count"),
-    (["sweep", "--instance", "random", "--parameter", "layer_time", "--values", "0.1",
-      "--threads", "0"], "--threads"),
-], ids=["epsilon-count", "threads"])
+], ids=["epsilon-count"])
 def test_count_below_one_exits_2_before_solving(runner, tmp_path, args, option):
     result = runner.invoke(main, args + ["--out", str(tmp_path)])
     assert result.exit_code == 2
@@ -140,6 +138,18 @@ def test_gap_option_is_gone(runner, tmp_path, args):
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("args", [
+    ["scenario", "--instance", "random", "--parts-prefix", "2"],
+    ["sweep", "--instance", "random", "--parameter", "layer_time", "--values", "0.1"],
+], ids=["scenario", "sweep"])
+def test_threads_option_is_gone(runner, tmp_path, args):
+    # cells are solved one after another on the calling thread
+    result = runner.invoke(main, args + ["--threads", "2", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--threads" in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.parametrize("section, name, value", [
     ("machines", "width_mm", float("inf")),
     ("machines", "layer_time_h_per_mm", float("nan")),
@@ -153,6 +163,18 @@ def test_non_finite_instance_number_exits_2(runner, tmp_path, section, name, val
     result = runner.invoke(main, ["solve", "--instance", str(path), "--out", str(out)])
     assert result.exit_code == 2
     assert f"{name} must be finite" in result.output
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_horizon_overflow_exits_2_before_solving(runner, tmp_path, monkeypatch):
+    doc = asdict(random_instance(0))
+    doc["machines"][0]["layer_time_h_per_mm"] = 1e308
+    path = write_instance(tmp_path, doc)
+    out = tmp_path / "out"
+    monkeypatch.setattr(printplan.cli, "solve_milp", lambda *a, **k: pytest.fail("solved"))
+    result = runner.invoke(main, ["solve", "--instance", str(path), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "scheduling horizon is inf" in result.output
     assert not list(tmp_path.rglob("*.csv"))
 
 
@@ -195,7 +217,8 @@ def test_malformed_record_exits_2_with_its_location(runner, tmp_path, files, loc
     ("machine_area", "inf"),
     ("layer_time", "nan"),
     ("part_count_prefix", "inf"),
-], ids=["area-inf", "layer-time-nan", "prefix-inf"])
+    ("layer_time", "1e308"),
+], ids=["area-inf", "layer-time-nan", "prefix-inf", "horizon-overflow"])
 def test_sweep_non_finite_value_marks_cells_invalid(runner, tmp_path, parameter, value):
     result = runner.invoke(
         main,
@@ -464,6 +487,20 @@ def test_external_solution_failing_check_feasible_exits_2(runner, tmp_path):
     assert not (tmp_path / "schedule.csv").exists()
 
 
+def test_external_time_limit_without_values_exits_4(runner, tmp_path):
+    model = build_model(random_instance(1), Objective.Z)
+    empty = MilpSolution(SolveStatus.TimeLimit, None, None, -math.inf, math.inf, 0)
+    (tmp_path / "model.sol").write_text(write_solution(empty, model))
+    result = runner.invoke(
+        main,
+        ["solve", "--instance", "random", "--seed", "1", "--solver", "external",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 4, result.output
+    assert "time limit reached before any feasible schedule" in result.output
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unparsable_external_solution_exits_2(runner, tmp_path):
     (tmp_path / "model.sol").write_text("OPTIMAL abc\n")
     result = runner.invoke(
@@ -645,7 +682,7 @@ def test_scenario_rows_and_dominance(runner, tmp_path):
     result = runner.invoke(
         main,
         ["scenario", "--instance", "twenty_parts", "--machines", "1",
-         "--parts-prefix", "2,4", "--threads", "2", "--out", str(tmp_path)],
+         "--parts-prefix", "2,4", "--out", str(tmp_path)],
     )
     assert result.exit_code == 0, result.output
     lines = (tmp_path / "scenario.csv").read_text().splitlines()
@@ -730,21 +767,14 @@ def test_sweep_provenance_line_is_exact(runner, tmp_path):
 
 
 def test_sweep_layer_time_cost_shrinks(runner, tmp_path):
-    bodies = {}
-    for threads in ("2", "1"):
-        out = tmp_path / f"threads{threads}"
-        result = runner.invoke(
-            main,
-            ["sweep", "--instance", "fifteen_parts_time_study", "--machines", "1",
-             "--parts-prefix", "3", "--parameter", "layer_time", "--values", "0.1,0.001",
-             "--scenario", "both", "--threads", threads, "--out", str(out)],
-        )
-        assert result.exit_code == 0, result.output
-        lines = (out / "sweep.csv").read_text().splitlines()
-        bodies[threads] = [l for l in lines if not l.startswith("#")]
-    # parallel cells write exactly what serial cells write
-    assert bodies["2"] == bodies["1"]
-    rows = [l.split(",") for l in bodies["2"][1:]]
+    result = runner.invoke(
+        main,
+        ["sweep", "--instance", "fifteen_parts_time_study", "--machines", "1",
+         "--parts-prefix", "3", "--parameter", "layer_time", "--values", "0.1,0.001",
+         "--scenario", "both", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    rows = [l.split(",") for l in (tmp_path / "sweep.csv").read_text().splitlines()[2:]]
     z = {(r[1], r[2]): float(r[3]) for r in rows}
     assert z[("0.001", "free_orientation")] <= z[("0.1", "free_orientation")]
     assert z[("0.1", "free_orientation")] <= z[("0.1", "fixed_orientation")] + 1e-6
@@ -769,7 +799,7 @@ def test_sweep_part_count_prefix(runner, tmp_path):
         main,
         ["sweep", "--instance", "twenty_parts", "--machines", "1", "--jobs", "2",
          "--parameter", "part_count_prefix", "--values", "2,3",
-         "--scenario", "free_orientation", "--threads", "2", "--out", str(tmp_path)],
+         "--scenario", "free_orientation", "--out", str(tmp_path)],
     )
     assert result.exit_code == 0, result.output
     rows = [l.split(",") for l in (tmp_path / "sweep.csv").read_text().splitlines()[2:]]
@@ -802,43 +832,41 @@ def test_sweep_rejects_nonpositive_dimensional_values(runner, tmp_path):
 # dominance checkers fail loudly on fabricated contradictions
 
 
-def test_sweep_dominance_check_catches_area_regression():
-    spec = SweepSpec("machine_area", (100.0, 200.0), "free_orientation")
+@pytest.mark.parametrize("scenario", ["free_orientation", "fixed_orientation"])
+def test_sweep_dominance_check_catches_area_regression(scenario):
     rows = [
-        ["machine_area", "100", "free_orientation", "1.000000", "optimal"],
-        ["machine_area", "200", "free_orientation", "5.000000", "optimal"],
+        ["machine_area", "100", scenario, "1.000000", "optimal"],
+        ["machine_area", "200", scenario, "5.000000", "optimal"],
     ]
     with pytest.raises(click.ClickException, match="larger plate area"):
-        _check_sweep_dominance(spec, rows)
+        _check_sweep_dominance("machine_area", rows)
 
 
 def test_sweep_dominance_check_catches_scenario_inversion():
-    spec = SweepSpec("layer_time", (0.1,), "both")
     rows = [
         ["layer_time", "0.1", "free_orientation", "9.000000", "optimal"],
         ["layer_time", "0.1", "fixed_orientation", "2.000000", "optimal"],
     ]
     with pytest.raises(click.ClickException, match="restriction dominance"):
-        _check_sweep_dominance(spec, rows)
+        _check_sweep_dominance("layer_time", rows)
 
 
 def test_sweep_dominance_check_skips_unsolved_cells():
-    spec = SweepSpec("machine_area", (100.0, 200.0), "free_orientation")
     rows = [
         ["machine_area", "100", "free_orientation", "1.000000", "optimal"],
         ["machine_area", "200", "free_orientation", "", "time_limit"],
     ]
-    _check_sweep_dominance(spec, rows)
+    _check_sweep_dominance("machine_area", rows)
 
 
 def test_run_sweep_validates_spec():
     inst = random_instance(0)
     with pytest.raises(ValueError, match="unknown sweep parameter"):
-        run_sweep(inst, SweepSpec("nozzle_count", (1.0,)), None, "builtin", Path("."))
+        run_sweep(inst, "nozzle_count", [1.0], "both", None, "builtin", Path("."))
     with pytest.raises(ValueError, match="at least one value"):
-        run_sweep(inst, SweepSpec("layer_time", ()), None, "builtin", Path("."))
+        run_sweep(inst, "layer_time", [], "both", None, "builtin", Path("."))
     with pytest.raises(ValueError, match="unknown scenario"):
-        run_sweep(inst, SweepSpec("layer_time", (0.1,), "upside_down"), None, "builtin", Path("."))
+        run_sweep(inst, "layer_time", [0.1], "upside_down", None, "builtin", Path("."))
 
 
 # dependency line

@@ -213,6 +213,16 @@ def test_validate_flags_unprintable_part():
     assert report.errors[0].subject == "big"
 
 
+def test_validate_flags_horizon_overflow():
+    # every number is finite, but one job slot's layer time at full height is not
+    doc = json.loads(json.dumps(MINIMAL_DOC))
+    doc["machines"][0]["layer_time_h_per_mm"] = 1e308
+    report = validate(parse_instance(json.dumps(doc).encode()))
+    assert not report.ok
+    assert [e.code for e in report.errors] == ["horizon_overflow"]
+    assert "scheduling horizon is inf" in report.errors[0].message
+
+
 def test_validate_warns_on_zero_penalties(nine_parts):
     inst = ProblemInstance(
         machines=nine_parts.machines,

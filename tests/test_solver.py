@@ -14,7 +14,9 @@ from printplan.datasets import load_builtin, random_instance
 from printplan.evaluate import decode, evaluate
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
 from printplan.model import Objective, build_model, compute_big_m, inject_epsilon
+from printplan.oracle import brute_force
 from printplan.solver import (
+    GAP_TOLERANCE,
     INTEGRALITY_TOLERANCE,
     MilpSolution,
     SolveStatus,
@@ -169,6 +171,22 @@ def test_epsilon_cap_binds():
     assert capped.status is SolveStatus.Optimal
     zz = float(model.objective_zz @ capped.values)
     assert zz <= free.objective + 0.5 + 1e-6
+
+
+@pytest.mark.xfail(strict=True, reason="wrong proven answer at large horizons (ROADMAP item 5)")
+def test_large_horizon_optimum_matches_oracle():
+    # up to layer time 1e5 (horizon 2.0e7) solver and oracle agree.  At 3e5
+    # (horizon 6.0e7) the solver proves 64,409,756.86 against the oracle's
+    # 49,703,756.84, and the gate passes because the decisions cost that
+    # much; at 1e6 it reports the model infeasible in 5 nodes
+    base = random_instance(0)
+    for layer_time in (3e5, 1e6):
+        inst = replace(base, machines=tuple(
+            replace(m, layer_time_h_per_mm=layer_time) for m in base.machines))
+        best = brute_force(inst).min_z.z
+        sol = solve_milp(build_model(inst, Objective.Z))
+        assert sol.status is SolveStatus.Optimal, layer_time
+        assert abs(sol.objective - best) <= GAP_TOLERANCE * max(1.0, abs(best)), layer_time
 
 
 # bound propagation
@@ -382,8 +400,9 @@ def test_parse_rejects_bad_inputs():
     model = build_model(tiny_instance(), Objective.Z)
     with pytest.raises(ValueError, match="missing header"):
         parse_external_solution("# only a comment\n", model)
-    with pytest.raises(ValueError, match="header must be"):
-        parse_external_solution("OPTIMAL\n", model)
+    for header in ("OPTIMAL", "FEASIBLE", "TIME_LIMIT 0 1"):
+        with pytest.raises(ValueError, match="header must be"):
+            parse_external_solution(header + "\n", model)
     with pytest.raises(ValueError, match="unknown status"):
         parse_external_solution("GREAT 0\n", model)
     with pytest.raises(ValueError, match="unparsable objective"):
@@ -412,4 +431,13 @@ def test_parse_infeasible_has_no_values():
 def test_write_solution_without_values():
     model = build_model(tiny_instance(), Objective.Z)
     empty = MilpSolution(SolveStatus.TimeLimit, None, None, -np.inf, np.inf, 0)
-    assert write_solution(empty, model) == "TIME_LIMIT nan\n"
+    assert write_solution(empty, model) == "TIME_LIMIT\n"
+
+
+@pytest.mark.parametrize("status", [SolveStatus.TimeLimit, SolveStatus.Infeasible])
+def test_solution_without_values_round_trip(status):
+    model = build_model(tiny_instance(), Objective.Z)
+    empty = MilpSolution(status, None, None, -np.inf, np.inf, 0)
+    back = parse_external_solution(write_solution(empty, model), model)
+    assert back.status is status
+    assert back.objective is None and back.values is None
