@@ -369,6 +369,15 @@ def _apply_sweep_value(base: ProblemInstance, parameter: str, value: float) -> P
     return replace(base, machines=tuple(machines))
 
 
+def _sweep_label(value: float) -> str:
+    """``value`` as ``:g`` writes it when that reads back as the value, else its repr.
+
+    Distinct values get distinct CSV values, LP files and dominance keys.
+    """
+    short = f"{value:g}"
+    return short if float(short) == value else repr(value)
+
+
 def run_sweep(base: ProblemInstance, parameter: str, values, scenario: str,
               time_limit_s: float | None, solver: str | None, out: Path, stem: str = "sweep"):
     """Execute a sweep; returns rows [parameter, value, scenario, z, status].
@@ -376,7 +385,7 @@ def run_sweep(base: ProblemInstance, parameter: str, values, scenario: str,
     Cells run value-major, free orientation before fixed.  A cell routed
     to the external solver writes ``<out>/<stem>_<label>_<free|fixed>.lp``,
     where the label is ``p<n>`` for a part-count prefix and
-    ``<parameter>_<value>`` otherwise.
+    ``<parameter>_<value>`` otherwise, with values as ``_sweep_label`` writes them.
     """
     if parameter not in SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -389,7 +398,8 @@ def run_sweep(base: ProblemInstance, parameter: str, values, scenario: str,
 
     rows = []
     for value in values:
-        label = f"p{value:g}" if parameter == "part_count_prefix" else f"{parameter}_{value:g}"
+        text = _sweep_label(value)
+        label = f"p{text}" if parameter == "part_count_prefix" else f"{parameter}_{text}"
         for fixed in SWEEP_SCENARIOS[scenario]:
             try:
                 inst = _apply_sweep_value(base, parameter, value)
@@ -403,7 +413,7 @@ def run_sweep(base: ProblemInstance, parameter: str, values, scenario: str,
                 z, status = None, "invalid_instance"
             rows.append([
                 parameter,
-                f"{value:g}",
+                text,
                 "fixed_orientation" if fixed else "free_orientation",
                 "" if z is None else f"{z:.6f}",
                 status,

@@ -101,24 +101,20 @@ class VarDef:
     family: str
     index: tuple[int, ...]
     binary: bool
-    upper: float
 
 
 class VariableRegistry:
-    """Column layout: name/family/index maps plus bounds for every column.
-
-    Every column's lower bound is 0.
-    """
+    """Column layout: name/family/index maps for every column."""
 
     def __init__(self):
         self._defs: list[VarDef] = []
         self._by_name: dict[str, int] = {}
         self._by_key: dict[tuple, int] = {}
 
-    def _add(self, family: str, shape: str, index: tuple[int, ...], binary: bool, upper: float):
+    def _add(self, family: str, shape: str, index: tuple[int, ...], binary: bool):
         name = family + "".join(f"_{t}{k + 1}" for t, k in zip(shape, index))
         col = len(self._defs)
-        self._defs.append(VarDef(col, name, family, index, binary, upper))
+        self._defs.append(VarDef(col, name, family, index, binary))
         self._by_name[name] = col
         self._by_key[(family, index)] = col
 
@@ -143,9 +139,6 @@ class VariableRegistry:
     def binary_columns(self) -> list[int]:
         return [d.column for d in self._defs if d.binary]
 
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.zeros(len(self._defs)), np.array([d.upper for d in self._defs])
-
 
 @dataclass(frozen=True)
 class Row:
@@ -163,6 +156,7 @@ class MilpModel:
     objective_z: np.ndarray
     objective_zz: np.ndarray
     active_objective: Objective
+    upper: np.ndarray  # each column's upper bound; every lower bound is 0
 
     @property
     def objective(self) -> np.ndarray:
@@ -180,27 +174,18 @@ class MilpModel:
         return a, senses, rhs
 
 
-def build_registry(
-    instance: ProblemInstance,
-    *,
-    fixed_orientation: bool = False,
-    big_m: BigMBundle | None = None,
-) -> VariableRegistry:
-    """Column layout for an instance, independent of the constraint rows.
+def build_registry(instance: ProblemInstance) -> VariableRegistry:
+    """Column layout for an instance, independent of the rows and bounds.
 
     The layout is a pure function of the part/job/machine counts, so a
     decoder can rebuild it to interpret a raw value vector without
     re-deriving the whole model.
     """
     sizes = {"i": len(instance.parts), "j": instance.jobs_per_machine, "m": len(instance.machines)}
-    bundle = big_m if big_m is not None else compute_big_m(instance)
-    orient_up = 0.0 if fixed_orientation else 1.0
-    upper = {"x": 1.0, "y": 1.0, "b": orient_up, "f": orient_up, "jc": bundle.horizon}
-
     reg = VariableRegistry()
     for family, shape, binary in _LAYOUT:
         for index in np.ndindex(*(sizes[t] for t in shape)):
-            reg._add(family, shape, index, binary, upper.get(family, math.inf))
+            reg._add(family, shape, index, binary)
     return reg
 
 
@@ -225,7 +210,8 @@ def build_model(
     """Assemble the full linearized model for an instance.
 
     Raises if validation reports errors.  ``fixed_orientation`` pins every
-    part flat (as delivered).
+    part flat (as delivered) by bounding ``b`` and ``f`` at 0.  Otherwise
+    binaries are bounded by 1, ``jc`` by the horizon, the rest by rows only.
     """
     report = validate(instance)
     if not report.ok:
@@ -236,7 +222,10 @@ def build_model(
     jobs = instance.jobs_per_machine
     n_m = len(instance.machines)
     bundle = compute_big_m(instance)
-    reg = build_registry(instance, fixed_orientation=fixed_orientation, big_m=bundle)
+    reg = build_registry(instance)
+    orient_up = 0.0 if fixed_orientation else 1.0
+    family_upper = {"x": 1.0, "y": 1.0, "b": orient_up, "f": orient_up, "jc": bundle.horizon}
+    upper = np.array([family_upper.get(d.family, math.inf) for d in reg.defs()])
 
     rows: list[Row] = []
 
@@ -422,6 +411,7 @@ def build_model(
         objective_z=obj_z,
         objective_zz=obj_zz,
         active_objective=objective,
+        upper=upper,
     )
 
 
@@ -477,15 +467,15 @@ def write_lp(model: MilpModel) -> str:
         op = {"<": "<=", "=": "=", ">": ">="}[row.sense]
         lines.append(f" {row.name}: {body} {op} {_format_coef(row.rhs)}")
     lines.append("Bounds")
-    for d in reg.defs():
+    for d, up in zip(reg.defs(), model.upper):
         if d.binary:
-            if d.upper == 0.0:
+            if up == 0.0:
                 lines.append(f" {d.name} = 0")
             continue
-        if math.isinf(d.upper):
+        if math.isinf(up):
             lines.append(f" 0 <= {d.name}")
         else:
-            lines.append(f" 0 <= {d.name} <= {_format_coef(d.upper)}")
+            lines.append(f" 0 <= {d.name} <= {_format_coef(up)}")
     lines.append("Binaries")
     binary_names = [d.name for d in reg.defs() if d.binary]
     for start in range(0, len(binary_names), 8):

@@ -9,7 +9,6 @@ measured on actual optima rather than arbitrary alternates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -163,22 +162,18 @@ def filter_dominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
 
     A point falls if another is at least as good in both objectives and
     strictly better in one; exact repeats within 1e-6 collapse to one.
+    Sorted by (zz, z), a point's dominators all come first, so one sweep
+    drops it when an earlier point has a lower z, or the same z at a lower zz.
     """
-    valued = [p for p in points if p.z is not None and p.zz is not None]
-    kept = []
-    for p in valued:
-        dominated = False
-        for q in valued:
-            if q is p:
-                continue
-            if q.z <= p.z and q.zz <= p.zz and (q.z < p.z or q.zz < p.zz):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(p)
-    kept.sort(key=lambda p: (p.zz, p.z))
+    valued = sorted((p for p in points if p.z is not None and p.zz is not None),
+                    key=lambda p: (p.zz, p.z))
     out: list[ParetoPoint] = []
-    for p in kept:
+    best: ParetoPoint | None = None
+    for p in valued:
+        if best is not None and (p.z > best.z or (p.z == best.z and p.zz > best.zz)):
+            continue
+        if best is None or p.z < best.z:
+            best = p
         if out and abs(p.z - out[-1].z) <= 1e-6 and abs(p.zz - out[-1].zz) <= 1e-6:
             continue
         out.append(p)
@@ -191,24 +186,20 @@ def pareto_front(
     time_limit_s: float | None = None,
     grid_count: int = 10,
     fixed_orientation: bool = False,
-    epsilons: tuple[float, ...] | None = None,
 ) -> ParetoFront:
     """Sweep the area cap and collect the nondominated outcomes.
 
-    Caps are solved tightest first, each seeded with every earlier
-    solution (a schedule under a tight cap stays feasible under a loose
-    one).  Time-limited attempts are flagged in the log rather than
-    dropped; infeasible caps appear the same way.  Every solve that returns
-    a schedule, optimal or time-limited, must pass `accept` and keep within
-    its cap (absolute 1e-6); optimal cost must never increase as the cap
-    loosens.  A NaN or ``-inf`` cap, or a ``grid_count`` below 1
-    without ``epsilons``, raises ``ValueError`` before any solve.
+    The caps are ``epsilon_grid(payoff, grid_count)``, solved tightest
+    first, each seeded with every earlier solution (a schedule under a
+    tight cap stays feasible under a loose one).  Time-limited attempts
+    are flagged in the log rather than dropped; infeasible caps appear
+    the same way.  Every solve that returns a schedule, optimal or
+    time-limited, must pass `accept` and keep within its cap (absolute
+    1e-6); optimal cost must never increase as the cap loosens.  A
+    ``grid_count`` below 1 raises ``ValueError`` before any solve.
     """
-    if epsilons is None and grid_count < 1:
+    if grid_count < 1:
         raise ValueError("grid_count must be at least 1")
-    for eps in epsilons or ():
-        if not (math.isfinite(eps) or eps == math.inf):
-            raise ValueError(f"cap on zz must be finite or +inf, got {eps!r}")
     if not instance.parts:
         table = PayoffTable(0.0, 0.0, 0.0, 0.0)
         sched = Schedule((), {}, frozenset())
@@ -217,12 +208,11 @@ def pareto_front(
         return ParetoFront((point,), (point,), table)
 
     table, seeds, base = _payoff_with_seeds(instance, time_limit_s, fixed_orientation)
-    grid = epsilons if epsilons is not None else epsilon_grid(table, grid_count)
 
     attempts: list[ParetoPoint] = []
     warm: list[np.ndarray] = list(seeds)
     last_optimal_z: float | None = None
-    for eps in sorted(grid):
+    for eps in sorted(epsilon_grid(table, grid_count)):
         model = inject_epsilon(base, eps)
         sol = solve_milp(model, time_limit_s=time_limit_s, warm_values=warm)
         if sol.values is None:

@@ -12,6 +12,7 @@ first: its binaries are rounded, the LP is re-solved with them fixed, and
 the result counts only if it is feasible as it stands.  A point whose
 binaries are merely within tolerance of integral can otherwise sit below
 any objective its decisions attain, by up to big-M times the tolerance.
+The fixed LP recomputes every other column, so a seed is its binaries.
 
 ``Optimal`` means proven: no open node's bound is below the incumbent by
 more than ``GAP_TOLERANCE`` (1e-6 relative), a constant, not a setting.
@@ -153,17 +154,20 @@ def solve_milp(
 
     The search stops early only at ``time_limit_s``, with status
     ``TimeLimit`` and the best open bound; a NaN limit raises
-    ``ValueError``.  ``warm_values`` may carry full solution vectors known to be feasible
-    (from a related solve, say a neighboring epsilon cap); each one that
-    checks out seeds the incumbent, which skips the feasibility dive and
-    prunes from the start.
+    ``ValueError``.  ``warm_values`` may carry vectors of the model's
+    length (a neighboring epsilon cap's solution, say, or a heuristic's
+    binaries).  Only binary entries are read: continuous ones are ignored,
+    and a fractional binary is rounded, not refused.  Each rounded vector
+    is polished like a leaf and, if that passes, seeds the incumbent,
+    which skips the feasibility dive and prunes from the start.  A vector
+    of the wrong length or with a non-finite binary is skipped.
     """
     if time_limit_s is not None and math.isnan(time_limit_s):
         raise ValueError("time_limit_s must be a number of seconds, not nan")
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
 
     a, senses, rhs = model.dense_rows()
-    base_lo, base_up = model.registry.bounds()
+    base_lo, base_up = np.zeros(model.registry.n_columns), model.upper
     cost = np.asarray(model.objective, dtype=float)
     binary_cols = model.registry.binary_columns()
     family_rank = {fam: k for k, fam in enumerate(BINARY_FAMILIES)}
@@ -195,19 +199,18 @@ def solve_milp(
 
     bin_idx = np.asarray(binary_cols, dtype=int)
 
-    def polish(x: np.ndarray, start) -> tuple[float, np.ndarray] | None:
-        """(objective, values) with the binaries of ``x`` rounded and fixed.
+    def polish(binaries: np.ndarray, start) -> tuple[float, np.ndarray] | None:
+        """(objective, values) with the binary columns fixed at ``binaries``.
 
-        None if the fixed LP fails or its point is not feasible as it
-        stands; see the module docstring for why every incumbent goes
-        through here.
+        ``binaries`` holds one rounded value per binary column.  None if
+        the fixed LP fails or its point is not feasible as it stands; see
+        the module docstring for why every incumbent goes through here.
         """
-        rounded = np.round(x[bin_idx])
-        res = lp_solve(dict(zip(binary_cols, rounded.tolist())), start)
+        res = lp_solve(dict(zip(binary_cols, binaries.tolist())), start)
         if res is None or res.status is not LpStatus.OPTIMAL:
             return None
         values = res.x.copy()
-        values[bin_idx] = rounded
+        values[bin_idx] = binaries
         if not _is_feasible(values, a, senses, rhs, base_lo, base_up, binary_cols):
             return None
         return float(cost @ values), values
@@ -230,15 +233,11 @@ def solve_milp(
         cand = np.asarray(cand, dtype=float)
         if cand.shape[0] != model.registry.n_columns:
             continue
-        if not _is_feasible(cand, a, senses, rhs, base_lo, base_up, binary_cols):
+        binaries = np.round(cand[bin_idx])
+        if not np.isfinite(binaries).all() or binaries.tobytes() in polished_keys:
             continue
-        key = np.round(cand[bin_idx]).tobytes()
-        if key in polished_keys:
-            continue
-        polished_keys.add(key)
-        # the polished vector replaces the seed even when it costs more:
-        # the seed's lower value may be the leak itself
-        polished = polish(cand, None)
+        polished_keys.add(binaries.tobytes())
+        polished = polish(binaries, None)
         if polished is not None:
             offer(*polished)
 
@@ -300,7 +299,7 @@ def solve_milp(
             return []
         picked = pick_branch(res.x, dive=incumbent_obj is None)
         if picked is None:
-            polished = polish(res.x, res.start_with_binv)
+            polished = polish(np.round(res.x[bin_idx]), res.start_with_binv)
             if polished is not None:
                 offer(*polished)
                 if bound >= cutoff():
@@ -420,12 +419,15 @@ def _finite(token: str, what: str) -> float:
 
 
 def write_solution(solution: MilpSolution, model: MilpModel) -> str:
-    """Inverse of parse_external_solution, columns above 1e-9 in magnitude only."""
+    """Inverse of parse_external_solution, columns above 1e-9 in magnitude only.
+
+    17 significant digits read back as the same double at any magnitude.
+    """
     status = solution.status.value.upper()
     if solution.values is None:
         return f"{status}\n"
-    lines = [f"{status} {solution.objective:.12g}"]
+    lines = [f"{status} {solution.objective:.17g}"]
     for col, val in enumerate(solution.values):
         if abs(val) > 1e-9:
-            lines.append(f"{model.registry.name(col)} {val:.12g}")
+            lines.append(f"{model.registry.name(col)} {val:.17g}")
     return "\n".join(lines) + "\n"

@@ -819,6 +819,20 @@ def test_sweep_rejects_non_integral_part_count_prefix(runner, tmp_path):
     assert [(r[1], r[4]) for r in rows] == [("2", "optimal"), ("2.5", "invalid_instance")]
 
 
+@pytest.mark.parametrize("parameter, values", [
+    ("layer_time", [0.1000001, 0.1000004, 0.1]),
+    ("machine_area", [1522756.0, 1522760.0]),
+])
+def test_sweep_labels_read_back_as_their_values(tmp_path, parameter, values):
+    # ":g" keeps six significant digits, so these values once shared one
+    # CSV value, one external LP file and one dominance key
+    rows = run_sweep(random_instance(0), parameter, values, "free_orientation", None, "external",
+                     tmp_path)
+    assert [float(r[1]) for r in rows] == values
+    assert len({r[1] for r in rows}) == len(values)
+    assert len(list(tmp_path.glob("sweep_*_free.lp"))) == len(values)
+
+
 def test_sweep_rejects_nonpositive_dimensional_values(runner, tmp_path):
     result = runner.invoke(
         main,

@@ -98,19 +98,21 @@ def test_registry_column_order_and_names(nine):
 
 
 def test_registry_layout_ignores_orientation_mode(nine):
-    free = build_registry(nine)
-    fixed = build_registry(nine, fixed_orientation=True)
-    assert [d.name for d in free.defs()] == [d.name for d in fixed.defs()]
+    free = build_model(nine)
+    fixed = build_model(nine, fixed_orientation=True)
+    assert [d.name for d in free.registry.defs()] == [d.name for d in fixed.registry.defs()]
     for fam in ("b", "f"):
         for i in range(len(nine.parts)):
-            assert free.defs()[free.col(fam, i)].upper == 1.0
-            assert fixed.defs()[fixed.col(fam, i)].upper == 0.0
+            assert free.upper[free.registry.col(fam, i)] == 1.0
+            assert fixed.upper[fixed.registry.col(fam, i)] == 0.0
+    others = [d.column for d in free.registry.defs() if d.family not in ("b", "f")]
+    assert np.array_equal(free.upper[others], fixed.upper[others])
 
 
 def test_registry_bounds(nine):
-    reg = build_registry(nine)
-    lo, up = reg.bounds()
-    assert np.all(lo == 0.0)
+    model = build_model(nine)
+    reg, up = model.registry, model.upper
+    assert up.shape == (reg.n_columns,)
     bundle = compute_big_m(nine)
     for j in range(2):
         for m in range(2):

@@ -4,6 +4,8 @@ import itertools
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import printplan.pareto as pareto_module
 
@@ -135,6 +137,51 @@ def test_filter_merges_near_duplicates_and_skips_unvalued():
     assert len(out) == 1
 
 
+def _reference_filter_dominated(points):
+    # the pairwise dominance loop and separate dedupe pass that the sorted
+    # sweep replaced
+    valued = [p for p in points if p.z is not None and p.zz is not None]
+    kept = []
+    for p in valued:
+        dominated = False
+        for q in valued:
+            if q is p:
+                continue
+            if q.z <= p.z and q.zz <= p.zz and (q.z < p.z or q.zz < p.zz):
+                dominated = True
+                break
+        if not dominated:
+            kept.append(p)
+    kept.sort(key=lambda p: (p.zz, p.z))
+    out = []
+    for p in kept:
+        if out and abs(p.z - out[-1].z) <= 1e-6 and abs(p.zz - out[-1].zz) <= 1e-6:
+            continue
+        out.append(p)
+    return out
+
+
+# coarse values with offsets at, inside and past the 1e-6 repeat tolerance,
+# so ties, near-ties and exact repeats all turn up
+_objective = st.builds(lambda base, off: base + off, st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                       st.sampled_from([0.0, 5e-7, 1e-6, 2e-6, -5e-7]))
+_points = st.lists(
+    st.one_of(
+        st.builds(pt, _objective, _objective),
+        st.just(None).map(lambda _: pt(None, None, SolveStatus.Infeasible)),
+    ),
+    max_size=7,
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_points)
+def test_filter_sweep_matches_pairwise_reference(points):
+    got = filter_dominated(points)
+    want = _reference_filter_dominated(points)
+    assert [id(p) for p in got] == [id(p) for p in want]
+
+
 # -------------------------------------------------------------- sweep
 
 
@@ -181,11 +228,12 @@ def test_front_grid_count_one():
     assert len(front.points) == 1
 
 
-def test_front_infeasible_floor_flagged_not_dropped():
+def test_front_infeasible_floor_flagged_not_dropped(monkeypatch):
     inst = random_instance(2)
     table = payoff_table(inst)
     floor = table.zz_ideal - max(1.0, 0.5 * abs(table.zz_ideal))
-    front = pareto_front(inst, epsilons=(floor, table.zz_ideal))
+    monkeypatch.setattr(pareto_module, "epsilon_grid", lambda t, k: (floor, t.zz_ideal))
+    front = pareto_front(inst, grid_count=2)
     assert len(front.attempts) == 2
     assert front.attempts[0].status is SolveStatus.Infeasible
     assert front.attempts[0].z is None
@@ -194,18 +242,13 @@ def test_front_infeasible_floor_flagged_not_dropped():
 
 
 def test_front_refuses_nan_epsilon(monkeypatch):
-    # a bad cap or grid is refused before the payoff solves
+    # a bad grid is refused before the payoff solves
     def no_solve(*args, **kwargs):
         raise AssertionError("solve_milp called before the arguments were checked")
 
     monkeypatch.setattr(pareto_module, "solve_milp", no_solve)
-    for kwargs, message in [
-        ({"epsilons": (float("nan"),)}, r"cap on zz must be finite or \+inf, got nan"),
-        ({"epsilons": (float("-inf"),)}, r"cap on zz must be finite or \+inf, got -inf"),
-        ({"grid_count": 0}, "grid_count must be at least 1"),
-    ]:
-        with pytest.raises(ValueError, match=message):
-            pareto_front(random_instance(0), **kwargs)
+    with pytest.raises(ValueError, match="grid_count must be at least 1"):
+        pareto_front(random_instance(0), grid_count=0)
 
 
 def test_time_limited_points_are_checked_too(monkeypatch):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from printplan import solver as solver_module
 from printplan.datasets import load_builtin, random_instance
-from printplan.evaluate import decode, evaluate
+from printplan.evaluate import accept, decode, evaluate
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
 from printplan.model import Objective, build_model, compute_big_m, inject_epsilon
 from printplan.oracle import brute_force
@@ -123,7 +123,7 @@ def test_non_finite_warm_vector_is_skipped(bad):
     seed = exact.values.copy()
     seed[0] = bad
     a, senses, rhs = model.dense_rows()
-    lo, up = model.registry.bounds()
+    lo, up = np.zeros(model.registry.n_columns), model.upper
     assert not _is_feasible(seed, a, senses, rhs, lo, up, model.registry.binary_columns())
     sol = solve_milp(model, warm_values=[seed])
     assert sol.status is SolveStatus.Optimal
@@ -152,7 +152,7 @@ def test_warm_vector_leaking_through_big_m_rows_is_polished():
         for col in (reg.col("lc", i, 0, 0), reg.col("pc", i), reg.col("t", i)):
             leaky[col] -= drop
     a, senses, rhs = model.dense_rows()
-    lo, up = reg.bounds()
+    lo, up = np.zeros(reg.n_columns), model.upper
     assert _is_feasible(leaky, a, senses, rhs, lo, up, reg.binary_columns())
     assert model.objective @ leaky < exact.objective - 1e-7
 
@@ -161,6 +161,88 @@ def test_warm_vector_leaking_through_big_m_rows_is_polished():
     ev = evaluate(decode(sol, inst), inst)
     assert sol.objective == pytest.approx(ev.z, abs=1e-9)
     assert sol.objective == pytest.approx(exact.objective, abs=1e-9)
+
+
+def test_warm_seed_is_read_only_at_its_binaries():
+    # the fixed LP recomputes every continuous column, so a heuristic can
+    # hand over plate, pose and job decisions alone
+    model = build_model(random_instance(1), Objective.Z)
+    cold = solve_milp(model)
+    seed = np.zeros(model.registry.n_columns)
+    bins = model.registry.binary_columns()
+    seed[bins] = cold.values[bins]
+    seeded = solve_milp(model, warm_values=[seed])
+    assert seeded.status is SolveStatus.Optimal
+    assert seeded.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert seeded.node_count < cold.node_count
+
+
+def test_seed_breaking_a_cap_costs_no_lp(monkeypatch):
+    # the cost optimum wastes more area than the area optimum, so its
+    # binaries break an area cap at the area optimum; propagation drops
+    # them before the polish LP
+    inst = random_instance(1)
+    model = build_model(inst, Objective.Z)
+    breaking = solve_milp(model).values
+    zz_ideal = solve_milp(build_model(inst, Objective.ZZ)).objective
+    capped = inject_epsilon(model, zz_ideal)
+    assert model.objective_zz @ breaking > zz_ideal + 1.0
+    calls = []
+    real = solver_module.solve_lp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver_module, "solve_lp", counting)
+    plain = solve_milp(capped)
+    plain_calls = len(calls)
+    calls.clear()
+    seeded = solve_milp(capped, warm_values=[breaking])
+    assert len(calls) == plain_calls
+    assert seeded.objective == plain.objective
+    assert seeded.node_count == plain.node_count
+
+
+def test_rejected_leaf_polish_branches_on_the_near_integral_binary(monkeypatch):
+    # a leaf whose binaries are all within the integrality tolerance, one
+    # of them 3e-7 off, and whose polished point the gate rejects once:
+    # the node is searched further on that binary, and the solve still
+    # proves the cold optimum
+    model = build_model(tiny_instance(), Objective.Z)
+    cold = solve_milp(model)
+    bins = np.asarray(model.registry.binary_columns())
+    real_lp = solver_module.solve_lp
+    real_gate = solver_module._is_feasible
+    state = {"nudged": None, "rejected": False, "after_reject": None}
+
+    def nudging(cost, rows, lo, up, **kwargs):
+        if state["rejected"] and state["after_reject"] is None:
+            state["after_reject"] = (lo[state["nudged"]], up[state["nudged"]])
+        res = real_lp(cost, rows, lo, up, **kwargs)
+        if state["nudged"] is None and res.status is solver_module.LpStatus.OPTIMAL:
+            xb = res.x[bins]
+            if np.all(np.minimum(xb, 1.0 - xb) == 0.0):
+                col = int(bins[0])
+                res.x[col] += 3e-7 if res.x[col] == 0.0 else -3e-7
+                state["nudged"] = col
+        return res
+
+    def reject_once(*args):
+        if not state["rejected"]:
+            state["rejected"] = True
+            return False
+        return real_gate(*args)
+
+    monkeypatch.setattr(solver_module, "solve_lp", nudging)
+    monkeypatch.setattr(solver_module, "_is_feasible", reject_once)
+    sol = solve_milp(model)
+    assert state["nudged"] is not None and state["rejected"]
+    lo, up = state["after_reject"]
+    assert lo == up  # the next node fixes the nudged binary
+    assert sol.status is SolveStatus.Optimal
+    assert sol.objective == pytest.approx(cold.objective, abs=1e-9)
+    assert sol.node_count > cold.node_count
 
 
 def test_epsilon_cap_binds():
@@ -394,6 +476,20 @@ def test_solution_round_trip():
     assert back.status is SolveStatus.Optimal
     assert back.objective == pytest.approx(sol.objective, abs=1e-9)
     np.testing.assert_allclose(back.values, sol.values, atol=1e-9)
+
+
+def test_solution_round_trip_at_large_objective():
+    # at 12 significant digits a z near 1.66e6 read back coarse enough
+    # that `accept` found the evaluator 2.7e-6 away, past its 1e-6
+    base = random_instance(0)
+    inst = replace(base, machines=tuple(replace(m, layer_time_h_per_mm=1e4) for m in base.machines))
+    model = build_model(inst, Objective.Z)
+    sol = solve_milp(model)
+    assert sol.objective > 1e6
+    back = parse_external_solution(write_solution(sol, model), model)
+    assert back.objective == sol.objective
+    np.testing.assert_array_equal(back.values, np.where(np.abs(sol.values) > 1e-9, sol.values, 0.0))
+    accept(back, model)
 
 
 def test_parse_rejects_bad_inputs():
