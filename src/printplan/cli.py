@@ -87,7 +87,7 @@ def _solve_routed(model, time_limit_s: float | None, solver: str | None, lp_path
     the message, or that of a file that does not parse, is prefixed with
     the ``.sol`` path.
     """
-    if _resolve_solver(solver, len(model.registry.binary_columns())) == "builtin":
+    if _resolve_solver(solver, model.registry.n_binaries) == "builtin":
         return _accepted(solve_milp(model, time_limit_s=time_limit_s), model)
     lp_path.parent.mkdir(parents=True, exist_ok=True)
     lp_path.write_text(write_lp(model))
@@ -322,19 +322,21 @@ def scenario(source, seed, jobs, machines, out, prefixes, solver, time_limit):
 
 
 def _report_reference_deviation(base, rows):
-    """Informational comparison of scenario rows against published curve values, if any."""
-    try:
-        twenty = load_builtin("twenty_parts")
-    except Exception:
+    """Informational comparison of scenario rows against the published curves.
+
+    The curves were published for the shipped twenty-part instance on two
+    machines and on one, so only those two instances are compared.
+    """
+    twenty = load_builtin("twenty_parts")
+    key = {
+        instance_hash(twenty): "twenty_parts_two_machines",
+        instance_hash(with_machine_count(twenty, 1)): "twenty_parts_one_machine",
+    }.get(instance_hash(base))
+    if key is None:
         return
-    if [p.id for p in base.parts] != [p.id for p in twenty.parts]:
-        return
-    curves = reference_curves()
-    key = "twenty_parts_one_machine" if len(base.machines) == 1 else "twenty_parts_two_machines"
-    if key not in curves:
-        return
+    curves = reference_curves()[key]
     for scen_key, column in (("free_orientation", 1), ("fixed_orientation", 2)):
-        published = dict(tuple(pair) for pair in curves[key][scen_key])
+        published = dict(tuple(pair) for pair in curves[scen_key])
         for row in rows:
             n, z = row[0], row[column]
             if z == "" or n not in published:

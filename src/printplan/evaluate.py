@@ -17,6 +17,8 @@ import io
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .geometry import Orientation, OrientationKind, orientation_for, volume_mm3
 from .instance import ProblemInstance
@@ -114,51 +116,41 @@ def decode(solution: MilpSolution, instance: ProblemInstance) -> Schedule:
         raise ValueError(
             f"value vector has {len(values)} entries, model needs {reg.n_columns}"
         )
-    jobs = instance.jobs_per_machine
-    n_m = len(instance.machines)
+    machines = instance.machines
+    x = values[reg.block("x")] >= 1.0 - TOL
+    tipped_b = values[reg.block("b")] >= 1.0 - TOL
+    tipped_f = values[reg.block("f")] >= 1.0 - TOL
 
     placements = []
     for i, part in enumerate(instance.parts):
-        slots = [
-            (j, m)
-            for j in range(jobs)
-            for m in range(n_m)
-            if values[reg.col("x", i, j, m)] >= 1.0 - TOL
-        ]
+        slots = np.argwhere(x[i]).tolist()  # (job, machine) pairs, job-major
         if not slots:
             raise ValueError(f"part unassigned: {part.id}")
         if len(slots) > 1:
-            where = ", ".join(f"job {j + 1} on {instance.machines[m].id}" for j, m in slots)
+            where = ", ".join(f"job {j + 1} on {machines[m].id}" for j, m in slots)
             raise ValueError(f"part assigned more than once: {part.id} ({where})")
-        tipped_b = values[reg.col("b", i)] >= 1.0 - TOL
-        tipped_f = values[reg.col("f", i)] >= 1.0 - TOL
-        if tipped_b and tipped_f:
+        if tipped_b[i] and tipped_f[i]:
             raise ValueError(f"orientation conflict for part {part.id}: both tip flags set")
         kind = (
             OrientationKind.LENGTH_UP
-            if tipped_b
+            if tipped_b[i]
             else OrientationKind.WIDTH_UP
-            if tipped_f
+            if tipped_f[i]
             else OrientationKind.FLAT
         )
         j, m = slots[0]
-        placements.append(
-            Placement(part.id, instance.machines[m].id, j + 1, orientation_for(part, kind))
-        )
+        placements.append(Placement(part.id, machines[m].id, j + 1, orientation_for(part, kind)))
 
     activated = frozenset(
-        (instance.machines[m].id, j + 1)
-        for j in range(jobs)
-        for m in range(n_m)
-        if values[reg.col("y", j, m)] >= 1.0 - TOL
+        (machines[m].id, j + 1) for j, m in np.argwhere(values[reg.block("y")] >= 1.0 - TOL).tolist()
     )
     keep = set(activated)
     keep.update((pl.machine_id, pl.job_index) for pl in placements)
+    jc = values[reg.block("jc")]
     completions = {
-        (instance.machines[m].id, j + 1): float(values[reg.col("jc", j, m)])
-        for j in range(jobs)
-        for m in range(n_m)
-        if (instance.machines[m].id, j + 1) in keep
+        (machines[m].id, j + 1): float(jc[j, m])
+        for j, m in np.ndindex(jc.shape)
+        if (machines[m].id, j + 1) in keep
     }
     return Schedule(tuple(placements), completions, activated)
 

@@ -16,6 +16,11 @@ Decision variables, for part i, job slot j, machine m:
 * ``la[i,j,m]`` linearization of the product pa[i]*x[i,j,m];
 * ``lc[i,j,m]`` linearization of the product jc[j,m]*x[i,j,m].
 
+Each family is one block of consecutive columns, in the order listed,
+with the first index varying slowest; ``VariableRegistry.block`` gives a
+family's column numbers in its index shape.  The binary families come
+first, so the binaries are the column prefix ``range(n_binaries)``.
+
 Two objectives are carried on every model: ``z`` (weighted earliness plus
 tardiness hours) and ``zz`` (activated plate area minus occupied area);
 ``active_objective`` selects which one a solve minimizes.
@@ -49,8 +54,9 @@ class Objective(str, Enum):
 
 
 # Column layout: (family, index shape over parts i, job slots j and
-# machines m, binary), in column order; within a family the first index
-# varies slowest.
+# machines m, binary), in column order, one block per family (see the
+# module docstring).  x leads the binaries, and branching breaks ties
+# toward the lowest column.
 _LAYOUT = (
     ("x", "ijm", True),
     ("y", "jm", True),
@@ -68,7 +74,9 @@ _LAYOUT = (
     ("lc", "ijm", False),
 )
 
-BINARY_FAMILIES = tuple(family for family, _, binary in _LAYOUT if binary)
+_BINARY_FLAGS = [binary for _, _, binary in _LAYOUT]
+if _BINARY_FLAGS != sorted(_BINARY_FLAGS, reverse=True):
+    raise ImportError("the binary families must lead the column layout")
 
 
 @dataclass(frozen=True)
@@ -94,32 +102,33 @@ def compute_big_m(instance: ProblemInstance) -> BigMBundle:
     return BigMBundle(count=count, height=height, area=area, horizon=scheduling_horizon(instance))
 
 
-@dataclass(frozen=True)
-class VarDef:
-    column: int
-    name: str
-    family: str
-    index: tuple[int, ...]
-    binary: bool
-
-
 class VariableRegistry:
-    """Column layout: name/family/index maps for every column."""
+    """Column layout: one block of column numbers per ``_LAYOUT`` family.
 
-    def __init__(self):
-        self._defs: list[VarDef] = []
-        self._by_name: dict[str, int] = {}
-        self._by_key: dict[tuple, int] = {}
+    ``block(family)`` is an integer array in the family's index shape.
+    Blocks are contiguous and in ``_LAYOUT`` order, first index slowest,
+    so the binaries are the columns below ``n_binaries``.
+    """
 
-    def _add(self, family: str, shape: str, index: tuple[int, ...], binary: bool):
-        name = family + "".join(f"_{t}{k + 1}" for t, k in zip(shape, index))
-        col = len(self._defs)
-        self._defs.append(VarDef(col, name, family, index, binary))
-        self._by_name[name] = col
-        self._by_key[(family, index)] = col
+    def __init__(self, sizes: dict[str, int]):
+        self._blocks: dict[str, np.ndarray] = {}
+        self._names: list[str] = []
+        for family, shape, _ in _LAYOUT:
+            dims = tuple(sizes[t] for t in shape)
+            start = len(self._names)
+            self._blocks[family] = np.arange(start, start + math.prod(dims)).reshape(dims)
+            self._names += [
+                family + "".join(f"_{t}{k + 1}" for t, k in zip(shape, index))
+                for index in np.ndindex(*dims)
+            ]
+        self.n_binaries = sum(self._blocks[family].size for family, _, binary in _LAYOUT if binary)
+        self._by_name = {name: c for c, name in enumerate(self._names)}
+
+    def block(self, family: str) -> np.ndarray:
+        return self._blocks[family]
 
     def col(self, family: str, *index: int) -> int:
-        return self._by_key[(family, tuple(index))]
+        return int(self._blocks[family][index])
 
     def by_name(self, name: str) -> int:
         if name not in self._by_name:
@@ -127,17 +136,14 @@ class VariableRegistry:
         return self._by_name[name]
 
     def name(self, column: int) -> str:
-        return self._defs[column].name
-
-    def defs(self) -> tuple[VarDef, ...]:
-        return tuple(self._defs)
+        return self._names[column]
 
     @property
     def n_columns(self) -> int:
-        return len(self._defs)
+        return len(self._names)
 
-    def binary_columns(self) -> list[int]:
-        return [d.column for d in self._defs if d.binary]
+    def binary_columns(self) -> range:
+        return range(self.n_binaries)
 
 
 @dataclass(frozen=True)
@@ -181,12 +187,9 @@ def build_registry(instance: ProblemInstance) -> VariableRegistry:
     decoder can rebuild it to interpret a raw value vector without
     re-deriving the whole model.
     """
-    sizes = {"i": len(instance.parts), "j": instance.jobs_per_machine, "m": len(instance.machines)}
-    reg = VariableRegistry()
-    for family, shape, binary in _LAYOUT:
-        for index in np.ndindex(*(sizes[t] for t in shape)):
-            reg._add(family, shape, index, binary)
-    return reg
+    return VariableRegistry(
+        {"i": len(instance.parts), "j": instance.jobs_per_machine, "m": len(instance.machines)}
+    )
 
 
 def _product_rows(p: int, c: int, x: int, bound: float):
@@ -218,14 +221,16 @@ def build_model(
         details = "; ".join(issue.message for issue in report.errors)
         raise ValueError(f"instance failed validation: {details}")
 
-    n = len(instance.parts)
-    jobs = instance.jobs_per_machine
-    n_m = len(instance.machines)
     bundle = compute_big_m(instance)
     reg = build_registry(instance)
-    orient_up = 0.0 if fixed_orientation else 1.0
-    family_upper = {"x": 1.0, "y": 1.0, "b": orient_up, "f": orient_up, "jc": bundle.horizon}
-    upper = np.array([family_upper.get(d.family, math.inf) for d in reg.defs()])
+    x, y, b, f, ph, pa, jh, jp, jc, pc, e, t, la, lc = (
+        reg.block(fam) for fam in "x y b f ph pa jh jp jc pc e t la lc".split()
+    )
+    n, jobs, n_m = x.shape
+    upper = np.full(reg.n_columns, math.inf)
+    upper[: reg.n_binaries] = 1.0
+    upper[b] = upper[f] = 0.0 if fixed_orientation else 1.0
+    upper[jc] = bundle.horizon
 
     rows: list[Row] = []
 
@@ -241,34 +246,25 @@ def build_model(
 
     # each part printed exactly once
     for i in range(n):
-        add(
-            f"asg_i{i + 1}",
-            {reg.col("x", i, j, m): 1.0 for j in range(jobs) for m in range(n_m)},
-            "=",
-            1.0,
-        )
+        add(f"asg_i{i + 1}", dict.fromkeys(x[i].ravel().tolist(), 1.0), "=", 1.0)
 
     # parts only in activated jobs
     for j in range(jobs):
         for m in range(n_m):
-            coeffs = {reg.col("x", i, j, m): 1.0 for i in range(n)}
-            coeffs[reg.col("y", j, m)] = -bundle.count
+            coeffs = dict.fromkeys(x[:, j, m].tolist(), 1.0)
+            coeffs[y[j, m]] = -bundle.count
             add(f"lnk_j{j + 1}_m{m + 1}", coeffs, "<", 0.0)
 
     # at most one tipped orientation
     for i in range(n):
-        add(f"ori_i{i + 1}", {reg.col("b", i): 1.0, reg.col("f", i): 1.0}, "<", 1.0)
+        add(f"ori_i{i + 1}", {b[i]: 1.0, f[i]: 1.0}, "<", 1.0)
 
     # chosen height: h flat, l length-up, w width-up
     for i in range(n):
         p = parts[i]
         add(
             f"hdef_i{i + 1}",
-            {
-                reg.col("ph", i): 1.0,
-                reg.col("b", i): p.height_mm - p.length_mm,
-                reg.col("f", i): p.height_mm - p.width_mm,
-            },
+            {ph[i]: 1.0, b[i]: p.height_mm - p.length_mm, f[i]: p.height_mm - p.width_mm},
             "=",
             p.height_mm,
         )
@@ -279,11 +275,7 @@ def build_model(
         lw = p.length_mm * p.width_mm
         add(
             f"adef_i{i + 1}",
-            {
-                reg.col("pa", i): 1.0,
-                reg.col("b", i): lw - p.width_mm * p.height_mm,
-                reg.col("f", i): lw - p.height_mm * p.length_mm,
-            },
+            {pa[i]: 1.0, b[i]: lw - p.width_mm * p.height_mm, f[i]: lw - p.height_mm * p.length_mm},
             "=",
             lw,
         )
@@ -295,10 +287,9 @@ def build_model(
         tallest = max(p.width_mm, p.length_mm, p.height_mm)
         for m in range(n_m):
             slack = max(0.0, tallest - machines[m].height_mm)
-            coeffs = {reg.col("ph", i): 1.0}
+            coeffs = {ph[i]: 1.0}
             if slack > 0:
-                for j in range(jobs):
-                    coeffs[reg.col("x", i, j, m)] = slack
+                coeffs.update(dict.fromkeys(x[i, :, m].tolist(), slack))
             add(f"hcap_i{i + 1}_m{m + 1}", coeffs, "<", machines[m].height_mm + slack)
 
     # plate capacity per job, via the linearized occupied-area terms
@@ -306,7 +297,7 @@ def build_model(
         for m in range(n_m):
             add(
                 f"acap_j{j + 1}_m{m + 1}",
-                {reg.col("la", i, j, m): 1.0 for i in range(n)},
+                dict.fromkeys(la[:, j, m].tolist(), 1.0),
                 "<",
                 machines[m].base_area_mm2,
             )
@@ -314,26 +305,20 @@ def build_model(
     # la = pa * x
     for i, j, m in np.ndindex(n, jobs, n_m):
         add_product(("lau", "lap", "lal"), f"_i{i + 1}_j{j + 1}_m{m + 1}",
-                    reg.col("la", i, j, m), reg.col("pa", i), reg.col("x", i, j, m), bundle.area[i])
+                    la[i, j, m], pa[i], x[i, j, m], bundle.area[i])
 
     # job height covers each member part's height
     for i, j, m in np.ndindex(n, jobs, n_m):
-        coeffs, rhs = _product_rows(reg.col("jh", j, m), reg.col("ph", i), reg.col("x", i, j, m),
-                                    bundle.height)[2]
+        coeffs, rhs = _product_rows(jh[j, m], ph[i], x[i, j, m], bundle.height)[2]
         add(f"jmax_i{i + 1}_j{j + 1}_m{m + 1}", coeffs, "<", rhs)
 
     # processing hours: layer time on the job height plus volumetric time
     for j in range(jobs):
         for m in range(n_m):
             mach = machines[m]
-            coeffs = {
-                reg.col("jp", j, m): 1.0,
-                reg.col("jh", j, m): -mach.layer_time_h_per_mm,
-            }
+            coeffs = {jp[j, m]: 1.0, jh[j, m]: -mach.layer_time_h_per_mm}
             for i in range(n):
-                coeffs[reg.col("x", i, j, m)] = -mach.volumetric_time_h_per_mm3 * geometry.volume_mm3(
-                    parts[i]
-                )
+                coeffs[x[i, j, m]] = -mach.volumetric_time_h_per_mm3 * geometry.volume_mm3(parts[i])
             add(f"ptime_j{j + 1}_m{m + 1}", coeffs, "=", 0.0)
 
     # completions run in job order, idle time allowed
@@ -341,68 +326,40 @@ def build_model(
         for j in range(jobs - 1):
             add(
                 f"seq_j{j + 1}_m{m + 1}",
-                {
-                    reg.col("jc", j, m): 1.0,
-                    reg.col("jp", j + 1, m): 1.0,
-                    reg.col("jc", j + 1, m): -1.0,
-                },
+                {jc[j, m]: 1.0, jp[j + 1, m]: 1.0, jc[j + 1, m]: -1.0},
                 "<",
                 0.0,
             )
-        add(
-            f"first_m{m + 1}",
-            {reg.col("jp", 0, m): 1.0, reg.col("jc", 0, m): -1.0},
-            "<",
-            0.0,
-        )
+        add(f"first_m{m + 1}", {jp[0, m]: 1.0, jc[0, m]: -1.0}, "<", 0.0)
 
     # part completion equals its job's completion, via lc = jc * x
     for i in range(n):
-        coeffs = {reg.col("pc", i): 1.0}
-        for j in range(jobs):
-            for m in range(n_m):
-                coeffs[reg.col("lc", i, j, m)] = -1.0
+        coeffs = {pc[i]: 1.0}
+        coeffs.update(dict.fromkeys(lc[i].ravel().tolist(), -1.0))
         add(f"cdef_i{i + 1}", coeffs, "=", 0.0)
     for i, j, m in np.ndindex(n, jobs, n_m):
         add_product(("lcu", "lcc", "lcl"), f"_i{i + 1}_j{j + 1}_m{m + 1}",
-                    reg.col("lc", i, j, m), reg.col("jc", j, m), reg.col("x", i, j, m), bundle.horizon)
+                    lc[i, j, m], jc[j, m], x[i, j, m], bundle.horizon)
 
     # tardiness and earliness, one-sided
     for i in range(n):
-        add(
-            f"tar_i{i + 1}",
-            {reg.col("pc", i): 1.0, reg.col("t", i): -1.0},
-            "<",
-            parts[i].due_h,
-        )
-        add(
-            f"ear_i{i + 1}",
-            {reg.col("pc", i): -1.0, reg.col("e", i): -1.0},
-            "<",
-            -parts[i].due_h,
-        )
+        add(f"tar_i{i + 1}", {pc[i]: 1.0, t[i]: -1.0}, "<", parts[i].due_h)
+        add(f"ear_i{i + 1}", {pc[i]: -1.0, e[i]: -1.0}, "<", -parts[i].due_h)
 
     # a job slot can hold parts only if the previous slot does
     for m in range(n_m):
         for j in range(jobs - 1):
-            coeffs = {reg.col("x", i, j + 1, m): 1.0 for i in range(n)}
-            for i in range(n):
-                coeffs[reg.col("x", i, j, m)] = coeffs.get(reg.col("x", i, j, m), 0.0) - bundle.count
+            coeffs = dict.fromkeys(x[:, j + 1, m].tolist(), 1.0)
+            coeffs.update(dict.fromkeys(x[:, j, m].tolist(), -bundle.count))
             add(f"ord_j{j + 1}_m{m + 1}", coeffs, "<", 0.0)
 
     obj_z = np.zeros(reg.n_columns)
-    ce = instance.penalties.earliness
-    ct = instance.penalties.tardiness
-    for i in range(n):
-        obj_z[reg.col("e", i)] = ce
-        obj_z[reg.col("t", i)] = ct
+    obj_z[e] = instance.penalties.earliness
+    obj_z[t] = instance.penalties.tardiness
 
     obj_zz = np.zeros(reg.n_columns)
-    for j in range(jobs):
-        for m in range(n_m):
-            obj_zz[reg.col("y", j, m)] = machines[m].base_area_mm2
-    for i, j, m in np.ndindex(n, jobs, n_m):
-        obj_zz[reg.col("la", i, j, m)] = -1.0
+    obj_zz[y] = [mach.base_area_mm2 for mach in machines]
+    obj_zz[la] = -1.0
 
     return MilpModel(
         instance=instance,
@@ -459,33 +416,36 @@ def write_lp(model: MilpModel) -> str:
     reg = model.registry
     lines = ["Minimize"]
     obj = model.objective
-    terms = _linear_terms(((c, obj[c]) for c in obj.nonzero()[0]), reg)
-    lines.append(" obj: " + (terms if terms else "0 " + reg.name(0)))
+    lines.append(" obj: " + _linear_terms(((c, obj[c]) for c in obj.nonzero()[0]), reg))
     lines.append("Subject To")
     for row in model.rows:
         body = _linear_terms(sorted(row.coeffs.items()), reg)
         op = {"<": "<=", "=": "=", ">": ">="}[row.sense]
         lines.append(f" {row.name}: {body} {op} {_format_coef(row.rhs)}")
     lines.append("Bounds")
-    for d, up in zip(reg.defs(), model.upper):
-        if d.binary:
+    n_bin = reg.n_binaries
+    for c, up in enumerate(model.upper):
+        name = reg.name(c)
+        if c < n_bin:
             if up == 0.0:
-                lines.append(f" {d.name} = 0")
-            continue
-        if math.isinf(up):
-            lines.append(f" 0 <= {d.name}")
+                lines.append(f" {name} = 0")
+        elif math.isinf(up):
+            lines.append(f" 0 <= {name}")
         else:
-            lines.append(f" 0 <= {d.name} <= {_format_coef(up)}")
+            lines.append(f" 0 <= {name} <= {_format_coef(up)}")
     lines.append("Binaries")
-    binary_names = [d.name for d in reg.defs() if d.binary]
-    for start in range(0, len(binary_names), 8):
-        lines.append(" " + " ".join(binary_names[start : start + 8]))
+    for start in range(0, n_bin, 8):
+        lines.append(" " + " ".join(reg.name(c) for c in range(start, min(start + 8, n_bin))))
     lines.append("End")
     return "\n".join(lines) + "\n"
 
 
 def _linear_terms(terms, reg) -> str:
-    """``(column, coefficient)`` pairs as LP text, zero coefficients left out."""
+    """``(column, coefficient)`` pairs as LP text, zero coefficients left out.
+
+    With no term left it writes ``0`` times the first column, since an LP
+    line needs at least one term.
+    """
     pieces = []
     for c, v in terms:
         if v == 0.0:
@@ -496,4 +456,4 @@ def _linear_terms(terms, reg) -> str:
             pieces.append(f"+ {_format_coef(v)} {reg.name(c)}")
         else:
             pieces.append(f"- {_format_coef(-v)} {reg.name(c)}")
-    return " ".join(pieces)
+    return " ".join(pieces) if pieces else "0 " + reg.name(0)

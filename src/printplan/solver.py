@@ -31,7 +31,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import BINARY_FAMILIES, MilpModel
+from .model import MilpModel
 from .simplex import LpStatus, prepare_rows, solve_lp
 
 
@@ -166,16 +166,18 @@ def solve_milp(
         raise ValueError("time_limit_s must be a number of seconds, not nan")
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
 
+    reg = model.registry
     a, senses, rhs = model.dense_rows()
-    base_lo, base_up = np.zeros(model.registry.n_columns), model.upper
+    base_lo, base_up = np.zeros(reg.n_columns), model.upper
     cost = np.asarray(model.objective, dtype=float)
-    binary_cols = model.registry.binary_columns()
-    family_rank = {fam: k for k, fam in enumerate(BINARY_FAMILIES)}
-    col_rank = {}
-    for d in model.registry.defs():
-        if d.binary:
-            rank = family_rank.get(d.family, len(family_rank))
-            col_rank[d.column] = min(rank, 2)  # b and f branch at one level
+    n_bin = reg.n_binaries
+    binary_cols = reg.binary_columns()
+    # branching order: assignments, then activations, then b and f at one level
+    rank = np.full(n_bin, 2)
+    rank[reg.block("x")] = 0
+    rank[reg.block("y")] = 1
+    col_rank = rank.tolist()
+    x_cols = reg.block("x").ravel().tolist()
     propagator = _Propagator(a, senses, rhs, binary_cols)
     rows = prepare_rows(a, senses, rhs)
 
@@ -197,8 +199,6 @@ def solve_milp(
         up[bm] = pup[bm]
         return solve_lp(cost, rows, lo, up, start=start)
 
-    bin_idx = np.asarray(binary_cols, dtype=int)
-
     def polish(binaries: np.ndarray, start) -> tuple[float, np.ndarray] | None:
         """(objective, values) with the binary columns fixed at ``binaries``.
 
@@ -206,11 +206,11 @@ def solve_milp(
         the fixed LP fails or its point is not feasible as it stands; see
         the module docstring for why every incumbent goes through here.
         """
-        res = lp_solve(dict(zip(binary_cols, binaries.tolist())), start)
+        res = lp_solve(dict(enumerate(binaries.tolist())), start)
         if res is None or res.status is not LpStatus.OPTIMAL:
             return None
         values = res.x.copy()
-        values[bin_idx] = binaries
+        values[:n_bin] = binaries
         if not _is_feasible(values, a, senses, rhs, base_lo, base_up, binary_cols):
             return None
         return float(cost @ values), values
@@ -231,9 +231,9 @@ def solve_milp(
     polished_keys = set()
     for cand in warm_values or []:
         cand = np.asarray(cand, dtype=float)
-        if cand.shape[0] != model.registry.n_columns:
+        if cand.shape[0] != reg.n_columns:
             continue
-        binaries = np.round(cand[bin_idx])
+        binaries = np.round(cand[:n_bin])
         if not np.isfinite(binaries).all() or binaries.tobytes() in polished_keys:
             continue
         polished_keys.add(binaries.tobytes())
@@ -247,9 +247,7 @@ def solve_milp(
             # lowest column on ties so placements concentrate in one job
             best = None
             best_v = -1.0
-            for col in binary_cols:
-                if col_rank[col] != 0:
-                    break  # assignment columns come first in the layout
+            for col in x_cols:
                 v = x[col]
                 if min(v, 1.0 - v) > INTEGRALITY_TOLERANCE and v > best_v + 1e-12:
                     best_v = v
@@ -274,11 +272,10 @@ def solve_milp(
     def least_integral(x: np.ndarray) -> tuple[int, bool] | None:
         # every binary is within INTEGRALITY_TOLERANCE here; branching on the worst one
         # keeps each integral point under the node reachable
-        fracs = np.minimum(x[bin_idx], 1.0 - x[bin_idx])
-        k = int(np.argmax(fracs))
-        if fracs[k] <= 0.0:
+        fracs = np.minimum(x[:n_bin], 1.0 - x[:n_bin])
+        col = int(np.argmax(fracs))
+        if fracs[col] <= 0.0:
             return None
-        col = int(bin_idx[k])
         return col, x[col] >= 0.5
 
     def cutoff() -> float:
@@ -299,7 +296,7 @@ def solve_milp(
             return []
         picked = pick_branch(res.x, dive=incumbent_obj is None)
         if picked is None:
-            polished = polish(np.round(res.x[bin_idx]), res.start_with_binv)
+            polished = polish(np.round(res.x[:n_bin]), res.start_with_binv)
             if polished is not None:
                 offer(*polished)
                 if bound >= cutoff():
@@ -375,8 +372,9 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
     ``TIME_LIMIT`` alone for a solve without values) followed by one
     ``variable value`` line per nonzero column.  Unlisted columns default
     to zero; unknown names are an error since they indicate a
-    model/solution mismatch.  Past an ``INFEASIBLE`` header, a number
-    that does not parse or is not finite (``nan``, ``inf``) is an error.
+    model/solution mismatch, and so is a name listed twice.  Past an
+    ``INFEASIBLE`` header, a number that does not parse or is not finite
+    (``nan``, ``inf``) is an error.
     """
     lines = [ln.strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln and not ln.startswith("#")]
@@ -398,11 +396,16 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
         return MilpSolution(status, None, None, -math.inf, math.inf, 0)
     objective = _finite(head[1], "objective")
     values = np.zeros(model.registry.n_columns)
+    listed = set()
     for ln in lines[1:]:
         fields = ln.split()
         if len(fields) != 2:
             raise ValueError(f"malformed solution line {ln!r}")
-        values[model.registry.by_name(fields[0])] = _finite(fields[1], f"value for {fields[0]}:")
+        col = model.registry.by_name(fields[0])
+        if col in listed:
+            raise ValueError(f"variable {fields[0]} is listed more than once")
+        listed.add(col)
+        values[col] = _finite(fields[1], f"value for {fields[0]}:")
     bound = objective if status is SolveStatus.Optimal else -math.inf
     gap = 0.0 if status is SolveStatus.Optimal else math.inf
     return MilpSolution(status, objective, values, bound, gap, 0)

@@ -512,6 +512,16 @@ def test_unparsable_external_solution_exits_2(runner, tmp_path):
     assert "model.sol: unparsable objective 'abc'" in result.output
     assert not (tmp_path / "schedule.csv").exists()
 
+    (tmp_path / "model.sol").write_text("OPTIMAL 0\nx_i1_j1_m1 1\nx_i1_j1_m1 1\n")
+    result = runner.invoke(
+        main,
+        ["solve", "--instance", "random", "--seed", "0", "--solver", "external",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "model.sol: variable x_i1_j1_m1 is listed more than once" in result.output
+    assert not (tmp_path / "schedule.csv").exists()
+
     # scenario cells read their solution files the same way
     (tmp_path / "scenario_p2_free.sol").write_text("OPTIMAL abc\n")
     result = runner.invoke(
@@ -707,6 +717,19 @@ def test_scenario_rows_and_dominance(runner, tmp_path):
     for n, z_free, z_fixed, st_free, st_fixed in body:
         assert cells[(n, "free_orientation")] == (z_free, st_free)
         assert cells[(n, "fixed_orientation")] == (z_fixed, st_fixed)
+
+
+@pytest.mark.parametrize("machines", ["3", "1"])
+def test_scenario_compares_only_the_published_instances(runner, tmp_path, machines):
+    # one job slot per machine makes another instance than the published ones
+    result = runner.invoke(
+        main,
+        ["scenario", "--instance", "twenty_parts", "--machines", machines, "--jobs", "1",
+         "--parts-prefix", "6", "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    assert "n=6 free=" in result.output
+    assert "reference check" not in result.output
 
 
 def test_scenario_rejects_bad_prefix_list(runner, tmp_path):

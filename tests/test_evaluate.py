@@ -217,6 +217,16 @@ def test_decode_rejects_double_assignment():
     with pytest.raises(ValueError, match="more than once"):
         decode(integral_solution(values), inst)
 
+    # two machines: the slots are listed job-major, whatever the column order
+    two = replace(inst, machines=(reference_machine(), replace(reference_machine(), id="m2")))
+    reg = build_registry(two)
+    values = np.zeros(reg.n_columns)
+    values[reg.col("x", 0, 0, 1)] = 1.0
+    values[reg.col("x", 0, 1, 0)] = 1.0
+    with pytest.raises(ValueError) as err:
+        decode(integral_solution(values), two)
+    assert str(err.value) == "part assigned more than once: p1 (job 1 on m2, job 2 on m1)"
+
 
 def test_decode_rejects_orientation_conflict():
     inst = one_part_instance()

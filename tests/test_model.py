@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from printplan.datasets import BUILTIN_NAMES, load_builtin, random_instance
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
 from printplan.model import (
+    _LAYOUT,
     Objective,
     build_model,
     build_registry,
@@ -100,13 +102,34 @@ def test_registry_column_order_and_names(nine):
 def test_registry_layout_ignores_orientation_mode(nine):
     free = build_model(nine)
     fixed = build_model(nine, fixed_orientation=True)
-    assert [d.name for d in free.registry.defs()] == [d.name for d in fixed.registry.defs()]
+    reg = free.registry
+    assert [reg.name(c) for c in range(reg.n_columns)] == [
+        fixed.registry.name(c) for c in range(fixed.registry.n_columns)
+    ]
     for fam in ("b", "f"):
         for i in range(len(nine.parts)):
-            assert free.upper[free.registry.col(fam, i)] == 1.0
+            assert free.upper[reg.col(fam, i)] == 1.0
             assert fixed.upper[fixed.registry.col(fam, i)] == 0.0
-    others = [d.column for d in free.registry.defs() if d.family not in ("b", "f")]
+    others = np.concatenate([reg.block(fam).ravel() for fam, _, _ in _LAYOUT if fam not in ("b", "f")])
     assert np.array_equal(free.upper[others], fixed.upper[others])
+
+
+@pytest.mark.parametrize("n_parts,jobs,n_machines", [(1, 1, 1), (2, 3, 1), (3, 2, 2), (4, 1, 3)])
+def test_registry_blocks_tile_the_columns(n_parts, jobs, n_machines):
+    inst = random_instance(5, n_parts=n_parts, n_machines=n_machines, jobs_per_machine=jobs)
+    reg = build_registry(inst)
+    sizes = {"i": n_parts, "j": jobs, "m": n_machines}
+    start = 0
+    for fam, shape, _ in _LAYOUT:
+        block = reg.block(fam)
+        assert block.shape == tuple(sizes[t] for t in shape)
+        assert block.ravel().tolist() == list(range(start, start + block.size))
+        start += block.size
+    assert start == reg.n_columns
+    assert reg.n_binaries == expected_binaries(n_parts, jobs, n_machines)
+    assert list(reg.binary_columns()) == list(range(reg.n_binaries))
+    for c in range(reg.n_columns):
+        assert reg.by_name(reg.name(c)) == c
 
 
 def test_registry_bounds(nine):
@@ -277,6 +300,15 @@ def test_lp_text_sections_and_orientation_pinning(nine):
     assert " cap_zz:" in text
     assert "asg_i1:" in text
     assert "x_i1_j1_m1" in text
+
+
+def test_lp_text_writes_an_empty_cap_row_with_one_zero_term():
+    # zero penalties leave the time objective, and so its cap, without terms
+    inst = random_instance(0)
+    inst = replace(inst, penalties=PenaltyCoefficients(earliness=0.0, tardiness=0.0))
+    model = cap_objective(build_model(inst, Objective.ZZ), Objective.Z, 5.0)
+    text = write_lp(model)
+    assert " cap_z: 0 x_i1_j1_m1 <= 5\n" in text
 
 
 def test_lp_text_objective_line(nine):

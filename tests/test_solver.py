@@ -509,6 +509,8 @@ def test_parse_rejects_bad_inputs():
         parse_external_solution("OPTIMAL 0\nbogus_name 1\n", model)
     with pytest.raises(ValueError, match="unparsable value"):
         parse_external_solution("OPTIMAL 0\nx_i1_j1_m1 one\n", model)
+    with pytest.raises(ValueError, match="variable x_i1_j1_m1 is listed more than once"):
+        parse_external_solution("OPTIMAL 0\nx_i1_j1_m1 1\ny_j1_m1 1\nx_i1_j1_m1 0\n", model)
     for header in ("OPTIMAL nan", "OPTIMAL inf", "TIME_LIMIT -inf"):
         with pytest.raises(ValueError, match="non-finite objective"):
             parse_external_solution(header + "\n", model)
