@@ -36,6 +36,7 @@ plus at most one cap row per objective; see ``cap_objective``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -107,22 +108,32 @@ class VariableRegistry:
 
     ``block(family)`` is an integer array in the family's index shape.
     Blocks are contiguous and in ``_LAYOUT`` order, first index slowest,
-    so the binaries are the columns below ``n_binaries``.
+    so the binaries are the columns below ``n_binaries``.  Column names
+    are built on the first ``name`` or ``by_name`` call; a decoder reads
+    only blocks.
     """
 
     def __init__(self, sizes: dict[str, int]):
         self._blocks: dict[str, np.ndarray] = {}
-        self._names: list[str] = []
+        start = 0
         for family, shape, _ in _LAYOUT:
             dims = tuple(sizes[t] for t in shape)
-            start = len(self._names)
             self._blocks[family] = np.arange(start, start + math.prod(dims)).reshape(dims)
-            self._names += [
-                family + "".join(f"_{t}{k + 1}" for t, k in zip(shape, index))
-                for index in np.ndindex(*dims)
-            ]
+            start += math.prod(dims)
+        self.n_columns = start
         self.n_binaries = sum(self._blocks[family].size for family, _, binary in _LAYOUT if binary)
-        self._by_name = {name: c for c, name in enumerate(self._names)}
+
+    @functools.cached_property
+    def _names(self) -> list[str]:
+        return [
+            family + "".join(f"_{t}{k + 1}" for t, k in zip(shape, index))
+            for family, shape, _ in _LAYOUT
+            for index in np.ndindex(*self._blocks[family].shape)
+        ]
+
+    @functools.cached_property
+    def _by_name(self) -> dict[str, int]:
+        return {name: c for c, name in enumerate(self._names)}
 
     def block(self, family: str) -> np.ndarray:
         return self._blocks[family]
@@ -137,10 +148,6 @@ class VariableRegistry:
 
     def name(self, column: int) -> str:
         return self._names[column]
-
-    @property
-    def n_columns(self) -> int:
-        return len(self._names)
 
     def binary_columns(self) -> range:
         return range(self.n_binaries)

@@ -17,7 +17,7 @@ import numpy as np
 from .evaluate import Evaluation, Schedule, accept, evaluate, write_csv, write_schedule_csv
 from .instance import ProblemInstance
 from .model import MilpModel, Objective, build_model, cap_objective, inject_epsilon
-from .solver import MilpSolution, SolveStatus, solve_milp
+from .solver import GAP_TOLERANCE, MilpSolution, SolveStatus, solve_milp
 
 
 @dataclass(frozen=True)
@@ -189,14 +189,21 @@ def pareto_front(
 ) -> ParetoFront:
     """Sweep the area cap and collect the nondominated outcomes.
 
-    The caps are ``epsilon_grid(payoff, grid_count)``, solved tightest
-    first, each seeded with every earlier solution (a schedule under a
-    tight cap stays feasible under a loose one).  Time-limited attempts
-    are flagged in the log rather than dropped; infeasible caps appear
-    the same way.  Every solve that returns a schedule, optimal or
-    time-limited, must pass `accept` and keep within its cap (absolute
-    1e-6); optimal cost must never increase as the cap loosens.  A
-    ``grid_count`` below 1 raises ``ValueError`` before any solve.
+    The caps are ``epsilon_grid(payoff, grid_count)``, solved loosest
+    first, each seeded with the payoff corners and every earlier solution.
+    A cap that the last proven optimum P already fits (``P.zz <= eps``,
+    exactly) is not solved: its feasible set lies inside the looser cap's,
+    so P is optimal there too and the row is P at that cap.  After each
+    optimal solve, every looser optimal row with a larger zz takes the new
+    point when its z is within ``GAP_TOLERANCE`` of that row's proven
+    bound, so a row never reports a weakly efficient optimum that a
+    tighter cap improved on.  Time-limited attempts are flagged in the log
+    rather than dropped, infeasible caps appear the same way, and neither
+    feeds a skip or a back-fill.  Every solve that returns a schedule,
+    optimal or time-limited, must pass `accept` and keep within its cap
+    (absolute 1e-6); optimal cost must never fall as the cap tightens.
+    ``attempts`` is in ascending cap order.  A ``grid_count`` below 1
+    raises ``ValueError`` before any solve.
     """
     if grid_count < 1:
         raise ValueError("grid_count must be at least 1")
@@ -209,33 +216,46 @@ def pareto_front(
 
     table, seeds, base = _payoff_with_seeds(instance, time_limit_s, fixed_orientation)
 
-    attempts: list[ParetoPoint] = []
+    # (row, proven bound behind it), loosest cap first; the bound is None
+    # unless the row is optimal, and ``last`` is the last optimal solve's pair
+    rows: list[tuple[ParetoPoint, float | None]] = []
     warm: list[np.ndarray] = list(seeds)
-    last_optimal_z: float | None = None
-    for eps in sorted(epsilon_grid(table, grid_count)):
+    last: tuple[ParetoPoint, float] | None = None
+    for eps in sorted(epsilon_grid(table, grid_count), reverse=True):
+        if last is not None and last[0].zz <= eps:
+            rows.append((replace(last[0], epsilon=eps), last[1]))
+            continue
         model = inject_epsilon(base, eps)
         sol = solve_milp(model, time_limit_s=time_limit_s, warm_values=warm)
         if sol.values is None:
-            attempts.append(ParetoPoint(eps, None, None, sol.status, None, None))
+            rows.append((ParetoPoint(eps, None, None, sol.status, None, None), None))
             continue
         try:
             schedule, ev = accept(sol, model)
         except ValueError as exc:
             raise FrontError(f"{exc}; at eps={eps:g}") from None
-        attempts.append(ParetoPoint(eps, ev.z, ev.zz, sol.status, schedule, ev))
+        point = ParetoPoint(eps, ev.z, ev.zz, sol.status, schedule, ev)
         warm.append(sol.values)
         if ev.zz > eps + 1e-6:
             raise FrontError(
                 f"solution breaches its own cap at eps={eps:g}: zz={ev.zz:g}"
             )
-        if sol.status is SolveStatus.Optimal:
-            if last_optimal_z is not None and ev.z > last_optimal_z + 1e-6:
-                raise FrontError(
-                    f"cost rose from {last_optimal_z:g} to {ev.z:g} as the cap "
-                    f"loosened to {eps:g}"
-                )
-            last_optimal_z = ev.z
+        if sol.status is not SolveStatus.Optimal:
+            rows.append((point, None))
+            continue
+        if last is not None and ev.z < last[0].z - 1e-6:
+            raise FrontError(
+                f"cost fell from {last[0].z:g} to {ev.z:g} as the cap "
+                f"tightened to {eps:g}"
+            )
+        slack = GAP_TOLERANCE * max(1.0, abs(ev.z))
+        for k, (row, bound) in enumerate(rows):
+            if bound is not None and row.zz > ev.zz and ev.z - bound <= slack:
+                rows[k] = replace(point, epsilon=row.epsilon), bound
+        last = point, sol.bound
+        rows.append(last)
 
+    attempts = [row for row, _ in reversed(rows)]
     kept = filter_dominated(attempts)
     return ParetoFront(tuple(kept), tuple(attempts), table)
 

@@ -99,6 +99,17 @@ def test_registry_column_order_and_names(nine):
         reg.by_name("q_i1")
 
 
+def test_registry_builds_names_on_first_lookup(nine):
+    # decode reads blocks only, so a fresh registry holds no names until
+    # one is asked for; the first lookup builds them all
+    reg = build_registry(nine)
+    assert reg.n_columns == 187
+    assert reg.block("x").shape == (9, 2, 2)
+    assert "_names" not in vars(reg) and "_by_name" not in vars(reg)
+    assert reg.by_name("lc_i9_j2_m2") == reg.n_columns - 1
+    assert len(vars(reg)["_names"]) == reg.n_columns
+
+
 def test_registry_layout_ignores_orientation_mode(nine):
     free = build_model(nine)
     fixed = build_model(nine, fixed_orientation=True)

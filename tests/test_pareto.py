@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import printplan.pareto as pareto_module
 
-from printplan.datasets import random_instance
+from printplan.datasets import random_instance, with_machine_count
 from printplan.geometry import max_base_area
 from printplan.instance import MachineSpec, Part, ProblemInstance
 from printplan.oracle import brute_force
@@ -185,11 +185,19 @@ def test_filter_sweep_matches_pairwise_reference(points):
 # -------------------------------------------------------------- sweep
 
 
-def test_front_matches_oracle_on_seeded_instances():
-    for seed in (0, 4, 7):
+@pytest.fixture(scope="module")
+def seeded_fronts():
+    """Seed -> (K=8 front, brute-force result) on ``random_instance(seed)``."""
+    out = {}
+    for seed in range(10):
         inst = random_instance(seed)
-        front = pareto_front(inst, grid_count=8)
-        res = brute_force(inst)
+        out[seed] = (pareto_front(inst, grid_count=8), brute_force(inst))
+    return out
+
+
+def test_front_matches_oracle_on_seeded_instances(seeded_fronts):
+    for seed in (0, 4, 7):
+        front, res = seeded_fronts[seed]
         got = [(round(p.z, 6), round(p.zz, 6)) for p in front.points]
         want = [(round(p.z, 6), round(p.zz, 6)) for p in res.points]
         # the grid may skip interior steps narrower than its spacing,
@@ -197,6 +205,87 @@ def test_front_matches_oracle_on_seeded_instances():
         assert set(got) <= set(want)
         assert got[0] == want[0]
         assert got[-1] == want[-1]
+
+
+def test_every_row_is_the_constrained_optimum(seeded_fronts):
+    # bypassed and back-filled rows too: each row's z is the oracle's
+    # optimum under that row's cap, and its schedule keeps to the cap
+    # (absolute 1e-6, the front's cap check: the tightest cap is the
+    # area ideal, which evaluate recomputes with rounding)
+    for seed, (front, res) in seeded_fronts.items():
+        assert len(front.attempts) == 8
+        for row in front.attempts:
+            assert row.status is SolveStatus.Optimal, (seed, row.epsilon)
+            assert row.z == pytest.approx(res.constrained(row.epsilon).z, abs=1e-6), (seed, row.epsilon)
+            assert row.zz <= row.epsilon + 1e-6, (seed, row.epsilon)
+
+
+def _counting_solves(monkeypatch):
+    calls = []
+    real = pareto_module.solve_milp
+
+    def counted(model, **kwargs):
+        calls.append(model)
+        return real(model, **kwargs)
+
+    monkeypatch.setattr(pareto_module, "solve_milp", counted)
+    return calls
+
+
+def test_caps_an_earlier_optimum_fits_are_not_solved(monkeypatch, nine_parts):
+    # one-machine nine-part front: the loosest cap's optimum (z = 6) fits
+    # no tighter cap, and the next cap's (z = 16 at the area ideal) fits
+    # all eight tighter ones, so 2 of the 10 caps are solved after the 4
+    # payoff solves
+    calls = _counting_solves(monkeypatch)
+    front = pareto_front(with_machine_count(nine_parts, 1), grid_count=10)
+    assert len(calls) == 6
+    assert len(front.attempts) == 10
+    assert all(a.status is SolveStatus.Optimal for a in front.attempts)
+    assert [a.epsilon for a in front.attempts] == sorted(a.epsilon for a in front.attempts)
+    assert [(round(p.zz, 2), round(p.z, 6)) for p in front.points] == [(59987.46, 16.0), (122487.46, 6.0)]
+
+
+def test_looser_rows_take_a_tighter_optimum_with_less_area():
+    # random_instance(9), K = 10: the caps near 4,349.06 and 5,692.20 are
+    # bypassed by a z = 21.28 optimum wasting 3,156.89 mm2; the tighter
+    # cap's solve finds z = 21.28 at 2,173.39 mm2, which both rows take
+    front = pareto_front(random_instance(9), grid_count=10)
+    rows = {round(a.epsilon, 2): a for a in front.attempts}
+    for eps in (4349.06, 5692.2):
+        assert rows[eps].status is SolveStatus.Optimal
+        assert rows[eps].z == pytest.approx(21.28, abs=1e-6)
+        assert rows[eps].zz == pytest.approx(2173.39, abs=1e-6)
+        assert rows[eps].evaluation.zz == rows[eps].zz
+    # so the kept front holds no two points of the same cost
+    kept_z = [round(p.z, 6) for p in front.points]
+    assert len(set(kept_z)) == len(kept_z)
+
+
+@pytest.mark.parametrize("stopped", [5, 6], ids=["loosest", "second"])
+def test_time_limited_cap_feeds_no_bypass(monkeypatch, nine_parts, stopped):
+    # one capped solve stops at the time limit holding its incumbent: the
+    # loosest (the fifth call, after the four payoff solves), or the second,
+    # whose incumbent (z = 16) fits every tighter cap.  An unproven point
+    # skips nothing, so the next cap is solved, and the stopped row keeps
+    # its status
+    calls = _counting_solves(monkeypatch)
+    counted = pareto_module.solve_milp
+
+    def one_stopped(model, **kwargs):
+        sol = counted(model, **kwargs)
+        if len(calls) == stopped:
+            return replace(sol, status=SolveStatus.TimeLimit)
+        return sol
+
+    monkeypatch.setattr(pareto_module, "solve_milp", one_stopped)
+    front = pareto_front(with_machine_count(nine_parts, 1), grid_count=10)
+    row, next_cap = front.attempts[4 - stopped], front.attempts[3 - stopped]
+    assert row.status is SolveStatus.TimeLimit
+    assert calls[stopped].rows[-1].rhs == next_cap.epsilon
+    assert next_cap.status is SolveStatus.Optimal
+    assert len(calls) == stopped + 1
+    assert [a.status for a in front.attempts].count(SolveStatus.TimeLimit) == 1
 
 
 def test_front_invariants_hold():
