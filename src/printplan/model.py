@@ -149,9 +149,6 @@ class VariableRegistry:
     def name(self, column: int) -> str:
         return self._names[column]
 
-    def binary_columns(self) -> range:
-        return range(self.n_binaries)
-
 
 @dataclass(frozen=True)
 class Row:

@@ -76,13 +76,13 @@ class LpResult:
     objective: float | None
     x: np.ndarray
     iterations: int
-    basis: tuple[int, ...]
-    statuses: bytes
+    basis: np.ndarray  # int, one column per row
+    statuses: np.ndarray  # int8, one of AT_LO, AT_UP, BASIC per column
     binv: np.ndarray | None = None
 
     @property
-    def start(self) -> tuple[tuple[int, ...], bytes]:
-        """Opaque warm-start token for a subsequent solve."""
+    def start(self) -> tuple[np.ndarray, np.ndarray]:
+        """Opaque warm-start token for a subsequent solve; no solve changes it."""
         return (self.basis, self.statuses)
 
     @property
@@ -138,7 +138,7 @@ def solve_lp(
     lower,
     upper,
     *,
-    start: tuple[tuple[int, ...], bytes] | None = None,
+    start: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> LpResult:
     """Solve one LP over the rows that `prepare_rows` returned.
 
@@ -184,8 +184,8 @@ def solve_lp(
     if start is None:
         basis, sgn, values, binv = cold_state()
     else:
-        basis = np.array(start[0], dtype=int)
-        status = np.frombuffer(start[1], dtype=np.int8)
+        basis = np.array(start[0], dtype=int)  # a copy: the pivots rewrite it
+        status = start[1]
         if basis.shape[0] != m or status.shape[0] != total:
             raise ValueError("warm start does not match problem shape")
         # only finite bounds change between solves, so a nonbasic status
@@ -482,8 +482,8 @@ def _finish(status, objective, values, n, iterations, basis, sgn, binv=None):
         objective=objective,
         x=values[:n].copy(),
         iterations=iterations,
-        basis=tuple(basis.tolist()),
-        statuses=statuses.tobytes(),
+        basis=basis,
+        statuses=statuses,
         binv=binv,
     )
 

@@ -3,9 +3,10 @@
 Search order is best-first on the parent relaxation bound, with a
 depth-first plunge until the first incumbent so a feasible point shows
 up early.  Child nodes warm-start the simplex from the parent's final
-basis.  Branching fixes one fractional binary per node, preferring the
-part-to-job assignment variables, then job activations, then the
-orientation picks; within a family the most fractional value wins.
+basis.  A node is its box on the binary columns, the prefix
+``[:n_binaries]``.  Branching fixes the most fractional binary (the
+lowest column on ties) of the first column range that holds one: ``x``
+(assignments), ``y`` (activations), then ``b`` and ``f`` (orientations).
 
 Every new incumbent, a tree leaf or a ``warm_values`` seed, is polished
 first: its binaries are rounded, the LP is re-solved with them fixed, and
@@ -57,15 +58,22 @@ class MilpSolution:
     objective: float | None
     values: np.ndarray | None
     bound: float
-    gap: float
     node_count: int
+
+    @property
+    def gap(self) -> float:
+        """Relative distance from the objective down to the bound; inf without an objective."""
+        if self.objective is None:
+            return math.inf
+        return max((self.objective - self.bound) / max(1.0, abs(self.objective)), 0.0)
 
 
 @dataclass(order=True)
 class _Node:
     est: float
     neg_seq: int  # newer nodes first on bound ties, so plunges stay deep
-    fixings: dict[int, float] = field(compare=False)
+    lo: np.ndarray = field(compare=False)  # box on the binary prefix, unpropagated
+    up: np.ndarray = field(compare=False)
     start: tuple | None = field(compare=False, default=None)
 
 
@@ -74,16 +82,16 @@ class _Propagator:
 
     Classic interval propagation, vectorized over all rows at once: per
     row, the residual left after the other variables sit at their most
-    helpful bound caps each variable; binary bounds then round to
-    {0, 1}.  Detects many infeasible nodes outright and fixes implied
-    binaries, which keeps the tree small when a cap row (an epsilon cap,
-    say) is nearly tight.
+    helpful bound caps each variable; the bounds of the binaries, the
+    first ``n_bin`` columns, then round to {0, 1}.  Detects many
+    infeasible nodes outright and fixes implied binaries, which keeps the
+    tree small when a cap row (an epsilon cap, say) is nearly tight.
 
     Rows are kept as ``<=`` rows in coordinate form (``>=`` rows negated,
     ``=`` rows both ways); model rows hold a few nonzeros each.
     """
 
-    def __init__(self, a: np.ndarray, senses, rhs: np.ndarray, binary_cols):
+    def __init__(self, a: np.ndarray, senses, rhs: np.ndarray, n_bin: int):
         blocks = []
         rhs_blocks = []
         for sign, keep in ((1.0, ("<", "=")), (-1.0, (">", "="))):
@@ -98,8 +106,7 @@ class _Propagator:
         self.pos = self.val > 0
         self.rhs = np.concatenate(rhs_blocks) if rhs_blocks else np.zeros(0)
         self.rhs_scale = np.maximum(1.0, np.abs(self.rhs))
-        self.binary_mask = np.zeros(a.shape[1], dtype=bool)
-        self.binary_mask[list(binary_cols)] = True
+        self.n_bin = n_bin
 
     def run(self, lo: np.ndarray, up: np.ndarray) -> bool:
         if not self.active:
@@ -131,9 +138,9 @@ class _Propagator:
             np.maximum.at(lb_cand, col[~pos], cap[~pos])
             new_up = np.minimum(up, ub_cand)
             new_lo = np.maximum(lo, lb_cand)
-            bm = self.binary_mask
-            new_lo[bm & (new_lo > 1e-7)] = 1.0
-            new_up[bm & (new_up < 1.0 - 1e-7)] = 0.0
+            lo_bin, up_bin = new_lo[: self.n_bin], new_up[: self.n_bin]  # views
+            lo_bin[lo_bin > 1e-7] = 1.0
+            up_bin[up_bin < 1.0 - 1e-7] = 0.0
             if np.any(new_lo > new_up + 1e-9):
                 return False
             changed = np.any(new_up < up - 1e-12) or np.any(new_lo > lo + 1e-12)
@@ -171,32 +178,22 @@ def solve_milp(
     base_lo, base_up = np.zeros(reg.n_columns), model.upper
     cost = np.asarray(model.objective, dtype=float)
     n_bin = reg.n_binaries
-    binary_cols = reg.binary_columns()
-    # branching order: assignments, then activations, then b and f at one level
-    rank = np.full(n_bin, 2)
-    rank[reg.block("x")] = 0
-    rank[reg.block("y")] = 1
-    col_rank = rank.tolist()
-    x_cols = reg.block("x").ravel().tolist()
-    propagator = _Propagator(a, senses, rhs, binary_cols)
+    # branching levels: assignments, then activations, then b and f together
+    n_x, n_y = reg.block("x").size, reg.block("y").size
+    levels = (slice(0, n_x), slice(n_x, n_x + n_y), slice(n_x + n_y, n_bin))
+    propagator = _Propagator(a, senses, rhs, n_bin)
     rows = prepare_rows(a, senses, rhs)
 
-    def lp_solve(fixings: dict[int, float], start):
-        lo = base_lo.copy()
-        up = base_up.copy()
-        for col, val in fixings.items():
-            lo[col] = val
-            up[col] = val
-        plo = lo.copy()
-        pup = up.copy()
-        if not propagator.run(plo, pup):
+    def lp_solve(lo_bin: np.ndarray, up_bin: np.ndarray, start):
+        lo = np.concatenate((lo_bin, base_lo[n_bin:]))
+        up = np.concatenate((up_bin, base_up[n_bin:]))
+        if not propagator.run(lo, up):
             return None
         # keep only the binary tightenings for the LP: implied integer
         # fixings prune hard, while tightened continuous bounds mostly
         # wreck the warm-start basis for no bound gain
-        bm = propagator.binary_mask
-        lo[bm] = plo[bm]
-        up[bm] = pup[bm]
+        lo[n_bin:] = base_lo[n_bin:]
+        up[n_bin:] = base_up[n_bin:]
         return solve_lp(cost, rows, lo, up, start=start)
 
     def polish(binaries: np.ndarray, start) -> tuple[float, np.ndarray] | None:
@@ -206,12 +203,12 @@ def solve_milp(
         the fixed LP fails or its point is not feasible as it stands; see
         the module docstring for why every incumbent goes through here.
         """
-        res = lp_solve(dict(enumerate(binaries.tolist())), start)
+        res = lp_solve(binaries, binaries, start)
         if res is None or res.status is not LpStatus.OPTIMAL:
             return None
         values = res.x.copy()
         values[:n_bin] = binaries
-        if not _is_feasible(values, a, senses, rhs, base_lo, base_up, binary_cols):
+        if not _is_feasible(values, a, senses, rhs, base_lo, base_up, n_bin):
             return None
         return float(cost @ values), values
 
@@ -247,27 +244,17 @@ def solve_milp(
             # lowest column on ties so placements concentrate in one job
             best = None
             best_v = -1.0
-            for col in x_cols:
+            for col in range(n_x):
                 v = x[col]
                 if min(v, 1.0 - v) > INTEGRALITY_TOLERANCE and v > best_v + 1e-12:
                     best_v = v
                     best = col
             if best is not None:
                 return best, True
-        best = None
-        best_key = None
-        for col in binary_cols:
-            v = x[col]
-            frac = min(v, 1.0 - v)
-            if frac <= INTEGRALITY_TOLERANCE:
-                continue
-            key = (col_rank[col], -frac, col)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = col
-        if best is None:
+        col = _branch_column(x, levels)
+        if col is None:
             return None
-        return best, x[best] >= 0.5
+        return col, x[col] >= 0.5
 
     def least_integral(x: np.ndarray) -> tuple[int, bool] | None:
         # every binary is within INTEGRALITY_TOLERANCE here; branching on the worst one
@@ -285,13 +272,13 @@ def solve_milp(
 
     def process(node: _Node) -> list[_Node]:
         nonlocal node_count
-        res = lp_solve(node.fixings, node.start)
+        res = lp_solve(node.lo, node.up, node.start)
         node_count += 1
         if res is None or res.status is LpStatus.INFEASIBLE:
             return []
         if res.status is LpStatus.UNBOUNDED:
             raise RuntimeError("LP relaxation unbounded; model is missing a bound")
-        bound = max(res.objective, node.est) if math.isfinite(node.est) else res.objective
+        bound = max(res.objective, node.est)
         if bound >= cutoff():
             return []
         picked = pick_branch(res.x, dive=incumbent_obj is None)
@@ -307,10 +294,9 @@ def solve_milp(
             if picked is None:
                 return []
         col, prefer_high = picked
-        children = [
-            _Node(est=bound, neg_seq=-next(seq), fixings={**node.fixings, col: val}, start=res.start)
-            for val in (0.0, 1.0)
-        ]
+        children = [_Node(bound, -next(seq), node.lo.copy(), node.up.copy(), res.start) for _ in range(2)]
+        for val, child in zip((0.0, 1.0), children):
+            child.lo[col] = child.up[col] = val
         if prefer_high:
             children.reverse()  # preferred side first in the list
         # the first child is processed next (plunge): hand it the basis
@@ -321,7 +307,7 @@ def solve_milp(
     # best-first on the bound, newest node on ties, and every popped node
     # is plunged: its preferred child chain runs to a leaf while the
     # siblings are parked, so incumbents keep turning up
-    heap = [_Node(est=-math.inf, neg_seq=-next(seq), fixings={})]
+    heap = [_Node(-math.inf, -next(seq), base_lo[:n_bin].copy(), base_up[:n_bin].copy())]
     timed_out = False
     while heap and not timed_out:
         node = heapq.heappop(heap)
@@ -341,20 +327,30 @@ def solve_milp(
     best_open = min((n.est for n in heap), default=math.inf)
     if incumbent_obj is None:
         status = SolveStatus.TimeLimit if timed_out else SolveStatus.Infeasible
-        return MilpSolution(status, None, None, best_open, math.inf, node_count)
-    bound = min(best_open, incumbent_obj)
-    gap = max((incumbent_obj - bound) / max(1.0, abs(incumbent_obj)), 0.0)
+        return MilpSolution(status, None, None, best_open, node_count)
     status = SolveStatus.TimeLimit if timed_out else SolveStatus.Optimal
-    return MilpSolution(status, incumbent_obj, incumbent_x, bound, gap, node_count)
+    return MilpSolution(status, incumbent_obj, incumbent_x, min(best_open, incumbent_obj), node_count)
 
 
-def _is_feasible(values, a, senses, rhs, lo, up, binary_cols) -> bool:
+def _branch_column(x: np.ndarray, levels: tuple[slice, ...]) -> int | None:
+    """First level with a fractional binary, its most fractional one, then
+    the lowest column (``argmax`` takes the first maximum); None if none."""
+    for level in levels:
+        frac = np.minimum(x[level], 1.0 - x[level])
+        if frac.size:
+            k = int(np.argmax(frac))
+            if frac[k] > INTEGRALITY_TOLERANCE:
+                return level.start + k
+    return None
+
+
+def _is_feasible(values, a, senses, rhs, lo, up, n_bin) -> bool:
     """Finite, within bounds, binaries integral, rows held within 1e-6 * max(1, |rhs|)."""
     if not np.isfinite(values).all():
         return False
     if np.any(values < lo - 1e-9) or np.any(values > up + 1e-9):
         return False
-    binaries = values[binary_cols]
+    binaries = values[:n_bin]
     if np.any(np.minimum(binaries, 1.0 - binaries) > INTEGRALITY_TOLERANCE):
         return False
     gap = a @ values - rhs
@@ -389,11 +385,11 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
     except ValueError:
         raise ValueError(f"unknown status {head[0]!r}") from None
     if status is SolveStatus.Infeasible:
-        return MilpSolution(status, None, None, math.inf, math.inf, 0)
+        return MilpSolution(status, None, None, math.inf, 0)
     if len(head) == 1:
         if status is not SolveStatus.TimeLimit:
             raise ValueError("header must be 'STATUS objective'")
-        return MilpSolution(status, None, None, -math.inf, math.inf, 0)
+        return MilpSolution(status, None, None, -math.inf, 0)
     objective = _finite(head[1], "objective")
     values = np.zeros(model.registry.n_columns)
     listed = set()
@@ -407,8 +403,7 @@ def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:
         listed.add(col)
         values[col] = _finite(fields[1], f"value for {fields[0]}:")
     bound = objective if status is SolveStatus.Optimal else -math.inf
-    gap = 0.0 if status is SolveStatus.Optimal else math.inf
-    return MilpSolution(status, objective, values, bound, gap, 0)
+    return MilpSolution(status, objective, values, bound, 0)
 
 
 def _finite(token: str, what: str) -> float:

@@ -318,7 +318,7 @@ def test_criterion_6_study_scale_routes_to_the_external_solver_path(tmp_path):
     """
     full = part_prefix(with_machine_count(load_builtin("twenty_parts"), 1), 20)
     model = build_model(full, Objective.Z)
-    assert len(model.registry.binary_columns()) == 460  # far above the 120 cutoff
+    assert model.registry.n_binaries == 460  # far above the 120 cutoff
 
     runner = CliRunner()
     result = runner.invoke(

@@ -489,7 +489,7 @@ def test_external_solution_failing_check_feasible_exits_2(runner, tmp_path):
 
 def test_external_time_limit_without_values_exits_4(runner, tmp_path):
     model = build_model(random_instance(1), Objective.Z)
-    empty = MilpSolution(SolveStatus.TimeLimit, None, None, -math.inf, math.inf, 0)
+    empty = MilpSolution(SolveStatus.TimeLimit, None, None, -math.inf, 0)
     (tmp_path / "model.sol").write_text(write_solution(empty, model))
     result = runner.invoke(
         main,

@@ -181,7 +181,7 @@ def test_utilization_identity_on_random_instances():
 
 
 def integral_solution(values: np.ndarray) -> MilpSolution:
-    return MilpSolution(SolveStatus.Optimal, 0.0, values, 0.0, 0.0, 0)
+    return MilpSolution(SolveStatus.Optimal, 0.0, values, 0.0, 0)
 
 
 def test_decode_one_part_solve():
@@ -271,7 +271,7 @@ def test_decode_maps_tip_binaries_to_orientations():
 
 def test_decode_requires_values():
     inst = one_part_instance()
-    sol = MilpSolution(SolveStatus.Infeasible, None, None, 0.0, float("inf"), 0)
+    sol = MilpSolution(SolveStatus.Infeasible, None, None, 0.0, 0)
     with pytest.raises(ValueError, match="no values"):
         decode(sol, inst)
 

@@ -168,6 +168,21 @@ def test_warm_start_after_bound_change():
         assert (again.status, again.objective) == (warm.status, warm.objective)
 
 
+def test_warm_solve_leaves_its_token_unchanged():
+    # a token is arrays, which a solve could write through; both children
+    # of a branch-and-bound node start from their parent's token
+    c = [-1, -2, 0.5]
+    rows = prepare_rows([[1, 1, 1], [2, 1, 0]], "<<", [4, 5])
+    cold = solve_lp(c, rows, [0.0, 0.0, 0.0], [3.0, 2.0, 1.0])
+    assert cold.basis.dtype.kind == "i" and cold.statuses.dtype == np.int8
+    for start in (cold.start, cold.start_with_binv):
+        kept = [part.copy() for part in start]
+        warm = solve_lp(c, rows, [1.0, 0.0, 0.0], [1.0, 2.0, 1.0], start=start)
+        assert warm.status is LpStatus.OPTIMAL and warm.iterations > 0
+        for part, copy in zip(start, kept):
+            np.testing.assert_array_equal(part, copy)
+
+
 # fixed columns: lo == up, so they cannot move and are never priced
 
 

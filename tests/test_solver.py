@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from printplan import solver as solver_module
-from printplan.datasets import load_builtin, random_instance
+from printplan.datasets import load_builtin, random_instance, with_machine_count
 from printplan.evaluate import accept, decode, evaluate
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance
 from printplan.model import Objective, build_model, compute_big_m, inject_epsilon
@@ -20,6 +20,7 @@ from printplan.solver import (
     INTEGRALITY_TOLERANCE,
     MilpSolution,
     SolveStatus,
+    _branch_column,
     _Propagator,
     _is_feasible,
     parse_external_solution,
@@ -124,7 +125,7 @@ def test_non_finite_warm_vector_is_skipped(bad):
     seed[0] = bad
     a, senses, rhs = model.dense_rows()
     lo, up = np.zeros(model.registry.n_columns), model.upper
-    assert not _is_feasible(seed, a, senses, rhs, lo, up, model.registry.binary_columns())
+    assert not _is_feasible(seed, a, senses, rhs, lo, up, model.registry.n_binaries)
     sol = solve_milp(model, warm_values=[seed])
     assert sol.status is SolveStatus.Optimal
     assert sol.objective == pytest.approx(exact.objective, abs=1e-9)
@@ -153,7 +154,7 @@ def test_warm_vector_leaking_through_big_m_rows_is_polished():
             leaky[col] -= drop
     a, senses, rhs = model.dense_rows()
     lo, up = np.zeros(reg.n_columns), model.upper
-    assert _is_feasible(leaky, a, senses, rhs, lo, up, reg.binary_columns())
+    assert _is_feasible(leaky, a, senses, rhs, lo, up, reg.n_binaries)
     assert model.objective @ leaky < exact.objective - 1e-7
 
     sol = solve_milp(model, warm_values=[leaky])
@@ -169,8 +170,8 @@ def test_warm_seed_is_read_only_at_its_binaries():
     model = build_model(random_instance(1), Objective.Z)
     cold = solve_milp(model)
     seed = np.zeros(model.registry.n_columns)
-    bins = model.registry.binary_columns()
-    seed[bins] = cold.values[bins]
+    n_bin = model.registry.n_binaries
+    seed[:n_bin] = cold.values[:n_bin]
     seeded = solve_milp(model, warm_values=[seed])
     assert seeded.status is SolveStatus.Optimal
     assert seeded.objective == pytest.approx(cold.objective, abs=1e-9)
@@ -211,7 +212,7 @@ def test_rejected_leaf_polish_branches_on_the_near_integral_binary(monkeypatch):
     # proves the cold optimum
     model = build_model(tiny_instance(), Objective.Z)
     cold = solve_milp(model)
-    bins = np.asarray(model.registry.binary_columns())
+    bins = np.arange(model.registry.n_binaries)
     real_lp = solver_module.solve_lp
     real_gate = solver_module._is_feasible
     state = {"nudged": None, "rejected": False, "after_reject": None}
@@ -245,6 +246,36 @@ def test_rejected_leaf_polish_branches_on_the_near_integral_binary(monkeypatch):
     assert sol.node_count > cold.node_count
 
 
+def test_zero_part_model_is_solved_at_the_root():
+    # no part, so no x column: the first branching level is an empty range
+    inst = ProblemInstance(machines=tiny_instance().machines, parts=())
+    for objective in (Objective.Z, Objective.ZZ):
+        model = build_model(inst, objective)
+        assert model.registry.block("x").size == 0
+        sol = solve_milp(model)
+        assert sol.status is SolveStatus.Optimal
+        assert sol.objective == pytest.approx(0.0, abs=1e-9)
+        assert sol.node_count == 1
+
+
+def test_cold_solves_keep_their_trees(nine_parts):
+    """Node counts of cheap cold solves, pinned.
+
+    Branching order, propagation and the warm-start hand-off between
+    nodes all show in these counts.  A change that means to change trees
+    re-pins them here and says so in CHANGES.md.
+    """
+    one_machine = with_machine_count(nine_parts, 1)
+    assert [
+        solve_milp(build_model(one_machine, objective)).node_count
+        for objective in (Objective.Z, Objective.ZZ)
+    ] == [115, 10]
+    assert [
+        solve_milp(build_model(random_instance(seed), Objective.Z)).node_count
+        for seed in range(6)
+    ] == [32, 4, 3, 1, 11, 15]
+
+
 def test_epsilon_cap_binds():
     inst = random_instance(0)
     free = solve_milp(build_model(inst, Objective.ZZ))
@@ -271,13 +302,50 @@ def test_large_horizon_optimum_matches_oracle():
         assert abs(sol.objective - best) <= GAP_TOLERANCE * max(1.0, abs(best)), layer_time
 
 
+# branching rule
+
+
+def _reference_branch_column(x, n_x, n_y, n_bin):
+    # the per-binary loop that _branch_column replaced: rank 0 for x,
+    # 1 for y, 2 for b and f; lowest rank, then most fractional, then
+    # lowest column
+    rank = np.full(n_bin, 2)
+    rank[:n_x] = 0
+    rank[n_x:n_x + n_y] = 1
+    best, best_key = None, None
+    for col in range(n_bin):
+        v = x[col]
+        frac = min(v, 1.0 - v)
+        if frac <= INTEGRALITY_TOLERANCE:
+            continue
+        key = (rank[col], -frac, col)
+        if best_key is None or key < best_key:
+            best_key, best = key, col
+    return best
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 4), st.integers(0, 6), st.data())
+def test_branch_column_matches_rank_loop_reference(n_x, n_y, n_bf, data):
+    # a small value set forces ties in fractionality, within a level and
+    # across levels, and values at the integrality tolerance
+    value = st.sampled_from(
+        [0.0, 1.0, 0.5, 0.25, 0.75, 0.3, 0.7, 1e-6, 1.0 - 1e-6, 2e-6, 1.0 - 2e-6, 5e-7]
+    ) | st.floats(0.0, 1.0)
+    n_bin = n_x + n_y + n_bf
+    binaries = data.draw(st.lists(value, min_size=n_bin, max_size=n_bin))
+    x = np.array(binaries + [0.5, 2.5])  # continuous columns follow the prefix
+    levels = (slice(0, n_x), slice(n_x, n_x + n_y), slice(n_x + n_y, n_bin))
+    assert _branch_column(x, levels) == _reference_branch_column(x, n_x, n_y, n_bin)
+
+
 # bound propagation
 
 
 def test_propagator_fixes_implied_binary():
     # x1 + x2 <= 1 with x1 forced on leaves no room for x2
     a = np.array([[1.0, 1.0]])
-    prop = _Propagator(a, ["<"], np.array([1.0]), [0, 1])
+    prop = _Propagator(a, ["<"], np.array([1.0]), 2)
     lo = np.array([1.0, 0.0])
     up = np.array([1.0, 1.0])
     assert prop.run(lo, up)
@@ -286,7 +354,7 @@ def test_propagator_fixes_implied_binary():
 
 def test_propagator_detects_infeasible_row():
     a = np.array([[1.0, 1.0]])
-    prop = _Propagator(a, ["<"], np.array([1.0]), [0, 1])
+    prop = _Propagator(a, ["<"], np.array([1.0]), 2)
     lo = np.array([1.0, 1.0])
     up = np.array([1.0, 1.0])
     assert not prop.run(lo, up)
@@ -295,7 +363,7 @@ def test_propagator_detects_infeasible_row():
 def test_propagator_raises_lower_bounds_through_equalities():
     # x1 + x2 = 2 with unit boxes forces both to one
     a = np.array([[1.0, 1.0]])
-    prop = _Propagator(a, ["="], np.array([2.0]), [0, 1])
+    prop = _Propagator(a, ["="], np.array([2.0]), 2)
     lo = np.array([0.0, 0.0])
     up = np.array([1.0, 1.0])
     assert prop.run(lo, up)
@@ -305,7 +373,7 @@ def test_propagator_raises_lower_bounds_through_equalities():
 def test_propagator_tolerates_infinite_bounds():
     # x1 - x2 <= 0 with x2 unbounded must not poison other columns
     a = np.array([[1.0, -1.0], [1.0, 0.0]])
-    prop = _Propagator(a, ["<", "<"], np.array([0.0, 5.0]), [])
+    prop = _Propagator(a, ["<", "<"], np.array([0.0, 5.0]), 0)
     lo = np.array([0.0, 0.0])
     up = np.array([np.inf, np.inf])
     assert prop.run(lo, up)
@@ -371,28 +439,27 @@ def propagation_rows(draw):
             a[r, c] = draw(coef) * draw(st.sampled_from([1.0, -1.0]))
     senses = [draw(st.sampled_from("<=>")) for _ in range(m)]
     rhs = np.array([draw(st.floats(min_value=-20.0, max_value=40.0)) for _ in range(m)])
-    binary = sorted(draw(st.sets(st.integers(0, n - 1))))
+    n_bin = draw(st.integers(0, n))  # the binaries are a column prefix
     lo = np.zeros(n)
     up = np.ones(n)
-    for c in range(n):
-        if c not in binary:
-            lo[c] = draw(st.sampled_from([-np.inf, -5.0, 0.0, 0.0]))
-            up[c] = draw(st.sampled_from([np.inf, np.inf, 3.0, 50.0]))
-    return a, senses, rhs, binary, lo, up
+    for c in range(n_bin, n):
+        lo[c] = draw(st.sampled_from([-np.inf, -5.0, 0.0, 0.0]))
+        up[c] = draw(st.sampled_from([np.inf, np.inf, 3.0, 50.0]))
+    return a, senses, rhs, n_bin, lo, up
 
 
 @settings(max_examples=400, deadline=None)
 @given(propagation_rows())
 def test_sparse_propagator_matches_dense_reference(case):
-    a, senses, rhs, binary, lo, up = case
+    a, senses, rhs, n_bin, lo, up = case
     ref_lo, ref_up = lo.copy(), up.copy()
-    ref_ok = _reference_propagate(a, senses, rhs, binary, ref_lo, ref_up)
-    ok = _Propagator(a, senses, rhs, binary).run(lo, up)
+    ref_ok = _reference_propagate(a, senses, rhs, range(n_bin), ref_lo, ref_up)
+    ok = _Propagator(a, senses, rhs, n_bin).run(lo, up)
     assert ok == ref_ok
     if not ok:
         return
-    assert np.array_equal(lo[binary], ref_lo[binary])
-    assert np.array_equal(up[binary], ref_up[binary])
+    assert np.array_equal(lo[:n_bin], ref_lo[:n_bin])
+    assert np.array_equal(up[:n_bin], ref_up[:n_bin])
     for got, want in ((lo, ref_lo), (up, ref_up)):
         finite = np.isfinite(want)
         assert np.array_equal(got[~finite], want[~finite])
@@ -423,21 +490,21 @@ def _reference_is_feasible(values, a, senses, rhs, lo, up, binary_cols, int_tol=
 def feasibility_cases(draw):
     # values at, inside and just past the bound and integrality tolerances,
     # and right-hand sides at, inside and just past the row tolerance
-    a, senses, _, binary, lo, up = draw(propagation_rows())
+    a, senses, _, n_bin, lo, up = draw(propagation_rows())
     near = st.sampled_from([0.0, 1.0, 5e-7, 2e-6, 1.0 - 5e-7, 1.0 - 2e-6, 0.5, -5e-10, -2e-9, 3.0, 50.0 + 2e-9])
     values = np.array([draw(near) for _ in range(a.shape[1])])
     offset = st.sampled_from([0.0, 5e-7, -5e-7, 1e-6, -1e-6, 2e-6, -2e-6, 1.0, -1.0])
     lhs = a @ values
     rhs = np.array([v + draw(offset) * max(1.0, abs(v)) for v in lhs])
-    return values, a, senses, rhs, lo, up, binary
+    return values, a, senses, rhs, lo, up, n_bin
 
 
 @settings(max_examples=400, deadline=None)
 @given(feasibility_cases())
 def test_vector_feasibility_check_matches_loop_reference(case):
-    values, a, senses, rhs, lo, up, binary = case
-    assert _is_feasible(values, a, senses, rhs, lo, up, binary) == _reference_is_feasible(
-        values, a, senses, rhs, lo, up, binary
+    values, a, senses, rhs, lo, up, n_bin = case
+    assert _is_feasible(values, a, senses, rhs, lo, up, n_bin) == _reference_is_feasible(
+        values, a, senses, rhs, lo, up, range(n_bin)
     )
 
 
@@ -528,14 +595,14 @@ def test_parse_infeasible_has_no_values():
 
 def test_write_solution_without_values():
     model = build_model(tiny_instance(), Objective.Z)
-    empty = MilpSolution(SolveStatus.TimeLimit, None, None, -np.inf, np.inf, 0)
+    empty = MilpSolution(SolveStatus.TimeLimit, None, None, -np.inf, 0)
     assert write_solution(empty, model) == "TIME_LIMIT\n"
 
 
 @pytest.mark.parametrize("status", [SolveStatus.TimeLimit, SolveStatus.Infeasible])
 def test_solution_without_values_round_trip(status):
     model = build_model(tiny_instance(), Objective.Z)
-    empty = MilpSolution(status, None, None, -np.inf, np.inf, 0)
+    empty = MilpSolution(status, None, None, -np.inf, 0)
     back = parse_external_solution(write_solution(empty, model), model)
     assert back.status is status
     assert back.objective is None and back.values is None
