@@ -32,7 +32,7 @@ from .evaluate import accept, write_csv as _write_rows, write_schedule_csv
 from .instance import InstanceError, ProblemInstance, instance_hash, load_instance, validate
 from .model import Objective, build_model, write_lp
 from .pareto import FrontError, pareto_front, write_front_csv, write_front_gnuplot
-from .solver import SolveStatus, parse_external_solution, solve_milp
+from .solver import SolveStatus, gap_slack, parse_external_solution, solve_milp
 
 EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
@@ -435,7 +435,7 @@ def _check_sweep_dominance(parameter: str, rows) -> None:
         for pairs in by_scenario.values():
             pairs.sort()
             for (v1, z1), (v2, z2) in zip(pairs, pairs[1:]):
-                if z2 > z1 + 1e-6 * max(1.0, abs(z1)):
+                if z2 > z1 + gap_slack(z1):
                     raise click.ClickException(
                         f"larger plate area worsened the optimum: z({v2:g})={z2:.6f} "
                         f"exceeds z({v1:g})={z1:.6f}"
@@ -444,7 +444,7 @@ def _check_sweep_dominance(parameter: str, rows) -> None:
     free = {value: z for p, value, s, z, st in rows if s == "free_orientation" and st == "optimal" and z != ""}
     fixed = {value: z for p, value, s, z, st in rows if s == "fixed_orientation" and st == "optimal" and z != ""}
     for value in free.keys() & fixed.keys():
-        if float(free[value]) > float(fixed[value]) + 1e-6 * max(1.0, abs(float(fixed[value]))):
+        if float(free[value]) > float(fixed[value]) + gap_slack(float(fixed[value])):
             raise click.ClickException(
                 f"restriction dominance violated at {parameter}={value}: "
                 f"free {free[value]} exceeds fixed {fixed[value]}"

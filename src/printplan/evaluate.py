@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .geometry import Orientation, OrientationKind, orientation_for, volume_mm3
+from .geometry import Orientation, orientations, volume_mm3
 from .instance import ProblemInstance
 from .model import MilpModel, Objective, build_registry
 from .solver import MilpSolution
@@ -131,15 +131,10 @@ def decode(solution: MilpSolution, instance: ProblemInstance) -> Schedule:
             raise ValueError(f"part assigned more than once: {part.id} ({where})")
         if tipped_b[i] and tipped_f[i]:
             raise ValueError(f"orientation conflict for part {part.id}: both tip flags set")
-        kind = (
-            OrientationKind.LENGTH_UP
-            if tipped_b[i]
-            else OrientationKind.WIDTH_UP
-            if tipped_f[i]
-            else OrientationKind.FLAT
-        )
+        flat, lup, wup = orientations(part)
         j, m = slots[0]
-        placements.append(Placement(part.id, machines[m].id, j + 1, orientation_for(part, kind)))
+        pose = lup if tipped_b[i] else wup if tipped_f[i] else flat
+        placements.append(Placement(part.id, machines[m].id, j + 1, pose))
 
     activated = frozenset(
         (machines[m].id, j + 1) for j, m in np.argwhere(values[reg.block("y")] >= 1.0 - TOL).tolist()

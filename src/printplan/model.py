@@ -263,32 +263,33 @@ def build_model(
     for i in range(n):
         add(f"ori_i{i + 1}", {b[i]: 1.0, f[i]: 1.0}, "<", 1.0)
 
-    # chosen height: h flat, l length-up, w width-up
-    for i in range(n):
-        p = parts[i]
+    # chosen height: h flat, l length-up (b), w width-up (f)
+    poses = [geometry.orientations(p) for p in parts]  # (flat, length-up, width-up)
+    for i, (flat, lup, wup) in enumerate(poses):
         add(
             f"hdef_i{i + 1}",
-            {ph[i]: 1.0, b[i]: p.height_mm - p.length_mm, f[i]: p.height_mm - p.width_mm},
+            {ph[i]: 1.0, b[i]: flat.height_mm - lup.height_mm, f[i]: flat.height_mm - wup.height_mm},
             "=",
-            p.height_mm,
+            flat.height_mm,
         )
 
     # chosen footprint: l*w flat, w*h length-up, h*l width-up
-    for i in range(n):
-        p = parts[i]
-        lw = p.length_mm * p.width_mm
+    for i, (flat, lup, wup) in enumerate(poses):
         add(
             f"adef_i{i + 1}",
-            {pa[i]: 1.0, b[i]: lw - p.width_mm * p.height_mm, f[i]: lw - p.height_mm * p.length_mm},
+            {
+                pa[i]: 1.0,
+                b[i]: flat.base_area_mm2 - lup.base_area_mm2,
+                f[i]: flat.base_area_mm2 - wup.base_area_mm2,
+            },
             "=",
-            lw,
+            flat.base_area_mm2,
         )
 
     # chosen height fits the assigned machine's build height; parts on
-    # other machines get slack up to their own tallest dimension
-    for i in range(n):
-        p = parts[i]
-        tallest = max(p.width_mm, p.length_mm, p.height_mm)
+    # other machines get slack up to their own tallest pose
+    for i, pose in enumerate(poses):
+        tallest = max(o.height_mm for o in pose)
         for m in range(n_m):
             slack = max(0.0, tallest - machines[m].height_mm)
             coeffs = {ph[i]: 1.0}

@@ -17,7 +17,7 @@ import numpy as np
 from .evaluate import Evaluation, Schedule, accept, evaluate, write_csv, write_schedule_csv
 from .instance import ProblemInstance
 from .model import MilpModel, Objective, build_model, cap_objective, inject_epsilon
-from .solver import GAP_TOLERANCE, MilpSolution, SolveStatus, solve_milp
+from .solver import MilpSolution, SolveStatus, gap_slack, solve_milp
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,6 @@ class FrontError(RuntimeError):
         self.status = status
 
 
-def _refinement_margin(value: float) -> float:
-    return 1e-6 * max(1.0, abs(value))
-
-
 def _require_optimal(solution: MilpSolution, model: MilpModel, what: str) -> MilpSolution:
     """The solution if proven optimal and accepted; the payoff table holds only optima."""
     if solution.status is SolveStatus.Infeasible:
@@ -104,13 +100,13 @@ def _payoff_with_seeds(
 
     # among cost-optimal solutions, the one wasting least area; and among
     # area-optimal solutions, the cheapest: those are the nadir estimates
-    capped_zz = cap_objective(model_zz, Objective.Z, z_ideal + _refinement_margin(z_ideal))
+    capped_zz = cap_objective(model_zz, Objective.Z, z_ideal + gap_slack(z_ideal))
     ref_z = _require_optimal(
         solve_milp(capped_zz, time_limit_s=time_limit_s, warm_values=[sol_z.values]),
         capped_zz,
         "payoff: refine the cost-optimal corner",
     )
-    capped_z = cap_objective(model_z, Objective.ZZ, zz_ideal + _refinement_margin(zz_ideal))
+    capped_z = cap_objective(model_z, Objective.ZZ, zz_ideal + gap_slack(zz_ideal))
     ref_zz = _require_optimal(
         solve_milp(capped_z, time_limit_s=time_limit_s, warm_values=[sol_zz.values]),
         capped_z,
@@ -195,7 +191,7 @@ def pareto_front(
     exactly) is not solved: its feasible set lies inside the looser cap's,
     so P is optimal there too and the row is P at that cap.  After each
     optimal solve, every looser optimal row with a larger zz takes the new
-    point when its z is within ``GAP_TOLERANCE`` of that row's proven
+    point when its z is within `gap_slack` of that row's proven
     bound, so a row never reports a weakly efficient optimum that a
     tighter cap improved on.  Time-limited attempts are flagged in the log
     rather than dropped, infeasible caps appear the same way, and neither
@@ -248,9 +244,8 @@ def pareto_front(
                 f"cost fell from {last[0].z:g} to {ev.z:g} as the cap "
                 f"tightened to {eps:g}"
             )
-        slack = GAP_TOLERANCE * max(1.0, abs(ev.z))
         for k, (row, bound) in enumerate(rows):
-            if bound is not None and row.zz > ev.zz and ev.z - bound <= slack:
+            if bound is not None and row.zz > ev.zz and ev.z - bound <= gap_slack(ev.z):
                 rows[k] = replace(point, epsilon=row.epsilon), bound
         last = point, sol.bound
         rows.append(last)

@@ -4,21 +4,32 @@ Search order is best-first on the parent relaxation bound, with a
 depth-first plunge until the first incumbent so a feasible point shows
 up early.  Child nodes warm-start the simplex from the parent's final
 basis.  A node is its box on the binary columns, the prefix
-``[:n_binaries]``.  Branching fixes the most fractional binary (the
-lowest column on ties) of the first column range that holds one: ``x``
-(assignments), ``y`` (activations), then ``b`` and ``f`` (orientations).
+``[:n_binaries]``.
 
-Every new incumbent, a tree leaf or a ``warm_values`` seed, is polished
-first: its binaries are rounded, the LP is re-solved with them fixed, and
-the result counts only if it is feasible as it stands.  A point whose
-binaries are merely within tolerance of integral can otherwise sit below
-any objective its decisions attain, by up to big-M times the tolerance.
-The fixed LP recomputes every other column, so a seed is its binaries.
+Branching is two array rules over that prefix.  Until the first
+incumbent, a node dives: it fixes to one the largest fractional
+assignment, the lowest column among those within 1e-12 of it.
+Otherwise it fixes the most fractional binary (the lowest column on
+ties) of the first column range that holds one: ``x`` (assignments),
+``y`` (activations), then ``b`` and ``f`` (orientations).  A leaf, a
+node whose binaries are all within the integrality tolerance, is
+polished; if the polished point is rejected or sits above the node's
+bound, the same range rule with tolerance 0 splits the node on a binary
+that is not exactly integral, which keeps every integral point under it.
+
+There is one incumbent path.  A tree leaf or a ``warm_values`` seed is
+polished: its binaries are rounded, the LP is re-solved with them fixed,
+and the result counts only if it is feasible as it stands and cheaper by
+more than 1e-12.  A point whose binaries are merely within tolerance of
+integral can otherwise sit below any objective its decisions attain, by
+up to big-M times the tolerance.  The fixed LP recomputes every other
+column, so a seed is its binaries.  Each new incumbent sets the cutoff,
+its objective less `gap_slack`.
 
 ``Optimal`` means proven: no open node's bound is below the incumbent by
-more than ``GAP_TOLERANCE`` (1e-6 relative), a constant, not a setting.
-The one early stop is the time limit, reported as ``TimeLimit`` with the
-best open bound.
+more than `gap_slack` (``GAP_TOLERANCE``, 1e-6 relative), a constant,
+not a setting.  The one early stop is the time limit, reported as
+``TimeLimit`` with the best open bound.
 """
 
 from __future__ import annotations
@@ -50,6 +61,11 @@ INTEGRALITY_TOLERANCE = 1e-6
 GAP_TOLERANCE = 1e-6
 # bound-propagation sweeps over all rows per node, at most
 _PROPAGATION_PASSES = 4
+
+
+def gap_slack(value: float) -> float:
+    """How far a value may sit above a proven bound and still count as within the gap."""
+    return GAP_TOLERANCE * max(1.0, abs(value))
 
 
 @dataclass
@@ -92,25 +108,17 @@ class _Propagator:
     """
 
     def __init__(self, a: np.ndarray, senses, rhs: np.ndarray, n_bin: int):
-        blocks = []
-        rhs_blocks = []
-        for sign, keep in ((1.0, ("<", "=")), (-1.0, (">", "="))):
-            mask = np.array([s in keep for s in senses], dtype=bool)
-            if mask.any():
-                blocks.append(sign * a[mask])
-                rhs_blocks.append(sign * rhs[mask])
-        stacked = np.vstack(blocks) if blocks else np.zeros((0, a.shape[1]))
-        self.active = stacked.size > 0
+        sense = np.array(list(senses))
+        le, ge = sense != ">", sense != "<"
+        stacked = np.vstack((a[le], -a[ge]))
         self.row, self.col = np.nonzero(stacked)
         self.val = stacked[self.row, self.col]
         self.pos = self.val > 0
-        self.rhs = np.concatenate(rhs_blocks) if rhs_blocks else np.zeros(0)
+        self.rhs = np.concatenate((rhs[le], -rhs[ge]))
         self.rhs_scale = np.maximum(1.0, np.abs(self.rhs))
         self.n_bin = n_bin
 
     def run(self, lo: np.ndarray, up: np.ndarray) -> bool:
-        if not self.active:
-            return True
         tol = 1e-7
         row, col, val, pos = self.row, self.col, self.val, self.pos
         n_rows = self.rhs.shape[0]
@@ -196,35 +204,34 @@ def solve_milp(
         up[n_bin:] = base_up[n_bin:]
         return solve_lp(cost, rows, lo, up, start=start)
 
-    def polish(binaries: np.ndarray, start) -> tuple[float, np.ndarray] | None:
-        """(objective, values) with the binary columns fixed at ``binaries``.
-
-        ``binaries`` holds one rounded value per binary column.  None if
-        the fixed LP fails or its point is not feasible as it stands; see
-        the module docstring for why every incumbent goes through here.
-        """
-        res = lp_solve(binaries, binaries, start)
-        if res is None or res.status is not LpStatus.OPTIMAL:
-            return None
-        values = res.x.copy()
-        values[:n_bin] = binaries
-        if not _is_feasible(values, a, senses, rhs, base_lo, base_up, n_bin):
-            return None
-        return float(cost @ values), values
-
-    incumbent_obj: float | None = None
+    incumbent_obj = math.inf
     incumbent_x: np.ndarray | None = None
+    cutoff = math.inf
     node_count = 0
     seq = itertools.count(1)
 
-    def offer(obj: float, values: np.ndarray) -> None:
-        nonlocal incumbent_obj, incumbent_x
-        if incumbent_obj is None or obj < incumbent_obj - 1e-12:
-            incumbent_obj = obj
-            incumbent_x = values
+    def polish(binaries: np.ndarray, start) -> None:
+        """Offer the point with the binary columns fixed at ``binaries``.
+
+        ``binaries`` holds one rounded value per binary column.  The point
+        becomes the incumbent if the fixed LP solves, the point is
+        feasible as it stands and it is cheaper by more than 1e-12; see
+        the module docstring for why every incumbent goes through here.
+        """
+        nonlocal incumbent_obj, incumbent_x, cutoff
+        res = lp_solve(binaries, binaries, start)
+        if res is None or res.status is not LpStatus.OPTIMAL:
+            return
+        values = res.x.copy()
+        values[:n_bin] = binaries
+        if not _is_feasible(values, a, senses, rhs, base_lo, base_up, n_bin):
+            return
+        obj = float(cost @ values)
+        if obj < incumbent_obj - 1e-12:
+            incumbent_obj, incumbent_x, cutoff = obj, values, obj - gap_slack(obj)
 
     # polish depends only on the rounded binaries, so a seed that rounds
-    # like an earlier one would reach the same point, which offer rejects
+    # like an earlier one would reach the same point, which polish rejects
     polished_keys = set()
     for cand in warm_values or []:
         cand = np.asarray(cand, dtype=float)
@@ -234,41 +241,7 @@ def solve_milp(
         if not np.isfinite(binaries).all() or binaries.tobytes() in polished_keys:
             continue
         polished_keys.add(binaries.tobytes())
-        polished = polish(binaries, None)
-        if polished is not None:
-            offer(*polished)
-
-    def pick_branch(x: np.ndarray, dive: bool) -> tuple[int, bool] | None:
-        if dive:
-            # feasibility dive: commit the strongest assignment signal,
-            # lowest column on ties so placements concentrate in one job
-            best = None
-            best_v = -1.0
-            for col in range(n_x):
-                v = x[col]
-                if min(v, 1.0 - v) > INTEGRALITY_TOLERANCE and v > best_v + 1e-12:
-                    best_v = v
-                    best = col
-            if best is not None:
-                return best, True
-        col = _branch_column(x, levels)
-        if col is None:
-            return None
-        return col, x[col] >= 0.5
-
-    def least_integral(x: np.ndarray) -> tuple[int, bool] | None:
-        # every binary is within INTEGRALITY_TOLERANCE here; branching on the worst one
-        # keeps each integral point under the node reachable
-        fracs = np.minimum(x[:n_bin], 1.0 - x[:n_bin])
-        col = int(np.argmax(fracs))
-        if fracs[col] <= 0.0:
-            return None
-        return col, x[col] >= 0.5
-
-    def cutoff() -> float:
-        if incumbent_obj is None:
-            return math.inf
-        return incumbent_obj - GAP_TOLERANCE * max(1.0, abs(incumbent_obj))
+        polish(binaries, None)
 
     def process(node: _Node) -> list[_Node]:
         nonlocal node_count
@@ -279,25 +252,26 @@ def solve_milp(
         if res.status is LpStatus.UNBOUNDED:
             raise RuntimeError("LP relaxation unbounded; model is missing a bound")
         bound = max(res.objective, node.est)
-        if bound >= cutoff():
+        if bound >= cutoff:
             return []
-        picked = pick_branch(res.x, dive=incumbent_obj is None)
-        if picked is None:
-            polished = polish(np.round(res.x[:n_bin]), res.start_with_binv)
-            if polished is not None:
-                offer(*polished)
-                if bound >= cutoff():
-                    return []
+        x = res.x
+        col = _dive_column(x[:n_x]) if incumbent_x is None else None
+        dived = col is not None
+        if not dived:
+            col = _branch_column(x, levels, INTEGRALITY_TOLERANCE)
+        if col is None:
+            polish(np.round(x[:n_bin]), res.start_with_binv)
+            if bound >= cutoff:
+                return []
             # the fixed LP failed, or the polished point sits above this
             # node's bound by more than the gap: search the node further
-            picked = least_integral(res.x)
-            if picked is None:
+            col = _branch_column(x, levels, 0.0)
+            if col is None:
                 return []
-        col, prefer_high = picked
         children = [_Node(bound, -next(seq), node.lo.copy(), node.up.copy(), res.start) for _ in range(2)]
         for val, child in zip((0.0, 1.0), children):
             child.lo[col] = child.up[col] = val
-        if prefer_high:
+        if dived or x[col] >= 0.5:
             children.reverse()  # preferred side first in the list
         # the first child is processed next (plunge): hand it the basis
         # inverse so it can skip the entry refactorization
@@ -311,7 +285,7 @@ def solve_milp(
     timed_out = False
     while heap and not timed_out:
         node = heapq.heappop(heap)
-        if node.est >= cutoff():
+        if node.est >= cutoff:
             continue
         while node is not None:
             if deadline is not None and time.perf_counter() > deadline:
@@ -325,23 +299,36 @@ def solve_milp(
 
     # the loop empties the heap unless the search timed out
     best_open = min((n.est for n in heap), default=math.inf)
-    if incumbent_obj is None:
+    if incumbent_x is None:
         status = SolveStatus.TimeLimit if timed_out else SolveStatus.Infeasible
         return MilpSolution(status, None, None, best_open, node_count)
     status = SolveStatus.TimeLimit if timed_out else SolveStatus.Optimal
     return MilpSolution(status, incumbent_obj, incumbent_x, min(best_open, incumbent_obj), node_count)
 
 
-def _branch_column(x: np.ndarray, levels: tuple[slice, ...]) -> int | None:
-    """First level with a fractional binary, its most fractional one, then
-    the lowest column (``argmax`` takes the first maximum); None if none."""
+def _branch_column(x: np.ndarray, levels: tuple[slice, ...], tol: float) -> int | None:
+    """First level with a binary more than ``tol`` from integral, its most
+    fractional one, then the lowest column (``argmax`` takes the first
+    maximum); None if none."""
     for level in levels:
         frac = np.minimum(x[level], 1.0 - x[level])
         if frac.size:
             k = int(np.argmax(frac))
-            if frac[k] > INTEGRALITY_TOLERANCE:
+            if frac[k] > tol:
                 return level.start + k
     return None
+
+
+def _dive_column(x: np.ndarray) -> int | None:
+    """Among assignments more than the integrality tolerance from
+    integral, the lowest column within 1e-12 of the largest value: the
+    strongest signal, lowest on near-ties so placements concentrate in
+    one job; None if none."""
+    value = np.where(np.minimum(x, 1.0 - x) > INTEGRALITY_TOLERANCE, x, -1.0)
+    top = value.max(initial=-1.0)
+    if top < 0.0:
+        return None
+    return int(np.argmax(value >= top - 1e-12))
 
 
 def _is_feasible(values, a, senses, rhs, lo, up, n_bin) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import itertools
 import json
@@ -436,6 +437,27 @@ def test_resolve_solver_rules():
     # --solver is the only knob: no environment variable can override it
     source = Path(printplan.cli.__file__).read_text()
     assert "environ" not in source and "getenv" not in source
+
+
+def test_gap_slack_is_stated_only_in_the_solver():
+    # "within the gap" is solver.gap_slack; the front and the sweep check
+    # call it rather than restate GAP_TOLERANCE * max(1, |v|)
+    for module in (printplan.pareto, printplan.cli):
+        for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+            assert not (isinstance(node, ast.Name) and node.id == "GAP_TOLERANCE"), module.__name__
+            assert not (isinstance(node, ast.Attribute) and node.attr == "GAP_TOLERANCE"), module.__name__
+            restated = (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "max"
+                and len(node.args) == 2
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == 1.0
+                and isinstance(node.args[1], ast.Call)
+                and isinstance(node.args[1].func, ast.Name)
+                and node.args[1].func.id == "abs"
+            )
+            assert not restated, f"{module.__name__}:{node.lineno}"
 
 
 def test_solver_flag_forces_external_pending(runner, tmp_path):

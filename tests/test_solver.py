@@ -21,6 +21,7 @@ from printplan.solver import (
     MilpSolution,
     SolveStatus,
     _branch_column,
+    _dive_column,
     _Propagator,
     _is_feasible,
     parse_external_solution,
@@ -336,7 +337,50 @@ def test_branch_column_matches_rank_loop_reference(n_x, n_y, n_bf, data):
     binaries = data.draw(st.lists(value, min_size=n_bin, max_size=n_bin))
     x = np.array(binaries + [0.5, 2.5])  # continuous columns follow the prefix
     levels = (slice(0, n_x), slice(n_x, n_x + n_y), slice(n_x + n_y, n_bin))
-    assert _branch_column(x, levels) == _reference_branch_column(x, n_x, n_y, n_bin)
+    assert _branch_column(x, levels, INTEGRALITY_TOLERANCE) == _reference_branch_column(x, n_x, n_y, n_bin)
+
+
+def test_branch_column_at_tolerance_zero_takes_any_inexact_binary():
+    # the rule for a leaf whose polish was rejected: a binary 3e-7 off
+    # integral still splits the node, an exactly integral vector does not
+    levels = (slice(0, 2), slice(2, 3), slice(3, 5))
+    near = np.array([0.0, 1.0, 1.0, 3e-7, 1.0, 0.5])
+    assert _branch_column(near, levels, INTEGRALITY_TOLERANCE) is None
+    assert _branch_column(near, levels, 0.0) == 3
+    exact = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.5])
+    assert _branch_column(exact, levels, 0.0) is None
+
+
+def _reference_dive_column(x):
+    # the sequential loop that _dive_column replaced: a later column
+    # takes the dive only when larger by more than 1e-12
+    best, best_v = None, -1.0
+    for col in range(len(x)):
+        v = x[col]
+        if min(v, 1.0 - v) > INTEGRALITY_TOLERANCE and v > best_v + 1e-12:
+            best_v, best = v, col
+    return best
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.lists(
+    st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.75, 0.3, 0.7, 0.9, 1e-6, 1.0 - 1e-6, 2e-6, 1.0 - 2e-6, 5e-7]),
+    max_size=12,
+))
+def test_dive_column_matches_record_loop_reference(values):
+    # distinct values differ by far more than 1e-12, so the two rules
+    # agree; the small set forces ties and values at the tolerance
+    x = np.array(values, dtype=float)
+    assert _dive_column(x) == _reference_dive_column(x)
+
+
+def test_dive_column_ties_a_chain_of_steps_below_1e12():
+    # the one deliberate difference: steps below 1e-12 chain up in the
+    # loop (it took column 2), while every value within 1e-12 of the
+    # largest ties here, and the lowest column wins
+    x = np.array([0.5, 0.5 + 0.8e-12, 0.5 + 1.6e-12])
+    assert _reference_dive_column(x) == 2
+    assert _dive_column(x) == 1
 
 
 # bound propagation
