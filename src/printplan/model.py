@@ -21,6 +21,11 @@ with the first index varying slowest; ``VariableRegistry.block`` gives a
 family's column numbers in its index shape.  The binary families come
 first, so the binaries are the column prefix ``range(n_binaries)``.
 
+The rows are held in one form: a name, a sense and a right-hand side
+per row, and one coordinate matrix of the nonzero coefficients (see
+``MilpModel``).  Each row family is built as one block of column numbers
+and coefficients cut from the column blocks.
+
 Two objectives are carried on every model: ``z`` (weighted earliness plus
 tardiness hours) and ``zz`` (activated plate area minus occupied area);
 ``active_objective`` selects which one a solve minimizes.
@@ -37,6 +42,7 @@ plus at most one cap row per objective; see ``cap_objective``.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -103,6 +109,12 @@ def compute_big_m(instance: ProblemInstance) -> BigMBundle:
     return BigMBundle(count=count, height=height, area=area, horizon=scheduling_horizon(instance))
 
 
+def _labels(family: str, shape: str, dims: tuple[int, ...]) -> list[str]:
+    """``family_i1_j1_m1``-style names over an index block, first index slowest."""
+    axes = ([f"_{t}{k + 1}" for k in range(d)] for t, d in zip(shape, dims))
+    return [family + "".join(index) for index in itertools.product(*axes)]
+
+
 class VariableRegistry:
     """Column layout: one block of column numbers per ``_LAYOUT`` family.
 
@@ -126,9 +138,9 @@ class VariableRegistry:
     @functools.cached_property
     def _names(self) -> list[str]:
         return [
-            family + "".join(f"_{t}{k + 1}" for t, k in zip(shape, index))
+            name
             for family, shape, _ in _LAYOUT
-            for index in np.ndindex(*self._blocks[family].shape)
+            for name in _labels(family, shape, self._blocks[family].shape)
         ]
 
     @functools.cached_property
@@ -151,18 +163,20 @@ class VariableRegistry:
 
 
 @dataclass(frozen=True)
-class Row:
-    name: str
-    coeffs: dict[int, float]
-    sense: str  # '<', '=', '>'
-    rhs: float
-
-
-@dataclass(frozen=True)
 class MilpModel:
+    """The rows are ``A x {sense} rhs``, one name, sense and rhs per row.
+
+    ``coords`` holds the nonzeros of A as ``(row, col, val)`` arrays,
+    sorted by row and then by column, with no zero value and no repeated
+    ``(row, col)``; a row without nonzeros is still a row.
+    """
+
     instance: ProblemInstance
     registry: VariableRegistry
-    rows: tuple[Row, ...]
+    row_names: tuple[str, ...]
+    senses: np.ndarray  # '<', '=' or '>' per row
+    rhs: np.ndarray
+    coords: tuple[np.ndarray, np.ndarray, np.ndarray]
     objective_z: np.ndarray
     objective_zz: np.ndarray
     active_objective: Objective
@@ -172,16 +186,12 @@ class MilpModel:
     def objective(self) -> np.ndarray:
         return self.objective_z if self.active_objective is Objective.Z else self.objective_zz
 
-    def dense_rows(self) -> tuple[np.ndarray, list[str], np.ndarray]:
-        a = np.zeros((len(self.rows), self.registry.n_columns))
-        senses = []
-        rhs = np.zeros(len(self.rows))
-        for r, row in enumerate(self.rows):
-            for col, coef in row.coeffs.items():
-                a[r, col] = coef
-            senses.append(row.sense)
-            rhs[r] = row.rhs
-        return a, senses, rhs
+    def dense_rows(self) -> np.ndarray:
+        """A as a dense (rows, columns) array."""
+        row, col, val = self.coords
+        a = np.zeros((len(self.row_names), self.registry.n_columns))
+        a[row, col] = val
+        return a
 
 
 def build_registry(instance: ProblemInstance) -> VariableRegistry:
@@ -193,18 +203,6 @@ def build_registry(instance: ProblemInstance) -> VariableRegistry:
     """
     return VariableRegistry(
         {"i": len(instance.parts), "j": instance.jobs_per_machine, "m": len(instance.machines)}
-    )
-
-
-def _product_rows(p: int, c: int, x: int, bound: float):
-    """McCormick's (1976) envelope making column ``p = c*x`` for binary x
-    and ``0 <= c <= bound``: ``p <= bound*x``, ``p <= c`` and
-    ``p >= c - bound*(1 - x)``, each as (coefficients, rhs) of a ``<`` row.
-    The last row alone makes p cover c wherever x is set."""
-    return (
-        ({p: 1.0, x: -bound}, 0.0),
-        ({p: 1.0, c: -1.0}, 0.0),
-        ({c: 1.0, p: -1.0, x: bound}, bound),
     )
 
 
@@ -236,140 +234,125 @@ def build_model(
     upper[b] = upper[f] = 0.0 if fixed_orientation else 1.0
     upper[jc] = bundle.horizon
 
-    rows: list[Row] = []
+    names: list[str] = []
+    senses: list[str] = []
+    rhs_blocks, row_blocks, col_blocks, val_blocks = [], [], [], []
 
-    def add(name, coeffs, sense, rhs):
-        rows.append(Row(name, coeffs, sense, rhs))
+    def add(labels, sense, rhs, *terms):
+        """One row family, ``labels`` in row order.  A term pairs a block
+        of columns, each row's on the last axis, with coefficients that
+        broadcast against it; the other axes of every block and ``rhs``
+        broadcast to the family's rows."""
+        rows = np.broadcast_shapes(*(np.shape(a)[:-1] for term in terms for a in term))
+        ends = list(itertools.accumulate((c.shape[-1] for c, _ in terms), initial=0))
+        cols, coefs = np.empty(rows + (ends[-1],), dtype=int), np.empty(rows + (ends[-1],))
+        for (c, v), start, stop in zip(terms, ends, ends[1:]):
+            cols[..., start:stop], coefs[..., start:stop] = c, v
+        row_blocks.append(np.repeat(np.arange(len(names), len(names) + len(labels)), ends[-1]))
+        col_blocks.append(cols.ravel())
+        val_blocks.append(coefs.ravel())
+        rhs_blocks.append(np.full(rows, rhs).ravel())
+        names.extend(labels)
+        senses.extend(sense * len(labels))
 
-    def add_product(tags, sfx, p, c, x, bound):
-        for tag, (coeffs, rhs) in zip(tags, _product_rows(p, c, x, bound)):
-            add(tag + sfx, coeffs, "<", rhs)
+    def products(tags, p, c, bound):
+        """McCormick's (1976) envelope making column ``p = c*x`` for binary
+        x and ``0 <= c <= bound``: ``p <= bound*x``, ``p <= c`` and
+        ``p >= c - bound*(1 - x)``, three rows per product in that order.
+        The last row alone makes p cover c wherever x is set."""
+        bound = np.expand_dims(bound, (-2, -1))
+        add([tag + sfx for sfx in _labels("", "ijm", x.shape) for tag in tags], "<",
+            bound[..., 0] * [0.0, 0.0, 1.0],
+            (p[..., None, None], [[1.0], [1.0], [-1.0]]),
+            (c[..., None, None], [[0.0], [-1.0], [1.0]]),
+            (x[..., None, None], bound * [[-1.0], [0.0], [1.0]]))
 
-    parts = instance.parts
     machines = instance.machines
+    plate = np.array([mach.base_area_mm2 for mach in machines])
+    x_jm = x.transpose(1, 2, 0)  # parts on the last axis
 
     # each part printed exactly once
-    for i in range(n):
-        add(f"asg_i{i + 1}", dict.fromkeys(x[i].ravel().tolist(), 1.0), "=", 1.0)
+    add(_labels("asg", "i", (n,)), "=", 1.0, (x.reshape(n, jobs * n_m), 1.0))
 
     # parts only in activated jobs
-    for j in range(jobs):
-        for m in range(n_m):
-            coeffs = dict.fromkeys(x[:, j, m].tolist(), 1.0)
-            coeffs[y[j, m]] = -bundle.count
-            add(f"lnk_j{j + 1}_m{m + 1}", coeffs, "<", 0.0)
+    add(_labels("lnk", "jm", (jobs, n_m)), "<", 0.0, (x_jm, 1.0), (y[..., None], -bundle.count))
 
     # at most one tipped orientation
-    for i in range(n):
-        add(f"ori_i{i + 1}", {b[i]: 1.0, f[i]: 1.0}, "<", 1.0)
+    add(_labels("ori", "i", (n,)), "<", 1.0, (np.stack((b, f), -1), 1.0))
 
-    # chosen height: h flat, l length-up (b), w width-up (f)
-    poses = [geometry.orientations(p) for p in parts]  # (flat, length-up, width-up)
-    for i, (flat, lup, wup) in enumerate(poses):
-        add(
-            f"hdef_i{i + 1}",
-            {ph[i]: 1.0, b[i]: flat.height_mm - lup.height_mm, f[i]: flat.height_mm - wup.height_mm},
-            "=",
-            flat.height_mm,
-        )
-
-    # chosen footprint: l*w flat, w*h length-up, h*l width-up
-    for i, (flat, lup, wup) in enumerate(poses):
-        add(
-            f"adef_i{i + 1}",
-            {
-                pa[i]: 1.0,
-                b[i]: flat.base_area_mm2 - lup.base_area_mm2,
-                f[i]: flat.base_area_mm2 - wup.base_area_mm2,
-            },
-            "=",
-            flat.base_area_mm2,
-        )
+    # chosen height (h flat, l length-up by b, w width-up by f) and
+    # chosen footprint (l*w flat, w*h length-up, h*l width-up)
+    poses = [geometry.orientations(p) for p in instance.parts]
+    height = np.array([[o.height_mm for o in pose] for pose in poses]).reshape(n, 3)
+    area = np.array([[o.base_area_mm2 for o in pose] for pose in poses]).reshape(n, 3)
+    for tag, col, pose in (("hdef", ph, height), ("adef", pa, area)):
+        add(_labels(tag, "i", (n,)), "=", pose[:, 0],
+            (col[:, None], 1.0), (np.stack((b, f), -1), pose[:, :1] - pose[:, 1:]))
 
     # chosen height fits the assigned machine's build height; parts on
     # other machines get slack up to their own tallest pose
-    for i, pose in enumerate(poses):
-        tallest = max(o.height_mm for o in pose)
-        for m in range(n_m):
-            slack = max(0.0, tallest - machines[m].height_mm)
-            coeffs = {ph[i]: 1.0}
-            if slack > 0:
-                coeffs.update(dict.fromkeys(x[i, :, m].tolist(), slack))
-            add(f"hcap_i{i + 1}_m{m + 1}", coeffs, "<", machines[m].height_mm + slack)
+    build_height = np.array([mach.height_mm for mach in machines])
+    slack = np.maximum(0.0, height.max(axis=1)[:, None] - build_height)
+    add(_labels("hcap", "im", (n, n_m)), "<", build_height + slack,
+        (ph[:, None, None], 1.0), (x.transpose(0, 2, 1), slack[..., None]))
 
     # plate capacity per job, via the linearized occupied-area terms
-    for j in range(jobs):
-        for m in range(n_m):
-            add(
-                f"acap_j{j + 1}_m{m + 1}",
-                dict.fromkeys(la[:, j, m].tolist(), 1.0),
-                "<",
-                machines[m].base_area_mm2,
-            )
+    add(_labels("acap", "jm", (jobs, n_m)), "<", plate, (la.transpose(1, 2, 0), 1.0))
 
     # la = pa * x
-    for i, j, m in np.ndindex(n, jobs, n_m):
-        add_product(("lau", "lap", "lal"), f"_i{i + 1}_j{j + 1}_m{m + 1}",
-                    la[i, j, m], pa[i], x[i, j, m], bundle.area[i])
+    products(("lau", "lap", "lal"), la, pa[:, None, None], np.array(bundle.area)[:, None, None])
 
-    # job height covers each member part's height
-    for i, j, m in np.ndindex(n, jobs, n_m):
-        coeffs, rhs = _product_rows(jh[j, m], ph[i], x[i, j, m], bundle.height)[2]
-        add(f"jmax_i{i + 1}_j{j + 1}_m{m + 1}", coeffs, "<", rhs)
+    # job height covers each member part's height: jh >= ph - height * (1 - x)
+    add(_labels("jmax", "ijm", x.shape), "<", bundle.height,
+        (ph[:, None, None, None], 1.0), (jh[..., None], -1.0), (x[..., None], bundle.height))
 
     # processing hours: layer time on the job height plus volumetric time
-    for j in range(jobs):
-        for m in range(n_m):
-            mach = machines[m]
-            coeffs = {jp[j, m]: 1.0, jh[j, m]: -mach.layer_time_h_per_mm}
-            for i in range(n):
-                coeffs[x[i, j, m]] = -mach.volumetric_time_h_per_mm3 * geometry.volume_mm3(parts[i])
-            add(f"ptime_j{j + 1}_m{m + 1}", coeffs, "=", 0.0)
+    layer = np.array([mach.layer_time_h_per_mm for mach in machines])
+    per_mm3 = np.array([mach.volumetric_time_h_per_mm3 for mach in machines])
+    volume = np.array([geometry.volume_mm3(p) for p in instance.parts])
+    add(_labels("ptime", "jm", (jobs, n_m)), "=", 0.0,
+        (jp[..., None], 1.0), (jh[..., None], -layer[:, None]), (x_jm, -np.outer(per_mm3, volume)))
 
-    # completions run in job order, idle time allowed
-    for m in range(n_m):
-        for j in range(jobs - 1):
-            add(
-                f"seq_j{j + 1}_m{m + 1}",
-                {jc[j, m]: 1.0, jp[j + 1, m]: 1.0, jc[j + 1, m]: -1.0},
-                "<",
-                0.0,
-            )
-        add(f"first_m{m + 1}", {jp[0, m]: 1.0, jc[0, m]: -1.0}, "<", 0.0)
+    # completions run in job order, idle time allowed: seq_jk ties slot
+    # k+1 to slot k, and first_m is slot 1's row, which has no predecessor
+    k = np.r_[1:jobs, 0]
+    add([f"seq_j{j}_m{m + 1}" if j else f"first_m{m + 1}" for m in range(n_m) for j in k], "<", 0.0,
+        (jc.T[:, k - 1, None], np.where(k > 0, 1.0, 0.0)[:, None]),
+        (jp.T[:, k, None], 1.0), (jc.T[:, k, None], -1.0))
 
     # part completion equals its job's completion, via lc = jc * x
-    for i in range(n):
-        coeffs = {pc[i]: 1.0}
-        coeffs.update(dict.fromkeys(lc[i].ravel().tolist(), -1.0))
-        add(f"cdef_i{i + 1}", coeffs, "=", 0.0)
-    for i, j, m in np.ndindex(n, jobs, n_m):
-        add_product(("lcu", "lcc", "lcl"), f"_i{i + 1}_j{j + 1}_m{m + 1}",
-                    lc[i, j, m], jc[j, m], x[i, j, m], bundle.horizon)
+    add(_labels("cdef", "i", (n,)), "=", 0.0, (pc[:, None], 1.0), (lc.reshape(n, jobs * n_m), -1.0))
+    products(("lcu", "lcc", "lcl"), lc, jc, bundle.horizon)
 
     # tardiness and earliness, one-sided
-    for i in range(n):
-        add(f"tar_i{i + 1}", {pc[i]: 1.0, t[i]: -1.0}, "<", parts[i].due_h)
-        add(f"ear_i{i + 1}", {pc[i]: -1.0, e[i]: -1.0}, "<", -parts[i].due_h)
+    due = np.array([p.due_h for p in instance.parts])
+    add([f"{tag}_i{i + 1}" for i in range(n) for tag in ("tar", "ear")], "<", np.stack((due, -due), -1),
+        (pc[:, None, None], [[1.0], [-1.0]]), (np.stack((t, e), -1)[..., None], -1.0))
 
     # a job slot can hold parts only if the previous slot does
-    for m in range(n_m):
-        for j in range(jobs - 1):
-            coeffs = dict.fromkeys(x[:, j + 1, m].tolist(), 1.0)
-            coeffs.update(dict.fromkeys(x[:, j, m].tolist(), -bundle.count))
-            add(f"ord_j{j + 1}_m{m + 1}", coeffs, "<", 0.0)
+    x_mj = x.transpose(2, 1, 0)
+    add([f"ord_j{j + 1}_m{m + 1}" for m in range(n_m) for j in range(jobs - 1)], "<", 0.0,
+        (x_mj[:, 1:], 1.0), (x_mj[:, :-1], -bundle.count))
+
+    row, col, val = (np.concatenate(blocks) for blocks in (row_blocks, col_blocks, val_blocks))
+    nonzero = val != 0.0
+    order = np.lexsort((col[nonzero], row[nonzero]))
 
     obj_z = np.zeros(reg.n_columns)
     obj_z[e] = instance.penalties.earliness
     obj_z[t] = instance.penalties.tardiness
 
     obj_zz = np.zeros(reg.n_columns)
-    obj_zz[y] = [mach.base_area_mm2 for mach in machines]
+    obj_zz[y] = plate
     obj_zz[la] = -1.0
 
     return MilpModel(
         instance=instance,
         registry=reg,
-        rows=tuple(rows),
+        row_names=tuple(names),
+        senses=np.array(senses),
+        rhs=np.concatenate(rhs_blocks),
+        coords=tuple(a[nonzero][order] for a in (row, col, val)),
         objective_z=obj_z,
         objective_zz=obj_zz,
         active_objective=objective,
@@ -400,11 +383,19 @@ def cap_objective(model: MilpModel, objective: Objective, bound: float) -> MilpM
         raise ValueError(f"cap on {objective.value} must be finite or +inf, got {bound!r}")
     vec = model.objective_z if objective is Objective.Z else model.objective_zz
     name = f"cap_{objective.value}"
-    rows = tuple(r for r in model.rows if r.name != name)
+    names = tuple(n for n in model.row_names if n != name)
+    keep = np.array([n != name for n in model.row_names], dtype=bool)
+    row, col, val = model.coords
+    kept = keep[row]
+    # the kept rows are renumbered in order, so the entries stay sorted
+    row, col, val = np.cumsum(keep)[row[kept]] - 1, col[kept], val[kept]
+    senses, rhs = model.senses[keep], model.rhs[keep]
     if math.isfinite(bound):
-        coeffs = {c: float(v) for c, v in enumerate(vec) if v != 0.0}
-        rows = rows + (Row(name, coeffs, "<", float(bound)),)
-    return replace(model, rows=rows)
+        terms = np.flatnonzero(vec)
+        row = np.concatenate((row, np.full(terms.size, len(names))))
+        col, val = np.concatenate((col, terms)), np.concatenate((val, vec[terms]))
+        names, senses, rhs = names + (name,), np.append(senses, "<"), np.append(rhs, float(bound))
+    return replace(model, row_names=names, senses=senses, rhs=rhs, coords=(row, col, val))
 
 
 def _format_coef(value: float) -> str:
@@ -423,10 +414,13 @@ def write_lp(model: MilpModel) -> str:
     obj = model.objective
     lines.append(" obj: " + _linear_terms(((c, obj[c]) for c in obj.nonzero()[0]), reg))
     lines.append("Subject To")
-    for row in model.rows:
-        body = _linear_terms(sorted(row.coeffs.items()), reg)
-        op = {"<": "<=", "=": "=", ">": ">="}[row.sense]
-        lines.append(f" {row.name}: {body} {op} {_format_coef(row.rhs)}")
+    row, col, val = model.coords
+    ends = np.searchsorted(row, np.arange(len(model.row_names) + 1)).tolist()
+    col, val = col.tolist(), val.tolist()
+    for r, (name, sense, rhs) in enumerate(zip(model.row_names, model.senses.tolist(), model.rhs.tolist())):
+        body = _linear_terms(zip(col[ends[r]:ends[r + 1]], val[ends[r]:ends[r + 1]]), reg)
+        op = {"<": "<=", "=": "=", ">": ">="}[sense]
+        lines.append(f" {name}: {body} {op} {_format_coef(rhs)}")
     lines.append("Bounds")
     n_bin = reg.n_binaries
     for c, up in enumerate(model.upper):
@@ -446,15 +440,13 @@ def write_lp(model: MilpModel) -> str:
 
 
 def _linear_terms(terms, reg) -> str:
-    """``(column, coefficient)`` pairs as LP text, zero coefficients left out.
+    """``(column, nonzero coefficient)`` pairs as LP text.
 
-    With no term left it writes ``0`` times the first column, since an LP
+    With no term it writes ``0`` times the first column, since an LP
     line needs at least one term.
     """
     pieces = []
     for c, v in terms:
-        if v == 0.0:
-            continue
         if not pieces:
             pieces.append(f"{_format_coef(v)} {reg.name(c)}")
         elif v >= 0:

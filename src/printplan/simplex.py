@@ -112,14 +112,17 @@ class LpRows:
 
 def prepare_rows(a, senses, b) -> LpRows:
     """Scale the rows of ``A x {<,=,>} b`` and append one slack column per row."""
-    a = np.array(a, dtype=float)
+    a = np.asarray(a, dtype=float)
     b = np.array(b, dtype=float)
     m = a.shape[0]
     if a.ndim != 2 or b.shape != (m,):
         raise ValueError("rows need a 2-D coefficient array and one rhs per row")
     scale = np.abs(a).max(axis=1, initial=0.0)
     scale = np.where(scale < 1e-12, 1.0, scale)
-    a /= scale[:, None]
+    n = a.shape[1]
+    a_full = np.zeros((m, n + m))
+    np.divide(a, scale[:, None], out=a_full[:, :n])
+    a_full[np.arange(m), n + np.arange(m)] = 1.0
     b /= scale
     senses = list(senses)
     if len(senses) != m:
@@ -129,7 +132,7 @@ def prepare_rows(a, senses, b) -> LpRows:
             raise ValueError(f"unknown row sense {sense!r}")
     slack_lo = np.array([-np.inf if s == ">" else 0.0 for s in senses])
     slack_up = np.array([np.inf if s == "<" else 0.0 for s in senses])
-    return LpRows(np.hstack([a, np.eye(m)]), b, slack_lo, slack_up)
+    return LpRows(a_full, b, slack_lo, slack_up)
 
 
 def solve_lp(

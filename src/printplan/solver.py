@@ -103,16 +103,21 @@ class _Propagator:
     infeasible nodes outright and fixes implied binaries, which keeps the
     tree small when a cap row (an epsilon cap, say) is nearly tight.
 
-    Rows are kept as ``<=`` rows in coordinate form (``>=`` rows negated,
-    ``=`` rows both ways); model rows hold a few nonzeros each.
+    Rows are kept as ``<=`` rows in the model's coordinate form: the
+    ``<`` and ``=`` rows, then the ``>`` and ``=`` rows negated.  Model
+    rows hold a few nonzeros each.
     """
 
-    def __init__(self, a: np.ndarray, senses, rhs: np.ndarray, n_bin: int):
-        sense = np.array(list(senses))
+    def __init__(self, coords, senses, rhs: np.ndarray, n_bin: int):
+        row, col, val = coords
+        sense = np.asarray(senses)
         le, ge = sense != ">", sense != "<"
-        stacked = np.vstack((a[le], -a[ge]))
-        self.row, self.col = np.nonzero(stacked)
-        self.val = stacked[self.row, self.col]
+        on_le, on_ge = le[row], ge[row]
+        # each half keeps its rows in order, so the entries stay sorted
+        le_row, ge_row = np.cumsum(le) - 1, np.count_nonzero(le) + np.cumsum(ge) - 1
+        self.row = np.concatenate((le_row[row[on_le]], ge_row[row[on_ge]]))
+        self.col = np.concatenate((col[on_le], col[on_ge]))
+        self.val = np.concatenate((val[on_le], -val[on_ge]))
         self.pos = self.val > 0
         self.rhs = np.concatenate((rhs[le], -rhs[ge]))
         self.rhs_scale = np.maximum(1.0, np.abs(self.rhs))
@@ -182,15 +187,14 @@ def solve_milp(
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
 
     reg = model.registry
-    a, senses, rhs = model.dense_rows()
     base_lo, base_up = np.zeros(reg.n_columns), model.upper
     cost = np.asarray(model.objective, dtype=float)
     n_bin = reg.n_binaries
     # branching levels: assignments, then activations, then b and f together
     n_x, n_y = reg.block("x").size, reg.block("y").size
     levels = (slice(0, n_x), slice(n_x, n_x + n_y), slice(n_x + n_y, n_bin))
-    propagator = _Propagator(a, senses, rhs, n_bin)
-    rows = prepare_rows(a, senses, rhs)
+    propagator = _Propagator(model.coords, model.senses, model.rhs, n_bin)
+    rows = prepare_rows(model.dense_rows(), model.senses, model.rhs)
 
     def lp_solve(lo_bin: np.ndarray, up_bin: np.ndarray, start):
         lo = np.concatenate((lo_bin, base_lo[n_bin:]))
@@ -224,7 +228,7 @@ def solve_milp(
             return
         values = res.x.copy()
         values[:n_bin] = binaries
-        if not _is_feasible(values, a, senses, rhs, base_lo, base_up, n_bin):
+        if not _is_feasible(values, model.coords, model.senses, model.rhs, base_lo, base_up, n_bin):
             return
         obj = float(cost @ values)
         if obj < incumbent_obj - 1e-12:
@@ -331,7 +335,7 @@ def _dive_column(x: np.ndarray) -> int | None:
     return int(np.argmax(value >= top - 1e-12))
 
 
-def _is_feasible(values, a, senses, rhs, lo, up, n_bin) -> bool:
+def _is_feasible(values, coords, senses, rhs, lo, up, n_bin) -> bool:
     """Finite, within bounds, binaries integral, rows held within 1e-6 * max(1, |rhs|)."""
     if not np.isfinite(values).all():
         return False
@@ -340,7 +344,8 @@ def _is_feasible(values, a, senses, rhs, lo, up, n_bin) -> bool:
     binaries = values[:n_bin]
     if np.any(np.minimum(binaries, 1.0 - binaries) > INTEGRALITY_TOLERANCE):
         return False
-    gap = a @ values - rhs
+    row, col, val = coords
+    gap = np.bincount(row, weights=val * values[col], minlength=rhs.shape[0]) - rhs
     limit = 1e-6 * np.maximum(1.0, np.abs(rhs))
     sense = np.asarray(senses)
     over = (sense != ">") & (gap > limit)  # '<' and '=' rows

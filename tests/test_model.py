@@ -47,12 +47,27 @@ def expected_binaries(n, j, m):
     return n * j * m + j * m + 2 * n
 
 
+def row_of(model, name):
+    """The named row as ({column: coefficient}, sense, rhs)."""
+    r = model.row_names.index(name)
+    row, col, val = model.coords
+    return dict(zip(col[row == r].tolist(), val[row == r].tolist())), model.senses[r], model.rhs[r]
+
+
+def assert_same_rows(model, other):
+    assert model.row_names == other.row_names
+    assert np.array_equal(model.senses, other.senses)
+    assert np.array_equal(model.rhs, other.rhs)
+    for mine, theirs in zip(model.coords, other.coords):
+        assert np.array_equal(mine, theirs)
+
+
 # size census
 
 
 def test_nine_part_model_is_exactly_the_frozen_size(nine_model):
     assert nine_model.registry.n_columns == 187
-    assert len(nine_model.rows) == 351
+    assert len(nine_model.row_names) == 351
     assert nine_model.registry.n_binaries == 58
 
 
@@ -61,12 +76,12 @@ def test_size_formulas_hold(n_parts, n_machines, jobs):
     inst = random_instance(11, n_parts=n_parts, n_machines=n_machines, jobs_per_machine=jobs)
     model = build_model(inst, Objective.Z)
     assert model.registry.n_columns == expected_columns(n_parts, jobs, n_machines)
-    assert len(model.rows) == expected_rows(n_parts, jobs, n_machines)
+    assert len(model.row_names) == expected_rows(n_parts, jobs, n_machines)
     assert model.registry.n_binaries == expected_binaries(n_parts, jobs, n_machines)
 
 
 def test_nine_part_row_family_census(nine_model):
-    census = Counter(row.name.split("_")[0] for row in nine_model.rows)
+    census = Counter(name.split("_")[0] for name in nine_model.row_names)
     assert census == {
         "asg": 9, "lnk": 4, "ori": 9, "hdef": 9, "adef": 9, "hcap": 18,
         "acap": 4, "lau": 36, "lap": 36, "lal": 36, "jmax": 36, "ptime": 4,
@@ -77,10 +92,53 @@ def test_nine_part_row_family_census(nine_model):
 
 def test_rows_reference_valid_columns_and_senses(nine_model):
     n_cols = nine_model.registry.n_columns
-    for row in nine_model.rows:
-        assert row.sense in "<=>"
-        for col in row.coeffs:
-            assert 0 <= col < n_cols
+    for sense in nine_model.senses:
+        assert sense in "<=>"
+    for col in nine_model.coords[1]:
+        assert 0 <= col < n_cols
+
+
+# coordinate form
+
+
+def coordinate_model(case):
+    nine = load_builtin("nine_parts")
+    if case == "zero_parts":
+        return build_model(ProblemInstance(machines=nine.machines, parts=()))
+    model = build_model(nine)
+    if case == "nine_parts":
+        return model
+    capped = inject_epsilon(cap_objective(model, Objective.Z, 30.0), 70000.0)
+    # re-capping z drops its row from the middle of the cap rows
+    return capped if case == "capped" else cap_objective(inject_epsilon(capped, 65000.0), Objective.Z, 20.0)
+
+
+@pytest.mark.parametrize("case", ["nine_parts", "zero_parts", "capped", "recapped"])
+def test_coordinates_are_sorted_zero_free_and_scatter_to_dense_rows(case):
+    model = coordinate_model(case)
+    row, col, val = model.coords
+    n_rows, n_cols = len(model.row_names), model.registry.n_columns
+    assert model.senses.shape == model.rhs.shape == (n_rows,)
+    assert row.shape == col.shape == val.shape
+    assert np.all((0 <= row) & (row < n_rows)) and np.all((0 <= col) & (col < n_cols))
+    # row-major with ascending columns, so no (row, col) repeats
+    assert np.all(np.diff(row * n_cols + col) > 0)
+    assert np.all(val != 0.0)
+    dense = np.zeros((n_rows, n_cols))
+    np.add.at(dense, (row, col), val)
+    assert np.array_equal(model.dense_rows(), dense)
+    if case == "recapped":
+        assert model.row_names[-2:] == ("cap_zz", "cap_z")
+        assert model.rhs[-2:].tolist() == [65000.0, 20.0]
+
+
+def test_zero_part_model_keeps_its_empty_rows():
+    model = coordinate_model("zero_parts")
+    n_machines = len(model.instance.machines)
+    assert len(model.row_names) == expected_rows(0, 1, n_machines)
+    for m in range(n_machines):
+        coeffs, sense, rhs = row_of(model, f"acap_j1_m{m + 1}")
+        assert coeffs == {} and sense == "<" and rhs == model.instance.machines[m].base_area_mm2
 
 
 # registry layout
@@ -198,22 +256,22 @@ def test_height_definition_row_coefficients():
     inst = make_single_part_instance()
     model = build_model(inst, Objective.Z)
     reg = model.registry
-    row = next(r for r in model.rows if r.name == "hdef_i1")
-    assert row.sense == "="
-    assert row.rhs == 11.0
-    assert row.coeffs[reg.col("ph", 0)] == 1.0
-    assert row.coeffs[reg.col("b", 0)] == 11.0 - 7.0   # length-up swaps in the length
-    assert row.coeffs[reg.col("f", 0)] == 11.0 - 3.0   # width-up swaps in the width
+    coeffs, sense, rhs = row_of(model, "hdef_i1")
+    assert sense == "="
+    assert rhs == 11.0
+    assert coeffs[reg.col("ph", 0)] == 1.0
+    assert coeffs[reg.col("b", 0)] == 11.0 - 7.0   # length-up swaps in the length
+    assert coeffs[reg.col("f", 0)] == 11.0 - 3.0   # width-up swaps in the width
 
 
 def test_area_definition_row_coefficients():
     inst = make_single_part_instance()
     model = build_model(inst, Objective.Z)
     reg = model.registry
-    row = next(r for r in model.rows if r.name == "adef_i1")
-    assert row.rhs == 21.0                              # flat footprint 7 x 3
-    assert row.coeffs[reg.col("b", 0)] == 21.0 - 3.0 * 11.0
-    assert row.coeffs[reg.col("f", 0)] == 21.0 - 11.0 * 7.0
+    coeffs, _, rhs = row_of(model, "adef_i1")
+    assert rhs == 21.0                                  # flat footprint 7 x 3
+    assert coeffs[reg.col("b", 0)] == 21.0 - 3.0 * 11.0
+    assert coeffs[reg.col("f", 0)] == 21.0 - 11.0 * 7.0
 
 
 def test_objective_vectors(nine_model):
@@ -242,26 +300,26 @@ def test_build_model_rejects_invalid_instance():
 
 def test_inject_epsilon_adds_then_replaces_the_cap(nine_model):
     capped = inject_epsilon(nine_model, 70000.0)
-    n_before = len(nine_model.rows)
-    assert len(capped.rows) == n_before + 1
-    row = capped.rows[-1]
-    assert row.name == "cap_zz" and row.sense == "<" and row.rhs == 70000.0
-    assert row.coeffs == {
+    n_before = len(nine_model.row_names)
+    assert len(capped.row_names) == n_before + 1
+    coeffs, sense, rhs = row_of(capped, "cap_zz")
+    assert capped.row_names[-1] == "cap_zz" and sense == "<" and rhs == 70000.0
+    assert coeffs == {
         c: float(v) for c, v in enumerate(nine_model.objective_zz) if v != 0.0
     }
 
     recapped = inject_epsilon(capped, 65000.0)
-    assert len(recapped.rows) == n_before + 1
-    assert recapped.rows[-1].rhs == 65000.0
-    assert recapped.rows[-1].name == "cap_zz"
+    assert len(recapped.row_names) == n_before + 1
+    assert recapped.rhs[-1] == 65000.0
+    assert recapped.row_names[-1] == "cap_zz"
 
 
 def test_infinite_cap_adds_no_row(nine_model):
-    assert inject_epsilon(nine_model, math.inf).rows == nine_model.rows
-    assert cap_objective(nine_model, Objective.Z, math.inf).rows == nine_model.rows
+    assert_same_rows(inject_epsilon(nine_model, math.inf), nine_model)
+    assert_same_rows(cap_objective(nine_model, Objective.Z, math.inf), nine_model)
     # and it lifts an earlier cap on the same objective
     capped = inject_epsilon(nine_model, 70000.0)
-    assert inject_epsilon(capped, math.inf).rows == nine_model.rows
+    assert_same_rows(inject_epsilon(capped, math.inf), nine_model)
 
 
 @pytest.mark.parametrize("bound", [-math.inf, math.nan], ids=["-inf", "nan"])
@@ -293,11 +351,11 @@ def test_cap_objective_keeps_active_objective(nine):
     zz_model = build_model(nine, Objective.ZZ)
     capped = cap_objective(zz_model, Objective.Z, 3.0)
     assert capped.active_objective is Objective.ZZ
-    assert capped.rows[-1].name == "cap_z"
-    assert capped.rows[-1].rhs == 3.0
+    assert capped.row_names[-1] == "cap_z"
+    assert capped.rhs[-1] == 3.0
     tighter = cap_objective(capped, Objective.Z, 1.0)
-    assert sum(1 for r in tighter.rows if r.name == "cap_z") == 1
-    assert tighter.rows[-1].rhs == 1.0
+    assert sum(1 for name in tighter.row_names if name == "cap_z") == 1
+    assert tighter.rhs[-1] == 1.0
 
 
 # LP text

@@ -282,7 +282,7 @@ def test_time_limited_cap_feeds_no_bypass(monkeypatch, nine_parts, stopped):
     front = pareto_front(with_machine_count(nine_parts, 1), grid_count=10)
     row, next_cap = front.attempts[4 - stopped], front.attempts[3 - stopped]
     assert row.status is SolveStatus.TimeLimit
-    assert calls[stopped].rows[-1].rhs == next_cap.epsilon
+    assert calls[stopped].rhs[-1] == next_cap.epsilon
     assert next_cap.status is SolveStatus.Optimal
     assert len(calls) == stopped + 1
     assert [a.status for a in front.attempts].count(SolveStatus.TimeLimit) == 1

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -279,6 +281,10 @@ def random_lp(draw):
 
 @settings(max_examples=250, deadline=None)
 @given(random_lp())
+# x = 0 is feasible and x3 = x4 -> inf is unbounded, but HiGHS with
+# presolve reports this LP infeasible
+@example(([0, 0, 0, -1, 0], [[0, 0, -1, -1, 1], [0, 0, 1, 1, -1]], ["<", "<"], [0, 1],
+          [0, 0, 0, 0, 0], [0, 0, 1, np.inf, np.inf]))
 def test_matches_independent_solver(lp):
     c, a, senses, b, lower, upper = lp
     mine = solve_lp(c, prepare_rows(a, senses, b), lower, upper)
@@ -294,17 +300,23 @@ def test_matches_independent_solver(lp):
         else:
             a_eq.append(row)
             b_eq.append(rhs)
-    ref = linprog(
-        c,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=list(zip(lower, upper)),
-        method="highs",
-    )
 
-    if ref.status == 2:
+    def reference(cost):
+        return linprog(
+            cost,
+            A_ub=np.array(a_ub) if a_ub else None,
+            b_ub=np.array(b_ub) if b_ub else None,
+            A_eq=np.array(a_eq) if a_eq else None,
+            b_eq=np.array(b_eq) if b_eq else None,
+            bounds=list(zip(lower, upper)),
+            method="highs",
+        )
+
+    ref = reference(c)
+    if ref.status == 2 and reference([0] * len(c)).status == 0:
+        # a feasible LP that HiGHS calls infeasible is an unbounded one
+        assert mine.status is LpStatus.UNBOUNDED
+    elif ref.status == 2:
         assert mine.status is LpStatus.INFEASIBLE
     elif ref.status == 3:
         assert mine.status is LpStatus.UNBOUNDED
@@ -313,6 +325,22 @@ def test_matches_independent_solver(lp):
         assert mine.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
     else:
         pytest.skip(f"reference solver returned status {ref.status}")
+
+
+def test_prepare_rows_writes_scaled_rows_and_slacks_into_one_buffer():
+    # [A / scale | I] is written in place: no copy of A, no separate
+    # identity and no concatenation on top of the result
+    m, n = 500, 200
+    a = np.random.default_rng(0).uniform(-4.0, 4.0, (m, n))
+    tracemalloc.start()
+    try:
+        rows = prepare_rows(a, "<" * m, np.ones(m))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows.a_full.nbytes + a.nbytes + 2**20
+    scale = np.abs(a).max(axis=1)
+    np.testing.assert_array_equal(rows.a_full, np.hstack([a / scale[:, None], np.eye(m)]))
 
 
 def test_zero_row_within_bound_tolerance():

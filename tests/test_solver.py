@@ -124,9 +124,8 @@ def test_non_finite_warm_vector_is_skipped(bad):
     exact = solve_milp(model)
     seed = exact.values.copy()
     seed[0] = bad
-    a, senses, rhs = model.dense_rows()
     lo, up = np.zeros(model.registry.n_columns), model.upper
-    assert not _is_feasible(seed, a, senses, rhs, lo, up, model.registry.n_binaries)
+    assert not _is_feasible(seed, model.coords, model.senses, model.rhs, lo, up, model.registry.n_binaries)
     sol = solve_milp(model, warm_values=[seed])
     assert sol.status is SolveStatus.Optimal
     assert sol.objective == pytest.approx(exact.objective, abs=1e-9)
@@ -153,9 +152,8 @@ def test_warm_vector_leaking_through_big_m_rows_is_polished():
         leaky[reg.col("la", i, 0, 0)] *= 1.0 - slip  # la <= area * x
         for col in (reg.col("lc", i, 0, 0), reg.col("pc", i), reg.col("t", i)):
             leaky[col] -= drop
-    a, senses, rhs = model.dense_rows()
     lo, up = np.zeros(reg.n_columns), model.upper
-    assert _is_feasible(leaky, a, senses, rhs, lo, up, reg.n_binaries)
+    assert _is_feasible(leaky, model.coords, model.senses, model.rhs, lo, up, reg.n_binaries)
     assert model.objective @ leaky < exact.objective - 1e-7
 
     sol = solve_milp(model, warm_values=[leaky])
@@ -287,7 +285,7 @@ def test_epsilon_cap_binds():
     assert zz <= free.objective + 0.5 + 1e-6
 
 
-@pytest.mark.xfail(strict=True, reason="wrong proven answer at large horizons (ROADMAP item 5)")
+@pytest.mark.xfail(strict=True, reason="wrong proven answer at large horizons (ROADMAP item 1)")
 def test_large_horizon_optimum_matches_oracle():
     # up to layer time 1e5 (horizon 2.0e7) solver and oracle agree.  At 3e5
     # (horizon 6.0e7) the solver proves 64,409,756.86 against the oracle's
@@ -386,10 +384,16 @@ def test_dive_column_ties_a_chain_of_steps_below_1e12():
 # bound propagation
 
 
+def _coords(a):
+    """A dense matrix's nonzeros as (row, col, val), in the model's order."""
+    a = np.asarray(a, dtype=float)
+    row, col = np.nonzero(a)
+    return row, col, a[row, col]
+
+
 def test_propagator_fixes_implied_binary():
     # x1 + x2 <= 1 with x1 forced on leaves no room for x2
-    a = np.array([[1.0, 1.0]])
-    prop = _Propagator(a, ["<"], np.array([1.0]), 2)
+    prop = _Propagator(_coords([[1.0, 1.0]]), ["<"], np.array([1.0]), 2)
     lo = np.array([1.0, 0.0])
     up = np.array([1.0, 1.0])
     assert prop.run(lo, up)
@@ -397,8 +401,7 @@ def test_propagator_fixes_implied_binary():
 
 
 def test_propagator_detects_infeasible_row():
-    a = np.array([[1.0, 1.0]])
-    prop = _Propagator(a, ["<"], np.array([1.0]), 2)
+    prop = _Propagator(_coords([[1.0, 1.0]]), ["<"], np.array([1.0]), 2)
     lo = np.array([1.0, 1.0])
     up = np.array([1.0, 1.0])
     assert not prop.run(lo, up)
@@ -406,8 +409,7 @@ def test_propagator_detects_infeasible_row():
 
 def test_propagator_raises_lower_bounds_through_equalities():
     # x1 + x2 = 2 with unit boxes forces both to one
-    a = np.array([[1.0, 1.0]])
-    prop = _Propagator(a, ["="], np.array([2.0]), 2)
+    prop = _Propagator(_coords([[1.0, 1.0]]), ["="], np.array([2.0]), 2)
     lo = np.array([0.0, 0.0])
     up = np.array([1.0, 1.0])
     assert prop.run(lo, up)
@@ -416,8 +418,7 @@ def test_propagator_raises_lower_bounds_through_equalities():
 
 def test_propagator_tolerates_infinite_bounds():
     # x1 - x2 <= 0 with x2 unbounded must not poison other columns
-    a = np.array([[1.0, -1.0], [1.0, 0.0]])
-    prop = _Propagator(a, ["<", "<"], np.array([0.0, 5.0]), 0)
+    prop = _Propagator(_coords([[1.0, -1.0], [1.0, 0.0]]), ["<", "<"], np.array([0.0, 5.0]), 0)
     lo = np.array([0.0, 0.0])
     up = np.array([np.inf, np.inf])
     assert prop.run(lo, up)
@@ -489,16 +490,24 @@ def propagation_rows(draw):
     for c in range(n_bin, n):
         lo[c] = draw(st.sampled_from([-np.inf, -5.0, 0.0, 0.0]))
         up[c] = draw(st.sampled_from([np.inf, np.inf, 3.0, 50.0]))
-    return a, senses, rhs, n_bin, lo, up
+    return a, _coords(a), senses, rhs, n_bin, lo, up
 
 
 @settings(max_examples=400, deadline=None)
 @given(propagation_rows())
 def test_sparse_propagator_matches_dense_reference(case):
-    a, senses, rhs, n_bin, lo, up = case
+    a, coords, senses, rhs, n_bin, lo, up = case
     ref_lo, ref_up = lo.copy(), up.copy()
     ref_ok = _reference_propagate(a, senses, rhs, range(n_bin), ref_lo, ref_up)
-    ok = _Propagator(a, senses, rhs, n_bin).run(lo, up)
+    prop = _Propagator(coords, senses, rhs, n_bin)
+    # the <= stack lists its entries as np.nonzero lists the dense stack,
+    # so the row sums run in the same order
+    sense = np.array(senses)
+    stacked = np.vstack((a[sense != ">"], -a[sense != "<"]))
+    nonzero = np.nonzero(stacked)
+    assert np.array_equal(prop.row, nonzero[0]) and np.array_equal(prop.col, nonzero[1])
+    assert np.array_equal(prop.val, stacked[nonzero])
+    ok = prop.run(lo, up)
     assert ok == ref_ok
     if not ok:
         return
@@ -510,6 +519,13 @@ def test_sparse_propagator_matches_dense_reference(case):
         assert np.all(np.abs(got[finite] - want[finite]) <= 1e-9 * np.maximum(1.0, np.abs(want[finite])))
 
 
+def _row_sums(a, values):
+    """Each row's activity summed term by term in column order, the order
+    in which the model's coordinates list a row's entries."""
+    return np.array([sum(a[r, c] * values[c] for c in range(a.shape[1]) if a[r, c] != 0.0)
+                     for r in range(a.shape[0])], dtype=float)
+
+
 def _reference_is_feasible(values, a, senses, rhs, lo, up, binary_cols, int_tol=1e-6, row_tol=1e-6):
     # the per-binary, per-row loop that _is_feasible replaced
     if np.any(values < lo - 1e-9) or np.any(values > up + 1e-9):
@@ -517,7 +533,7 @@ def _reference_is_feasible(values, a, senses, rhs, lo, up, binary_cols, int_tol=
     for col in binary_cols:
         if min(values[col], 1.0 - values[col]) > int_tol:
             return False
-    lhs = a @ values
+    lhs = _row_sums(a, values)
     scale = np.maximum(1.0, np.abs(rhs))
     for r, sense in enumerate(senses):
         gap = lhs[r] - rhs[r]
@@ -534,20 +550,20 @@ def _reference_is_feasible(values, a, senses, rhs, lo, up, binary_cols, int_tol=
 def feasibility_cases(draw):
     # values at, inside and just past the bound and integrality tolerances,
     # and right-hand sides at, inside and just past the row tolerance
-    a, senses, _, n_bin, lo, up = draw(propagation_rows())
+    a, coords, senses, _, n_bin, lo, up = draw(propagation_rows())
     near = st.sampled_from([0.0, 1.0, 5e-7, 2e-6, 1.0 - 5e-7, 1.0 - 2e-6, 0.5, -5e-10, -2e-9, 3.0, 50.0 + 2e-9])
     values = np.array([draw(near) for _ in range(a.shape[1])])
     offset = st.sampled_from([0.0, 5e-7, -5e-7, 1e-6, -1e-6, 2e-6, -2e-6, 1.0, -1.0])
-    lhs = a @ values
+    lhs = _row_sums(a, values)
     rhs = np.array([v + draw(offset) * max(1.0, abs(v)) for v in lhs])
-    return values, a, senses, rhs, lo, up, n_bin
+    return values, a, coords, senses, rhs, lo, up, n_bin
 
 
 @settings(max_examples=400, deadline=None)
 @given(feasibility_cases())
 def test_vector_feasibility_check_matches_loop_reference(case):
-    values, a, senses, rhs, lo, up, n_bin = case
-    assert _is_feasible(values, a, senses, rhs, lo, up, n_bin) == _reference_is_feasible(
+    values, a, coords, senses, rhs, lo, up, n_bin = case
+    assert _is_feasible(values, coords, senses, rhs, lo, up, n_bin) == _reference_is_feasible(
         values, a, senses, rhs, lo, up, range(n_bin)
     )
 
