@@ -9,6 +9,7 @@ instances is the central correctness check of the whole package.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,17 +35,6 @@ class TimingPart:
 class TimingJob:
     processing_h: float
     parts: tuple[TimingPart, ...]
-
-
-@dataclass(frozen=True)
-class TimingProblem:
-    """Fixed assignments and job orders; only completion times are free.
-
-    ``chains`` holds one ordered job list per machine.  Chains are
-    independent, so the total cost separates over them.
-    """
-
-    chains: tuple[tuple[TimingJob, ...], ...]
 
 
 def _chain_timing(jobs: tuple[TimingJob, ...]) -> tuple[tuple[float, ...], float]:
@@ -94,17 +84,6 @@ def _chain_timing(jobs: tuple[TimingJob, ...]) -> tuple[tuple[float, ...], float
         completions.append(layer[at][0])
         at = layer[at][2]
     return tuple(reversed(completions)), total
-
-
-def optimal_timing(problem: TimingProblem) -> tuple[tuple[tuple[float, ...], ...], float]:
-    """Exact completion times and cost for fixed assignments and orders."""
-    completions = []
-    total = 0.0
-    for chain in problem.chains:
-        c, cost = _chain_timing(chain)
-        completions.append(c)
-        total += cost
-    return tuple(completions), total
 
 
 # ------------------------------------------------------------ brute force
@@ -158,7 +137,10 @@ def _pose_frontier(machine: MachineSpec, instance: ProblemInstance, block: tuple
 
     Lower processing time never hurts the cost objective and higher
     occupied area never hurts the unused-area objective, so only the
-    Pareto frontier over those two numbers needs to survive.
+    Pareto frontier over those two numbers needs to survive.  A pose's
+    base area times its height is the part's volume, so each part's
+    widest pose is also its lowest: when the widest poses fit the plate
+    together, they are the whole frontier.
     """
     pose_sets = []
     volume = 0.0
@@ -169,8 +151,18 @@ def _pose_frontier(machine: MachineSpec, instance: ProblemInstance, block: tuple
             return []
         pose_sets.append(feas)
         volume += volume_mm3(part)
+    widest = tuple(max(feas, key=lambda o: (o.base_area_mm2, -o.height_mm)) for feas in pose_sets)
+    if sum(o.base_area_mm2 for o in widest) <= machine.base_area_mm2 + 1e-9:
+        candidates = [widest]
+    elif 3 ** len(block) > 2_000_000:
+        raise ValueError(
+            "single batch enumeration too large once the greedy "
+            f"packing overflows ({len(block)} parts)"
+        )
+    else:
+        candidates = itertools.product(*pose_sets)
     combos = []
-    for poses in itertools.product(*pose_sets):
+    for poses in candidates:
         occupied = sum(o.base_area_mm2 for o in poses)
         if occupied > machine.base_area_mm2 + 1e-9:
             continue
@@ -237,28 +229,16 @@ def brute_force(instance: ProblemInstance) -> BruteForceResult:
 
     ce = instance.penalties.earliness
     ct = instance.penalties.tardiness
-    frontier_cache: dict = {}
 
+    @functools.cache
     def pose_frontier(m, block):
-        key = (m, block)
-        hit = frontier_cache.get(key)
-        if hit is None:
-            hit = _pose_frontier(instance.machines[m], instance, block)
-            frontier_cache[key] = hit
-        return hit
+        return _pose_frontier(instance.machines[m], instance, block)
 
-    cell_cache: dict = {}
-
+    @functools.cache
     def machine_cell(m, subset):
         """Nondominated (zz_m, cost, jobs-witness) for one machine's parts."""
-        key = (m, subset)
-        hit = cell_cache.get(key)
-        if hit is not None:
-            return hit
         if not subset:
-            hit = [(0.0, 0.0, ())]
-            cell_cache[key] = hit
-            return hit
+            return [(0.0, 0.0, ())]
         plate = instance.machines[m].base_area_mm2
         raw = []
         for blocks in _ordered_partitions(subset, jobs):
@@ -279,9 +259,7 @@ def brute_force(instance: ProblemInstance) -> BruteForceResult:
                     for block, (_, _, poses), c in zip(blocks, choice, completions)
                 )
                 raw.append((len(blocks) * plate - occupied, cost, witness))
-        hit = _pareto_min2(raw)
-        cell_cache[key] = hit
-        return hit
+        return _pareto_min2(raw)
 
     # identical machines are interchangeable: demand that the earlier
     # twin either holds the earlier-indexed parts or that the later twin
@@ -349,7 +327,8 @@ def brute_force(instance: ProblemInstance) -> BruteForceResult:
             frozenset(activated),
         )
         ev = evaluate(schedule, instance)
-        if abs(ev.z - cost) > 1e-6 or abs(ev.zz - zz) > 1e-6:
+        if (abs(ev.z - cost) > 1e-6 * max(1.0, abs(cost))
+                or abs(ev.zz - zz) > 1e-6 * max(1.0, abs(zz))):
             raise RuntimeError(
                 f"oracle bookkeeping drifted from evaluation: "
                 f"z {cost:g} vs {ev.z:g}, zz {zz:g} vs {ev.zz:g}"
@@ -369,8 +348,8 @@ def single_batch_oracle(
 
     With a single job every part completes at the same time, so the
     timing collapses to a one-dimensional convex minimization and only
-    the orientation choice is left.  ``min_zz`` packs the largest total
-    footprint; ``min_z`` searches heights for the cheapest schedule.
+    the orientation choice is left.  Both modes rank the job's pose
+    frontier: ``min_zz`` by unused area then cost, ``min_z`` the reverse.
     """
     if mode not in ("min_zz", "min_z"):
         raise ValueError(f"unknown mode {mode!r}, expected 'min_zz' or 'min_z'")
@@ -382,16 +361,10 @@ def single_batch_oracle(
     parts = tuple(TimingPart(p.due_h, ce, ct) for p in instance.parts)
     best = None
     shortfalls = []
+    everything = tuple(range(len(instance.parts)))
     for m, machine in enumerate(instance.machines):
-        pose_sets = []
-        feasible = True
-        for part in instance.parts:
-            feas = feasible_orientations(part, machine)
-            if not feas:
-                feasible = False
-                break
-            pose_sets.append(feas)
-        if not feasible:
+        pose_sets = [feasible_orientations(part, machine) for part in instance.parts]
+        if not all(pose_sets):
             shortfalls.append(f"{machine.id}: a part fits in no orientation")
             continue
         min_total = sum(min(o.base_area_mm2 for o in feas) for feas in pose_sets)
@@ -401,31 +374,7 @@ def single_batch_oracle(
                 f"plate {machine.base_area_mm2:g} mm2"
             )
             continue
-
-        # widest pose per part, smallest height among area ties
-        greedy = tuple(
-            max(feas, key=lambda o: (o.base_area_mm2, -o.height_mm)) for feas in pose_sets
-        )
-        if sum(o.base_area_mm2 for o in greedy) <= machine.base_area_mm2 + 1e-9:
-            candidates = [greedy]
-        else:
-            if 3 ** len(instance.parts) > 2_000_000:
-                raise ValueError(
-                    "single batch enumeration too large once the greedy "
-                    f"packing overflows ({len(instance.parts)} parts)"
-                )
-            candidates = [
-                poses
-                for poses in itertools.product(*pose_sets)
-                if sum(o.base_area_mm2 for o in poses) <= machine.base_area_mm2 + 1e-9
-            ]
-        for poses in candidates:
-            occupied = sum(o.base_area_mm2 for o in poses)
-            height = max(o.height_mm for o in poses)
-            processing = machine.layer_time_h_per_mm * height
-            processing += machine.volumetric_time_h_per_mm3 * sum(
-                volume_mm3(p) for p in instance.parts
-            )
+        for processing, occupied, poses in _pose_frontier(machine, instance, everything):
             (completion,), cost = _chain_timing((TimingJob(processing, parts),))
             zz = machine.base_area_mm2 - occupied
             rank = (zz, cost) if mode == "min_zz" else (cost, zz)

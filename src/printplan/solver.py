@@ -63,6 +63,11 @@ GAP_TOLERANCE = 1e-6
 _PROPAGATION_PASSES = 4
 
 
+def _bound_slack(bound: np.ndarray) -> np.ndarray:
+    """1e-9 * max(1, |bound|), kept finite so that an infinite bound takes any finite candidate."""
+    return 1e-9 * np.minimum(np.maximum(1.0, np.abs(bound)), 1e300)
+
+
 def gap_slack(value: float) -> float:
     """How far a value may sit above a proven bound and still count as within the gap."""
     return GAP_TOLERANCE * max(1.0, abs(value))
@@ -105,7 +110,7 @@ class _Propagator:
 
     Rows are kept as ``<=`` rows in the model's coordinate form: the
     ``<`` and ``=`` rows, then the ``>`` and ``=`` rows negated.  Model
-    rows hold a few nonzeros each.
+    rows hold a few nonzeros each.  `_is_feasible` reads the same stack.
     """
 
     def __init__(self, coords, senses, rhs: np.ndarray, n_bin: int):
@@ -149,14 +154,17 @@ class _Propagator:
             lb_cand = np.full(lo.shape[0], -np.inf)
             np.minimum.at(ub_cand, col[pos], cap[pos])
             np.maximum.at(lb_cand, col[~pos], cap[~pos])
-            new_up = np.minimum(up, ub_cand)
-            new_lo = np.maximum(lo, lb_cand)
+            # a bound takes a candidate only if it moves by more than its
+            # slack: re-deriving a fixed bound through an equality row moves
+            # it by a few ulps a pass, which would cross feasible boxes
+            new_up = np.where(ub_cand < up - _bound_slack(up), ub_cand, up)
+            new_lo = np.where(lb_cand > lo + _bound_slack(lo), lb_cand, lo)
             lo_bin, up_bin = new_lo[: self.n_bin], new_up[: self.n_bin]  # views
             lo_bin[lo_bin > 1e-7] = 1.0
             up_bin[up_bin < 1.0 - 1e-7] = 0.0
-            if np.any(new_lo > new_up + 1e-9):
+            if np.any(new_lo > new_up + _bound_slack(new_up)):
                 return False
-            changed = np.any(new_up < up - 1e-12) or np.any(new_lo > lo + 1e-12)
+            changed = np.any(new_up < up) or np.any(new_lo > lo)
             up[:] = new_up
             lo[:] = new_lo
             if not changed:
@@ -228,7 +236,7 @@ def solve_milp(
             return
         values = res.x.copy()
         values[:n_bin] = binaries
-        if not _is_feasible(values, model.coords, model.senses, model.rhs, base_lo, base_up, n_bin):
+        if not _is_feasible(values, propagator, base_lo, base_up):
             return
         obj = float(cost @ values)
         if obj < incumbent_obj - 1e-12:
@@ -335,22 +343,22 @@ def _dive_column(x: np.ndarray) -> int | None:
     return int(np.argmax(value >= top - 1e-12))
 
 
-def _is_feasible(values, coords, senses, rhs, lo, up, n_bin) -> bool:
-    """Finite, within bounds, binaries integral, rows held within 1e-6 * max(1, |rhs|)."""
+def _is_feasible(values, stack: _Propagator, lo, up) -> bool:
+    """Finite, within bounds, binaries integral, rows held within 1e-6 * max(1, |rhs|).
+
+    The rows are the propagator's ``<=`` stack, so an ``=`` row is checked
+    from both sides and a ``>`` row negated; negation is exact, so the
+    verdict is the one the model's own rows give.
+    """
     if not np.isfinite(values).all():
         return False
     if np.any(values < lo - 1e-9) or np.any(values > up + 1e-9):
         return False
-    binaries = values[:n_bin]
+    binaries = values[: stack.n_bin]
     if np.any(np.minimum(binaries, 1.0 - binaries) > INTEGRALITY_TOLERANCE):
         return False
-    row, col, val = coords
-    gap = np.bincount(row, weights=val * values[col], minlength=rhs.shape[0]) - rhs
-    limit = 1e-6 * np.maximum(1.0, np.abs(rhs))
-    sense = np.asarray(senses)
-    over = (sense != ">") & (gap > limit)  # '<' and '=' rows
-    under = (sense != "<") & (gap < -limit)  # '>' and '=' rows
-    return not np.any(over | under)
+    activity = np.bincount(stack.row, weights=stack.val * values[stack.col], minlength=stack.rhs.shape[0])
+    return not np.any(activity - stack.rhs > 1e-6 * stack.rhs_scale)
 
 
 def parse_external_solution(text: str, model: MilpModel) -> MilpSolution:

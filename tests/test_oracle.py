@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +17,7 @@ from printplan.evaluate import Placement, Schedule, evaluate
 from printplan.geometry import OrientationKind, orientation_for
 from printplan.instance import MachineSpec, Part, ProblemInstance
 from printplan.model import Objective, build_model, inject_epsilon
-from printplan.oracle import (
-    TimingJob,
-    TimingPart,
-    TimingProblem,
-    brute_force,
-    optimal_timing,
-    single_batch_oracle,
-)
+from printplan.oracle import TimingJob, TimingPart, _chain_timing, brute_force, single_batch_oracle
 from printplan.solver import SolveStatus, solve_milp
 
 
@@ -31,18 +25,13 @@ def reference_machine(mid: str = "m1") -> MachineSpec:
     return MachineSpec(mid, 250.0, 250.0, 200.0, 0.00006, 0.000003)
 
 
-def chain(*jobs: TimingJob) -> TimingProblem:
-    return TimingProblem((tuple(jobs),))
-
-
-def timing_cost(chains, completions, ce=1.0, ct=1.0) -> float:
+def timing_cost(jobs, completions) -> float:
     # direct recomputation of the piecewise-linear objective
     total = 0.0
-    for jobs, cs in zip(chains, completions):
-        for job, c in zip(jobs, cs):
-            for part in job.parts:
-                total += part.earliness_weight * max(0.0, part.due_h - c)
-                total += part.tardiness_weight * max(0.0, c - part.due_h)
+    for job, c in zip(jobs, completions):
+        for part in job.parts:
+            total += part.earliness_weight * max(0.0, part.due_h - c)
+            total += part.tardiness_weight * max(0.0, c - part.due_h)
     return total
 
 
@@ -50,61 +39,44 @@ def timing_cost(chains, completions, ce=1.0, ct=1.0) -> float:
 
 
 def test_timing_idle_insertion_to_due_date():
-    problem = chain(TimingJob(0.0036, (TimingPart(1.0, 1.0, 1.0),)))
-    completions, cost = optimal_timing(problem)
-    assert completions == ((1.0,),)
+    completions, cost = _chain_timing((TimingJob(0.0036, (TimingPart(1.0, 1.0, 1.0),)),))
+    assert completions == (1.0,)
     assert cost == pytest.approx(0.0, abs=1e-12)
 
 
 def test_timing_two_dues_one_job():
-    problem = chain(TimingJob(1.0, (TimingPart(1.0, 1.0, 1.0), TimingPart(2.0, 1.0, 1.0))))
-    completions, cost = optimal_timing(problem)
+    completions, cost = _chain_timing((TimingJob(1.0, (TimingPart(1.0, 1.0, 1.0), TimingPart(2.0, 1.0, 1.0))),))
     assert cost == pytest.approx(1.0)
-    assert 1.0 - 1e-9 <= completions[0][0] <= 2.0 + 1e-9
+    assert 1.0 - 1e-9 <= completions[0] <= 2.0 + 1e-9
 
 
 def test_timing_unavoidable_tardiness_first_job():
-    problem = chain(
+    completions, cost = _chain_timing((
         TimingJob(1.0, (TimingPart(0.5, 1.0, 1.0),)),
         TimingJob(1.0, (TimingPart(10.0, 1.0, 1.0),)),
-    )
-    completions, cost = optimal_timing(problem)
-    assert completions == ((1.0, 10.0),)
+    ))
+    assert completions == (1.0, 10.0)
     assert cost == pytest.approx(0.5)
 
 
 def test_timing_asymmetric_weights():
     # tardiness three times dearer than earliness: park the shared
     # completion at the near due date and eat earliness on the far one
-    problem = chain(
+    completions, cost = _chain_timing((
         TimingJob(1.0, (TimingPart(1.0, 1.0, 3.0), TimingPart(3.0, 1.0, 3.0))),
-    )
-    completions, cost = optimal_timing(problem)
-    assert completions[0][0] == pytest.approx(1.0)
+    ))
+    assert completions[0] == pytest.approx(1.0)
     assert cost == pytest.approx(2.0)
 
 
 def test_timing_empty_chain():
-    completions, cost = optimal_timing(TimingProblem(((),)))
-    assert completions == ((),)
+    completions, cost = _chain_timing(())
+    assert completions == ()
     assert cost == 0.0
 
 
-def test_timing_independent_chains_add_up():
-    one = chain(TimingJob(1.0, (TimingPart(0.5, 1.0, 1.0),)))
-    two = TimingProblem(
-        (
-            one.chains[0],
-            (TimingJob(3.0, (TimingPart(1.0, 1.0, 1.0),)),),
-        )
-    )
-    _, cost_one = optimal_timing(one)
-    _, cost_two = optimal_timing(two)
-    assert cost_two == pytest.approx(cost_one + 2.0)
-
-
 @st.composite
-def timing_problems(draw):
+def timing_chains(draw):
     n_jobs = draw(st.integers(1, 3))
     jobs = []
     for _ in range(n_jobs):
@@ -119,16 +91,15 @@ def timing_problems(draw):
             for _ in range(n_parts)
         )
         jobs.append(TimingJob(p, parts))
-    return TimingProblem((tuple(jobs),))
+    return tuple(jobs)
 
 
 @settings(max_examples=60, deadline=None)
-@given(timing_problems(), st.floats(0.01, 2.0))
-def test_timing_optimum_beats_perturbations(problem, delta):
-    completions, cost = optimal_timing(problem)
-    jobs = problem.chains[0]
-    cs = list(completions[0])
-    assert timing_cost(problem.chains, completions) == pytest.approx(cost, abs=1e-7)
+@given(timing_chains(), st.floats(0.01, 2.0))
+def test_timing_optimum_beats_perturbations(jobs, delta):
+    completions, cost = _chain_timing(jobs)
+    cs = list(completions)
+    assert timing_cost(jobs, completions) == pytest.approx(cost, abs=1e-7)
     # chain spacing holds
     prev = 0.0
     for job, c in zip(jobs, cs):
@@ -147,7 +118,7 @@ def test_timing_optimum_beats_perturbations(problem, delta):
                     break
                 prev = c
             if feasible:
-                assert timing_cost(problem.chains, (tuple(trial),)) >= cost - 1e-7
+                assert timing_cost(jobs, trial) >= cost - 1e-7
 
 
 @st.composite
@@ -204,12 +175,12 @@ def chain_lp_optimum(jobs) -> float:
 @settings(max_examples=200, deadline=None)
 @given(chains_with_flat_spots())
 def test_timing_matches_an_independent_lp_solver(jobs):
-    completions, cost = optimal_timing(TimingProblem((jobs,)))
+    completions, cost = _chain_timing(jobs)
     assert cost == pytest.approx(chain_lp_optimum(jobs), abs=1e-7)
     # the completions are feasible and attain the reported cost
-    assert timing_cost((jobs,), completions) == pytest.approx(cost, abs=1e-9)
+    assert timing_cost(jobs, completions) == pytest.approx(cost, abs=1e-9)
     prev = 0.0
-    for job, c in zip(jobs, completions[0]):
+    for job, c in zip(jobs, completions):
         assert c >= prev + job.processing_h - 1e-9 * max(1.0, c)
         prev = c
 
@@ -225,6 +196,26 @@ def test_oracle_imports_nothing_from_simplex():
         name for name, value in vars(oracle).items()
         if getattr(value, "__module__", None) == "printplan.simplex"
     ]
+
+
+def test_oracle_imports_only_the_data_and_the_evaluator():
+    # geometry and instance are the problem data and evaluate prices a
+    # schedule from its decisions alone; nothing from model, solver,
+    # simplex or pareto, and not decode or accept, may reach the oracle
+    allowed = {
+        "geometry": None,
+        "instance": None,
+        "evaluate": {"Evaluation", "Placement", "Schedule", "evaluate"},
+    }
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in allowed, node.module
+            names = {alias.name for alias in node.names}
+            assert allowed[node.module] is None or names <= allowed[node.module], names
+        elif isinstance(node, ast.Import):
+            assert not any(alias.name.startswith("printplan") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.module.startswith("printplan"), node.module
 
 
 # -------------------------------------------------------- brute force
@@ -319,6 +310,20 @@ def test_epsilon_constrained_agrees_with_milp():
         got = solve_milp(model, time_limit_s=120)
         assert got.status is SolveStatus.Optimal
         assert got.objective == pytest.approx(want.z, abs=1e-6)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 6])
+@pytest.mark.parametrize("layer_time", [1e9, 1e12])
+def test_bookkeeping_check_scales_with_the_objective(seed, layer_time):
+    # at these layer times z reaches 1e11 and more, where the oracle's sums
+    # and the evaluator's round apart by more than an absolute 1e-6
+    base = random_instance(seed)
+    inst = replace(base, machines=tuple(replace(m, layer_time_h_per_mm=layer_time) for m in base.machines))
+    res = brute_force(inst)
+    assert res.min_z.z > 1e9
+    for point in res.points:
+        ev = evaluate(point.schedule, inst)
+        assert (ev.z, ev.zz) == (point.z, point.zz)
 
 
 def test_identical_machines_canonical_witness():
