@@ -21,6 +21,8 @@ Key mechanics:
   position, each pivot rewrites one position, and nonbasic columns keep
   their bound values, so the full value vector is written only when the
   solve finishes;
+* a warm start is the basis plus one bound side per column (``at_up``,
+  true for a nonbasic column at its upper bound);
 * sign pricing: each column carries -1 at its lower bound, +1 at its
   upper bound and 0 when basic, or nonbasic with equal bounds, so
   ``sgn * d`` is the improvement rate of every eligible column and at
@@ -32,7 +34,9 @@ Key mechanics:
   the rows where the entering column moves, and the update only the
   columns where the pivot row of the inverse is nonzero;
 * periodic refactorization of the basis inverse, and a feasibility audit
-  (drift and row residual) at termination;
+  at termination: every verdict (optimal, infeasible, unbounded) is
+  reached on an inverse this solve freshly factored, with no pivot or
+  bound flip since, and its row residual is checked;
 * a refactorization inverts only the basis nucleus: basic slack columns
   are unit vectors, so only the block of structural basic columns on
   the rows no basic slack covers is inverted, and the rest of the
@@ -47,17 +51,11 @@ from enum import Enum
 
 import numpy as np
 
-AT_LO, AT_UP, BASIC = 0, 1, 2
-# the pivot loop keeps a price sign per column (see `_sign`): -1 at the
-# lower bound, +1 at the upper bound, 0 when basic
-_SIGN = np.array([-1.0, 1.0, 0.0])
-
 _REFACTOR_EVERY = 100
 _DEGENERATE_RUN = 300
 _MAX_ITERATIONS_BASE = 20_000
 _MAX_ITERATIONS_PER_DIM = 200
-_FEAS_TOL = 1e-7  # basic-value drift and row residual accepted at the optimum
-_BOUND_TOL = 1e-9  # relative slack before a basic variable counts as out of bounds
+_RESIDUAL_TOL = 1e-6  # rows scaled to max |a| = 1: a relative row error, as loose as the 1e-6 gap
 
 
 class SimplexError(RuntimeError):
@@ -77,22 +75,24 @@ class LpResult:
     x: np.ndarray
     iterations: int
     basis: np.ndarray  # int, one column per row
-    statuses: np.ndarray  # int8, one of AT_LO, AT_UP, BASIC per column
-    binv: np.ndarray | None = None
+    at_up: np.ndarray  # bool per column: nonbasic at its upper bound
+    binv: np.ndarray
 
     @property
     def start(self) -> tuple[np.ndarray, np.ndarray]:
         """Opaque warm-start token for a subsequent solve; no solve changes it."""
-        return (self.basis, self.statuses)
+        return (self.basis, self.at_up)
 
     @property
     def start_with_binv(self):
         """Warm-start token that also hands over the basis inverse.
 
         Valid only for a follow-up solve of the same rows (bounds may
-        differ); the receiver copies it, so sharing is safe.
+        differ); the receiver copies it, so sharing is safe.  The inverse
+        serves pivoting only: the receiver factors its own before it
+        trusts a verdict.
         """
-        return (self.basis, self.statuses, self.binv)
+        return (self.basis, self.at_up, self.binv)
 
 
 @dataclass(frozen=True)
@@ -172,36 +172,34 @@ def solve_lp(
     if np.any(~np.isfinite(lo) & ~np.isfinite(up)):
         raise ValueError("every column needs a finite lower or upper bound")
     # a basic variable past these limits counts as out of bounds
-    lo_lim = lo - _btol(lo, _BOUND_TOL)
-    up_lim = up + _btol(up, _BOUND_TOL)
+    lo_lim = lo - bound_slack(lo)
+    up_lim = up + bound_slack(up)
     fixed = lo == up
 
     max_iterations = _MAX_ITERATIONS_BASE + _MAX_ITERATIONS_PER_DIM * (m + n)
 
     def cold_state():
         basis = np.arange(n, n + m)
-        status = _default_nonbasic_status(lo)
-        status[basis] = BASIC
-        return basis, _sign(status, fixed), _nonbasic_values(status, lo, up), np.eye(m)
+        return basis, *_nonbasic_state(basis, ~np.isfinite(lo), lo, up, fixed), np.eye(m)
 
     if start is None:
         basis, sgn, values, binv = cold_state()
     else:
         basis = np.array(start[0], dtype=int)  # a copy: the pivots rewrite it
-        status = start[1]
-        if basis.shape[0] != m or status.shape[0] != total:
+        at_up = start[1]
+        if basis.shape[0] != m or at_up.shape[0] != total:
             raise ValueError("warm start does not match problem shape")
-        # only finite bounds change between solves, so a nonbasic status
-        # from an earlier solve still names a finite bound here
-        sgn, values = _sign(status, fixed), _nonbasic_values(status, lo, up)
+        # only finite bounds change between solves, so a bound side from
+        # an earlier solve still names a finite bound here
+        sgn, values = _nonbasic_state(basis, at_up, lo, up, fixed)
+        binv = None
         if len(start) > 2 and start[2] is not None:
             # C order: the rank-1 update writes through a flat view
             binv = np.array(start[2], dtype=float, order="C")
-        else:
-            try:
-                binv = _refactor(a_full, basis)
-            except SimplexError:
-                basis, sgn, values, binv = cold_state()
+    # the inverse was factored by this solve, with no pivot or bound flip
+    # since: the only inverse a verdict may rest on
+    fresh = start is None
+    refactor = binv is None
 
     dual_tol = 1e-9 * max(1.0, float(np.abs(c).max()) if c.size else 1.0)
     bland = False
@@ -213,7 +211,7 @@ def solve_lp(
     while True:
         if it >= max_iterations:
             raise SimplexError(f"iteration limit {max_iterations} exceeded")
-        if it and it % _REFACTOR_EVERY == 0:
+        if refactor:
             # rank-1 updates can walk the basis into exact singularity;
             # recover by restarting this solve from the slack basis
             try:
@@ -223,7 +221,7 @@ def solve_lp(
                 if restarts > 5:
                     raise
                 basis, sgn, values, binv = cold_state()
-            reload = True
+            refactor, fresh, reload = False, True, True
         if reload:
             xb = _basic_values(a_full, b, basis, values, binv)
             lob, upb, c_b = lo[basis], up[basis], cols[basis]
@@ -245,52 +243,31 @@ def solve_lp(
             price_tol = dual_tol
 
         q = _entering(sgn, d, price_tol, bland)
+        if q >= 0:
+            direction = -float(sgn[q])  # +1 leaves the lower bound, -1 the upper
+            w = binv @ a_full[:, q]
+            theta, leave_pos, leave_up = _ratio_test(
+                xb, lob, upb, below if in_phase1 else None, above if in_phase1 else None,
+                w, direction, lo[q], up[q], bland, basis,
+            )
 
-        if q < 0:
-            if in_phase1:
-                values[basis] = xb
-                return _finish(LpStatus.INFEASIBLE, None, values, n, it, basis, sgn)
-            # claimed optimal: audit the basis before trusting it
-            try:
-                binv = _refactor(a_full, basis)
-            except SimplexError:
-                restarts += 1
-                if restarts > 5:
-                    raise
-                basis, sgn, values, binv = cold_state()
-                reload = True
-                it += 1
+        if q < 0 or theta is None:
+            if not fresh:
+                # re-factor, reload and price again; this is no iteration
+                refactor = True
                 continue
-            fresh = _basic_values(a_full, b, basis, values, binv)
-            drift = float(np.abs(fresh - xb).max()) if m else 0.0
-            xb = fresh
-            if drift > _FEAS_TOL:
-                restarts += 1
-                if restarts > 5:
-                    raise SimplexError("feasibility drift persisted across refactorizations")
-                it += 1
-                continue
+            if q < 0:
+                status = LpStatus.INFEASIBLE if in_phase1 else LpStatus.OPTIMAL
+            elif in_phase1:
+                raise SimplexError("phase-1 direction unbounded; numerical breakdown")
+            else:
+                status = LpStatus.UNBOUNDED
             values[basis] = xb
             resid = float(np.abs(a_full @ values - b).max()) if m else 0.0
-            if resid > 10 * _FEAS_TOL:
-                raise SimplexError(f"row residual {resid:.3e} above tolerance at optimum")
-            obj = float(cols @ values)
-            return _finish(LpStatus.OPTIMAL, obj, values, n, it, basis, sgn, binv)
-
-        direction = -float(sgn[q])  # +1 leaves the lower bound, -1 the upper
-
-        w = binv @ a_full[:, q]
-
-        theta, leave_pos, leave_to = _ratio_test(
-            xb, lob, upb, below if in_phase1 else None, above if in_phase1 else None,
-            w, direction, lo[q], up[q], bland, basis,
-        )
-
-        if theta is None:
-            if in_phase1:
-                raise SimplexError("phase-1 direction unbounded; numerical breakdown")
-            values[basis] = xb
-            return _finish(LpStatus.UNBOUNDED, None, values, n, it, basis, sgn)
+            if resid > _RESIDUAL_TOL:
+                raise SimplexError(f"row residual {resid:.3e} above tolerance at a verdict")
+            obj = float(cols @ values) if status is LpStatus.OPTIMAL else None
+            return _finish(status, obj, values, n, it, basis, sgn, binv)
 
         if theta <= 1e-10:
             degenerate_run += 1
@@ -309,39 +286,38 @@ def solve_lp(
             leaving = basis[leave_pos]
             xb[leave_pos] = values[q] + theta * direction
             sgn[q] = 0.0
-            if leave_to == AT_LO:
-                sgn[leaving], values[leaving] = -1.0, lo[leaving]
-            else:
-                sgn[leaving], values[leaving] = 1.0, up[leaving]
-            if fixed[leaving]:
-                sgn[leaving] = 0.0
+            sgn[leaving] = 0.0 if fixed[leaving] else (1.0 if leave_up else -1.0)
+            values[leaving] = up[leaving] if leave_up else lo[leaving]
             basis[leave_pos] = q
             lob[leave_pos], upb[leave_pos], c_b[leave_pos] = lo[q], up[q], cols[q]
             lo_limb[leave_pos], up_limb[leave_pos] = lo_lim[q], up_lim[q]
             _rank1_update(binv, w, leave_pos)
         it += 1
+        fresh = False
+        refactor = it % _REFACTOR_EVERY == 0
 
 
-def _btol(bound, tol):
-    return tol * np.maximum(1.0, np.abs(np.where(np.isfinite(bound), bound, 0.0)))
+def bound_slack(bound):
+    """1e-9 * max(1, |bound|), kept finite so that an infinite bound takes any finite candidate.
+
+    A value past a bound by more than this counts as past it; an
+    infinite bound plus its slack stays infinite.
+    """
+    return 1e-9 * np.minimum(np.maximum(1.0, np.abs(bound)), 1e300)
 
 
-def _sign(status, fixed):
-    """Price signs from statuses; a fixed column cannot move, so it gets 0."""
-    sgn = _SIGN[status]
+def _nonbasic_state(basis, at_up, lo, up, fixed):
+    """Price signs and values of the columns from the basis and their bound sides.
+
+    A nonbasic column sits at its upper bound where ``at_up`` holds and at
+    its lower bound elsewhere; its sign is +1 or -1 accordingly.  A basic
+    column, and a fixed one (it cannot move), gets sign 0.  The values of
+    basic columns are placeholders until the solve writes them.
+    """
+    sgn = np.where(at_up, 1.0, -1.0)
     sgn[fixed] = 0.0
-    return sgn
-
-
-def _default_nonbasic_status(lo):
-    return np.where(np.isfinite(lo), AT_LO, AT_UP).astype(np.int8)
-
-
-def _nonbasic_values(status, lo, up):
-    values = np.zeros(status.shape[0])
-    values[status == AT_LO] = lo[status == AT_LO]
-    values[status == AT_UP] = up[status == AT_UP]
-    return values
+    sgn[basis] = 0.0
+    return sgn, np.where(at_up, up, lo)
 
 
 def _refactor(a_full, basis):
@@ -386,8 +362,9 @@ def _ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, bas
     Feasible basics block at their own bounds.  Basics currently outside
     a bound block when they reach that bound (where the phase-1 cost
     slope changes).  Returns (theta, blocking basis position or -1 for a
-    bound flip, status the leaving variable takes).  Only the rows that
-    move (|w| > 1e-9) can block, so only those are examined.
+    bound flip, whether the leaving variable takes its upper bound).
+    Only the rows that move (|w| > 1e-9) can block, so only those are
+    examined.
 
     ``below`` and ``above`` mark the basics outside their bounds; phase 2
     passes None for both, as every basic is then within its bounds.
@@ -421,17 +398,17 @@ def _ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, bland, bas
     row_min = float(cand_theta.min()) if idx.size else np.inf
     theta = min(best, row_min)
     if not math.isfinite(theta):
-        return None, -1, AT_LO
+        return None, -1, False
 
     if row_min > theta + 1e-9:
-        return theta, -1, AT_LO  # entering variable flips to its other bound
+        return theta, -1, False  # entering variable flips to its other bound
 
     near = (cand_theta <= theta + 1e-9).nonzero()[0]
     if bland:
         k = int(near[np.argmin(basis[idx[near]])])
     else:
         k = int(near[np.argmax(np.abs(w_idx[near]))])
-    return float(cand_theta[k]), int(idx[k]), AT_UP if to_up[k] else AT_LO
+    return float(cand_theta[k]), int(idx[k]), bool(to_up[k])
 
 
 def _entering(sgn, d, tol, bland):
@@ -470,23 +447,18 @@ def _rank1_update(binv, w, p):
     binv[p] = row
 
 
-def _finish(status, objective, values, n, iterations, basis, sgn, binv=None):
-    """The result, with statuses for a warm start.
+def _finish(status, objective, values, n, iterations, basis, sgn, binv):
+    """The result, with the bound sides for a warm start.
 
-    A fixed nonbasic column carries sign 0 like a basic one, so the
-    statuses come from basis membership: ``BASIC`` in the basis, and
-    otherwise ``AT_UP`` where the sign is +1 and ``AT_LO`` elsewhere (a
-    fixed column sits at both bounds).
+    A basic column and a fixed one carry sign 0, so ``at_up`` is true
+    exactly where the sign is +1 (a fixed column sits at both bounds).
     """
-    statuses = np.where(sgn > 0, AT_UP, AT_LO).astype(np.int8)
-    statuses[basis] = BASIC
     return LpResult(
         status=status,
         objective=objective,
         x=values[:n].copy(),
         iterations=iterations,
         basis=basis,
-        statuses=statuses,
+        at_up=sgn > 0,
         binv=binv,
     )
-

@@ -44,7 +44,7 @@ from enum import Enum
 import numpy as np
 
 from .model import MilpModel
-from .simplex import LpStatus, prepare_rows, solve_lp
+from .simplex import LpStatus, bound_slack, prepare_rows, solve_lp
 
 
 class SolveStatus(str, Enum):
@@ -61,11 +61,6 @@ INTEGRALITY_TOLERANCE = 1e-6
 GAP_TOLERANCE = 1e-6
 # bound-propagation sweeps over all rows per node, at most
 _PROPAGATION_PASSES = 4
-
-
-def _bound_slack(bound: np.ndarray) -> np.ndarray:
-    """1e-9 * max(1, |bound|), kept finite so that an infinite bound takes any finite candidate."""
-    return 1e-9 * np.minimum(np.maximum(1.0, np.abs(bound)), 1e300)
 
 
 def gap_slack(value: float) -> float:
@@ -157,12 +152,12 @@ class _Propagator:
             # a bound takes a candidate only if it moves by more than its
             # slack: re-deriving a fixed bound through an equality row moves
             # it by a few ulps a pass, which would cross feasible boxes
-            new_up = np.where(ub_cand < up - _bound_slack(up), ub_cand, up)
-            new_lo = np.where(lb_cand > lo + _bound_slack(lo), lb_cand, lo)
+            new_up = np.where(ub_cand < up - bound_slack(up), ub_cand, up)
+            new_lo = np.where(lb_cand > lo + bound_slack(lo), lb_cand, lo)
             lo_bin, up_bin = new_lo[: self.n_bin], new_up[: self.n_bin]  # views
             lo_bin[lo_bin > 1e-7] = 1.0
             up_bin[up_bin < 1.0 - 1e-7] = 0.0
-            if np.any(new_lo > new_up + _bound_slack(new_up)):
+            if np.any(new_lo > new_up + bound_slack(new_up)):
                 return False
             changed = np.any(new_up < up) or np.any(new_lo > lo)
             up[:] = new_up

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -8,11 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from printplan import simplex
 from printplan.simplex import (
-    _SIGN,
-    AT_LO,
-    AT_UP,
-    BASIC,
     LpStatus,
     SimplexError,
     _entering,
@@ -164,9 +163,9 @@ def test_warm_start_after_bound_change():
     assert warm.objective == pytest.approx(cold2.objective)
     # a handed-over inverse in Fortran order is copied into the C order
     # that the rank-1 update writes through
-    basis, statuses, binv = cold.start_with_binv
+    basis, at_up, binv = cold.start_with_binv
     for order in (binv, np.asfortranarray(binv)):
-        again = solve_lp(c, rows, lower2, upper2, start=(basis, statuses, order))
+        again = solve_lp(c, rows, lower2, upper2, start=(basis, at_up, order))
         assert (again.status, again.objective) == (warm.status, warm.objective)
 
 
@@ -176,7 +175,7 @@ def test_warm_solve_leaves_its_token_unchanged():
     c = [-1, -2, 0.5]
     rows = prepare_rows([[1, 1, 1], [2, 1, 0]], "<<", [4, 5])
     cold = solve_lp(c, rows, [0.0, 0.0, 0.0], [3.0, 2.0, 1.0])
-    assert cold.basis.dtype.kind == "i" and cold.statuses.dtype == np.int8
+    assert cold.basis.dtype.kind == "i" and cold.at_up.dtype == bool
     for start in (cold.start, cold.start_with_binv):
         kept = [part.copy() for part in start]
         warm = solve_lp(c, rows, [1.0, 0.0, 0.0], [1.0, 2.0, 1.0], start=start)
@@ -201,7 +200,7 @@ def test_fixed_column_with_improving_cost_never_enters(c, a, senses, b, lower, u
     res = solve_lp(c, prepare_rows(a, senses, b), lower, upper)
     assert res.status is LpStatus.OPTIMAL
     assert fixed_col not in res.basis
-    assert np.frombuffer(res.statuses, dtype=np.int8)[fixed_col] == AT_LO
+    assert not res.at_up[fixed_col]
     # one pivot fewer than when the fixed column is priced like any other
     assert res.iterations == pivots
 
@@ -245,7 +244,7 @@ def test_warm_token_with_fixed_nonbasic_column_survives_relaxing(relaxed):
     fixed = solve_lp(c, rows, [2, 0, 0], [2, 10, 10])
     assert fixed.status is LpStatus.OPTIMAL
     assert 0 not in fixed.basis
-    assert np.frombuffer(fixed.statuses, dtype=np.int8)[0] == AT_LO
+    assert not fixed.at_up[0]
 
     lower, upper = [relaxed[0], 0, 0], [relaxed[1], 10, 10]
     cold = solve_lp(c, rows, lower, upper)
@@ -432,7 +431,7 @@ def _reference_ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, 
         best = up_q - lo_q
 
     cand_theta = np.full(m, np.inf)
-    cand_to = np.full(m, AT_LO, dtype=np.int8)
+    cand_to = np.zeros(m, dtype=bool)
 
     moving = np.abs(w) > 1e-9
     dec = moving & (dv < 0)
@@ -442,35 +441,35 @@ def _reference_ratio_test(xb, lob, upb, below, above, w, direction, lo_q, up_q, 
 
     sel = feas & dec & np.isfinite(lob)
     cand_theta[sel] = (xb[sel] - lob[sel]) / (-dv[sel])
-    cand_to[sel] = AT_LO
+    cand_to[sel] = False
 
     sel = feas & inc & np.isfinite(upb)
     cand_theta[sel] = (upb[sel] - xb[sel]) / dv[sel]
-    cand_to[sel] = AT_UP
+    cand_to[sel] = True
 
     sel = below & inc
     cand_theta[sel] = (lob[sel] - xb[sel]) / dv[sel]
-    cand_to[sel] = AT_LO
+    cand_to[sel] = False
 
     sel = above & dec
     cand_theta[sel] = (xb[sel] - upb[sel]) / (-dv[sel])
-    cand_to[sel] = AT_UP
+    cand_to[sel] = True
 
     cand_theta = np.maximum(cand_theta, 0.0)
     row_min = float(cand_theta.min()) if m else np.inf
     theta = min(best, row_min)
     if not np.isfinite(theta):
-        return None, -1, AT_LO
+        return None, -1, False
 
     if row_min > theta + 1e-9:
-        return theta, -1, AT_LO
+        return theta, -1, False
 
     near = np.flatnonzero(cand_theta <= theta + 1e-9)
     if bland:
         pos = int(near[np.argmin(basis[near])])
     else:
         pos = int(near[np.argmax(np.abs(w[near]))])
-    return float(cand_theta[pos]), pos, int(cand_to[pos])
+    return float(cand_theta[pos]), pos, bool(cand_to[pos])
 
 
 # small integers make exact ties, exact zeros in w and exact bound hits common
@@ -553,10 +552,10 @@ def test_block_rank1_update_matches_full_row_update(case):
     assert np.array_equal(block, full)
 
 
-def _reference_entering(status, d, tol, bland):
+def _reference_entering(sgn, d, tol, bland):
     """Dantzig's rule on the eligibility masks, or Bland's first eligible column."""
-    can_up = (status == AT_LO) & (d < -tol)
-    can_dn = (status == AT_UP) & (d > tol)
+    can_up = (sgn == -1.0) & (d < -tol)
+    can_dn = (sgn == 1.0) & (d > tol)
     eligible = can_up | can_dn
     if not eligible.any():
         return -1
@@ -574,21 +573,68 @@ def pricing_inputs(draw):
     d = np.array(draw(st.lists(
         st.one_of(st.sampled_from(grid), st.floats(-5, 5)), min_size=total, max_size=total
     )))
-    status = np.array(draw(st.lists(
-        st.sampled_from([AT_LO, AT_UP, BASIC]), min_size=total, max_size=total
-    )), dtype=np.int8)
-    return status, d, tol, draw(st.booleans())
+    # -1 at the lower bound, +1 at the upper, 0 when basic or fixed
+    sgn = np.array(draw(st.lists(
+        st.sampled_from([-1.0, 1.0, 0.0]), min_size=total, max_size=total
+    )))
+    return sgn, d, tol, draw(st.booleans())
 
 
 @settings(max_examples=1000, deadline=None)
 @given(pricing_inputs())
-@example((np.array([BASIC, AT_LO, AT_UP], dtype=np.int8), np.array([-5.0, 0.0, -0.0]), 1e-9, False))
-@example((np.array([AT_LO, AT_UP, AT_LO], dtype=np.int8), np.array([-2.0, 2.0, -2.0]), 1e-9, False))
-@example((np.array([AT_UP, AT_LO], dtype=np.int8), np.array([1e-9, -1e-9]), 1e-9, True))
+@example((np.array([0.0, -1.0, 1.0]), np.array([-5.0, 0.0, -0.0]), 1e-9, False))
+@example((np.array([-1.0, 1.0, -1.0]), np.array([-2.0, 2.0, -2.0]), 1e-9, False))
+@example((np.array([1.0, -1.0]), np.array([1e-9, -1e-9]), 1e-9, True))
 def test_sign_pricing_picks_the_reference_column(case):
-    status, d, tol, bland = case
-    q = _entering(_SIGN[status], d, tol, bland)
-    assert q == _reference_entering(status, d, tol, bland)
+    sgn, d, tol, bland = case
+    q = _entering(sgn, d, tol, bland)
+    assert q == _reference_entering(sgn, d, tol, bland)
     if q >= 0:
-        # the entering direction: up from the lower bound, down from the upper
-        assert -_SIGN[status[q]] == (1.0 if status[q] == AT_LO else -1.0)
+        # the entering column sits at a bound it can leave: a basic or
+        # fixed column (sign 0) never enters
+        assert sgn[q] in (-1.0, 1.0)
+
+
+def _random_small_lp(rng):
+    """2-4 integer rows over 2-4 columns at lower bound 0, some with no upper bound."""
+    m, n = rng.integers(2, 5, size=2)
+    a = rng.integers(-3, 4, size=(m, n))
+    senses = "".join(rng.choice(list("<=>"), size=m))
+    b = rng.integers(-3, 4, size=m)
+    c = rng.integers(-3, 4, size=n)
+    upper = rng.choice([1.0, 2.0, 5.0, np.inf], size=n)
+    return c, prepare_rows(a, senses, b), np.zeros(n), upper
+
+
+def test_a_handed_over_inverse_never_decides_the_verdict():
+    # a warm start at the cold final basis, with an inverse that is not
+    # that basis's inverse: the identity, or the true one with 30%
+    # multiplicative noise.  Pivoting on a wrong inverse may stall or
+    # wander, but the verdict must be the cold one
+    rng = np.random.default_rng(0)
+    checked = 0
+    for _ in range(400):
+        c, rows, lower, upper = _random_small_lp(rng)
+        cold = solve_lp(c, rows, lower, upper)
+        if cold.status is LpStatus.INFEASIBLE:
+            continue
+        m = rows.b.shape[0]
+        noisy = _refactor(rows.a_full, cold.basis) * rng.uniform(0.7, 1.3, size=(m, m))
+        for binv in (np.eye(m), noisy):
+            warm = solve_lp(c, rows, lower, upper, start=(*cold.start, binv))
+            assert warm.status is cold.status
+            if cold.status is LpStatus.OPTIMAL:
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+        checked += 1
+    assert checked >= 150
+
+
+def test_solve_lp_has_one_exit():
+    # every verdict leaves through one _finish call, on a fresh inverse
+    tree = ast.parse(inspect.getsource(simplex.solve_lp))
+    finishes = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "_finish"
+    ]
+    assert len(finishes) == 1
