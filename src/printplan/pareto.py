@@ -9,6 +9,7 @@ measured on actual optima rather than arbitrary alternates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -86,15 +87,21 @@ def _payoff_with_seeds(
     instance: ProblemInstance,
     time_limit_s: float | None,
     fixed_orientation: bool,
-) -> tuple[PayoffTable, list[np.ndarray], MilpModel]:
-    """The payoff table, its two refined corners as seeds, and the Z model."""
+) -> tuple[PayoffTable, list[np.ndarray], MilpModel, float]:
+    """The payoff table, its two refined corners as seeds, the Z model, and
+    the proven bound on z.
+
+    Each refine solve starts from the proven bound of its unconstrained
+    solve: capping the other objective only shrinks the feasible set.
+    """
     model_z = build_model(instance, Objective.Z, fixed_orientation=fixed_orientation)
     model_zz = replace(model_z, active_objective=Objective.ZZ)
 
-    sol_z = _require_optimal(solve_milp(model_z, time_limit_s=time_limit_s), model_z,
-                             "payoff: minimize cost")
-    sol_zz = _require_optimal(solve_milp(model_zz, time_limit_s=time_limit_s), model_zz,
-                              "payoff: minimize unused area")
+    # nothing bounds the two ideals before they are solved
+    sol_z = _require_optimal(solve_milp(model_z, time_limit_s=time_limit_s, lower_bound=-math.inf),
+                             model_z, "payoff: minimize cost")
+    sol_zz = _require_optimal(solve_milp(model_zz, time_limit_s=time_limit_s, lower_bound=-math.inf),
+                              model_zz, "payoff: minimize unused area")
     z_ideal = float(sol_z.objective)
     zz_ideal = float(sol_zz.objective)
 
@@ -102,13 +109,15 @@ def _payoff_with_seeds(
     # area-optimal solutions, the cheapest: those are the nadir estimates
     capped_zz = cap_objective(model_zz, Objective.Z, z_ideal + gap_slack(z_ideal))
     ref_z = _require_optimal(
-        solve_milp(capped_zz, time_limit_s=time_limit_s, warm_values=[sol_z.values]),
+        solve_milp(capped_zz, time_limit_s=time_limit_s, warm_values=[sol_z.values],
+                   lower_bound=sol_zz.bound),
         capped_zz,
         "payoff: refine the cost-optimal corner",
     )
     capped_z = cap_objective(model_z, Objective.ZZ, zz_ideal + gap_slack(zz_ideal))
     ref_zz = _require_optimal(
-        solve_milp(capped_z, time_limit_s=time_limit_s, warm_values=[sol_zz.values]),
+        solve_milp(capped_z, time_limit_s=time_limit_s, warm_values=[sol_zz.values],
+                   lower_bound=sol_z.bound),
         capped_z,
         "payoff: refine the area-optimal corner",
     )
@@ -119,7 +128,7 @@ def _payoff_with_seeds(
         z_nadir_est=float(ref_zz.objective),
         zz_nadir_est=float(ref_z.objective),
     )
-    return table, [ref_zz.values, ref_z.values], model_z
+    return table, [ref_zz.values, ref_z.values], model_z, sol_z.bound
 
 
 def payoff_table(
@@ -142,15 +151,18 @@ def payoff_table(
 
 
 def epsilon_grid(table: PayoffTable, grid_count: int) -> tuple[float, ...]:
-    """Evenly spaced caps from the area ideal to its nadir estimate."""
+    """Evenly spaced caps from the area ideal to its nadir estimate.
+
+    The two end caps are the table's own values: the spacing formula can
+    miss the nadir estimate by an ulp.
+    """
     if grid_count < 1:
         raise ValueError("grid_count must be at least 1")
     if grid_count == 1:
         return (table.zz_ideal,)
     span = table.zz_nadir_est - table.zz_ideal
-    return tuple(
-        table.zz_ideal + k * span / (grid_count - 1) for k in range(grid_count)
-    )
+    inner = (table.zz_ideal + k * span / (grid_count - 1) for k in range(1, grid_count - 1))
+    return (table.zz_ideal, *inner, table.zz_nadir_est)
 
 
 def filter_dominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
@@ -193,7 +205,12 @@ def pareto_front(
     optimal solve, every looser optimal row with a larger zz takes the new
     point when its z is within `gap_slack` of that row's proven
     bound, so a row never reports a weakly efficient optimum that a
-    tighter cap improved on.  Time-limited attempts are flagged in the log
+    tighter cap improved on.  Every capped solve gets ``lower_bound``, a
+    floor on z: the cost ideal's proven bound raised to every earlier capped
+    solve's proven bound, whatever its status, since a tighter cap's
+    feasible set lies inside each looser cap's.  A solve whose incumbent
+    comes within `gap_slack` of the floor stops there, proven optimal.
+    Time-limited attempts are flagged in the log
     rather than dropped, infeasible caps appear the same way, and neither
     feeds a skip or a back-fill.  Every solve that returns a schedule,
     optimal or time-limited, must pass `accept` and keep within its cap
@@ -210,7 +227,7 @@ def pareto_front(
         point = ParetoPoint(0.0, 0.0, 0.0, SolveStatus.Optimal, sched, ev)
         return ParetoFront((point,), (point,), table)
 
-    table, seeds, base = _payoff_with_seeds(instance, time_limit_s, fixed_orientation)
+    table, seeds, base, floor = _payoff_with_seeds(instance, time_limit_s, fixed_orientation)
 
     # (row, proven bound behind it), loosest cap first; the bound is None
     # unless the row is optimal, and ``last`` is the last optimal solve's pair
@@ -222,7 +239,8 @@ def pareto_front(
             rows.append((replace(last[0], epsilon=eps), last[1]))
             continue
         model = inject_epsilon(base, eps)
-        sol = solve_milp(model, time_limit_s=time_limit_s, warm_values=warm)
+        sol = solve_milp(model, time_limit_s=time_limit_s, warm_values=warm, lower_bound=floor)
+        floor = max(floor, sol.bound)
         if sol.values is None:
             rows.append((ParetoPoint(eps, None, None, sol.status, None, None), None))
             continue

@@ -28,8 +28,16 @@ its objective less `gap_slack`.
 
 ``Optimal`` means proven: no open node's bound is below the incumbent by
 more than `gap_slack` (``GAP_TOLERANCE``, 1e-6 relative), a constant,
-not a setting.  The one early stop is the time limit, reported as
-``TimeLimit`` with the best open bound.
+not a setting.  A caller that already holds a proven lower bound on the
+optimum (a looser epsilon cap's, say) passes it as ``lower_bound``: once
+the cutoff reaches it, every open node is within the gap, and the search
+stops as ``Optimal``.  The one early stop short of proof is the time
+limit, reported as ``TimeLimit``.
+
+A solution's ``bound`` is the bound the search proved: the least bound of
+the nodes it closed on their bounds and of the nodes it left open, raised
+to ``lower_bound`` and capped at the objective.  A node closed as
+infeasible adds nothing.
 """
 
 from __future__ import annotations
@@ -70,6 +78,10 @@ def gap_slack(value: float) -> float:
 
 @dataclass
 class MilpSolution:
+    """A solve's outcome.  ``bound`` is a proven lower bound on the optimum:
+    for `solve_milp`, the bound its search proved (see the module
+    docstring), at most the objective; +inf when proven infeasible."""
+
     status: SolveStatus
     objective: float | None
     values: np.ndarray | None
@@ -78,7 +90,8 @@ class MilpSolution:
 
     @property
     def gap(self) -> float:
-        """Relative distance from the objective down to the bound; inf without an objective."""
+        """Relative distance from the objective down to the proven bound;
+        inf without an objective.  At most ``GAP_TOLERANCE`` when optimal."""
         if self.objective is None:
             return math.inf
         return max((self.objective - self.bound) / max(1.0, abs(self.objective)), 0.0)
@@ -172,21 +185,30 @@ def solve_milp(
     *,
     time_limit_s: float | None = None,
     warm_values: list[np.ndarray] | None = None,
+    lower_bound: float = -math.inf,
 ) -> MilpSolution:
     """Exact minimization of the model's active objective.
 
-    The search stops early only at ``time_limit_s``, with status
-    ``TimeLimit`` and the best open bound; a NaN limit raises
-    ``ValueError``.  ``warm_values`` may carry vectors of the model's
-    length (a neighboring epsilon cap's solution, say, or a heuristic's
-    binaries).  Only binary entries are read: continuous ones are ignored,
-    and a fractional binary is rounded, not refused.  Each rounded vector
-    is polished like a leaf and, if that passes, seeds the incumbent,
-    which skips the feasibility dive and prunes from the start.  A vector
-    of the wrong length or with a non-finite binary is skipped.
+    The search stops short of proof only at ``time_limit_s``, with status
+    ``TimeLimit``; a NaN limit raises ``ValueError``.  ``lower_bound`` is
+    the caller's assertion that the optimum is at least that value: before
+    each node pops and before each plunge step, the search stops once the
+    cutoff (the incumbent less `gap_slack`) reaches it, as ``Optimal``, or
+    as ``Infeasible`` at +inf with no incumbent.  A NaN bound raises
+    ``ValueError``.  The default, -inf, never stops a search.
+
+    ``warm_values`` may carry vectors of the model's length (a
+    neighboring epsilon cap's solution, say, or a heuristic's binaries).
+    Only binary entries are read: continuous ones are ignored, and a
+    fractional binary is rounded, not refused.  Each rounded vector is
+    polished like a leaf and, if that passes, seeds the incumbent, which
+    skips the feasibility dive and prunes from the start.  A vector of the
+    wrong length or with a non-finite binary is skipped.
     """
     if time_limit_s is not None and math.isnan(time_limit_s):
         raise ValueError("time_limit_s must be a number of seconds, not nan")
+    if math.isnan(lower_bound):
+        raise ValueError("lower_bound must be a number, not nan")
     deadline = None if time_limit_s is None else time.perf_counter() + time_limit_s
 
     reg = model.registry
@@ -214,6 +236,7 @@ def solve_milp(
     incumbent_obj = math.inf
     incumbent_x: np.ndarray | None = None
     cutoff = math.inf
+    closed_bound = math.inf  # least bound of the nodes closed on their bounds
     node_count = 0
     seq = itertools.count(1)
 
@@ -251,7 +274,7 @@ def solve_milp(
         polish(binaries, None)
 
     def process(node: _Node) -> list[_Node]:
-        nonlocal node_count
+        nonlocal node_count, closed_bound
         res = lp_solve(node.lo, node.up, node.start)
         node_count += 1
         if res is None or res.status is LpStatus.INFEASIBLE:
@@ -260,6 +283,7 @@ def solve_milp(
             raise RuntimeError("LP relaxation unbounded; model is missing a bound")
         bound = max(res.objective, node.est)
         if bound >= cutoff:
+            closed_bound = min(closed_bound, bound)
             return []
         x = res.x
         col = _dive_column(x[:n_x]) if incumbent_x is None else None
@@ -268,12 +292,11 @@ def solve_milp(
             col = _branch_column(x, levels, INTEGRALITY_TOLERANCE)
         if col is None:
             polish(np.round(x[:n_bin]), res.start_with_binv)
-            if bound >= cutoff:
-                return []
             # the fixed LP failed, or the polished point sits above this
             # node's bound by more than the gap: search the node further
-            col = _branch_column(x, levels, 0.0)
+            col = None if bound >= cutoff else _branch_column(x, levels, 0.0)
             if col is None:
+                closed_bound = min(closed_bound, bound)
                 return []
         children = [_Node(bound, -next(seq), node.lo.copy(), node.up.copy(), res.start) for _ in range(2)]
         for val, child in zip((0.0, 1.0), children):
@@ -290,27 +313,28 @@ def solve_milp(
     # siblings are parked, so incumbents keep turning up
     heap = [_Node(-math.inf, -next(seq), base_lo[:n_bin].copy(), base_up[:n_bin].copy())]
     timed_out = False
-    while heap and not timed_out:
+    while heap and not timed_out and cutoff > lower_bound:
         node = heapq.heappop(heap)
         if node.est >= cutoff:
+            closed_bound = min(closed_bound, node.est)
             continue
         while node is not None:
-            if deadline is not None and time.perf_counter() > deadline:
+            timed_out = deadline is not None and time.perf_counter() > deadline
+            if timed_out or cutoff <= lower_bound:
                 heapq.heappush(heap, node)
-                timed_out = True
                 break
             children = process(node)
             node = children[0] if children else None
             for extra in children[1:]:
                 heapq.heappush(heap, extra)
 
-    # the loop empties the heap unless the search timed out
-    best_open = min((n.est for n in heap), default=math.inf)
+    # the heap holds what the time limit or the lower-bound stop left open
+    proven = max(min([closed_bound] + [n.est for n in heap]), lower_bound)
     if incumbent_x is None:
         status = SolveStatus.TimeLimit if timed_out else SolveStatus.Infeasible
-        return MilpSolution(status, None, None, best_open, node_count)
+        return MilpSolution(status, None, None, proven, node_count)
     status = SolveStatus.TimeLimit if timed_out else SolveStatus.Optimal
-    return MilpSolution(status, incumbent_obj, incumbent_x, min(best_open, incumbent_obj), node_count)
+    return MilpSolution(status, incumbent_obj, incumbent_x, min(proven, incumbent_obj), node_count)
 
 
 def _branch_column(x: np.ndarray, levels: tuple[slice, ...], tol: float) -> int | None:

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import itertools
+import math
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import printplan.pareto as pareto_module
@@ -109,6 +112,24 @@ def test_epsilon_grid_formula():
     assert epsilon_grid(table, 1) == (100.0,)
     with pytest.raises(ValueError):
         epsilon_grid(table, 0)
+
+
+_area = st.floats(min_value=-1e9, max_value=1e9, allow_nan=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_area, _area, st.integers(min_value=2, max_value=40))
+# the ideal plus 9 * span / 9 lands an ulp past the nadir estimate here
+@example(59987.46, 122487.46, 10)
+def test_epsilon_grid_ends_exactly_at_ideal_and_nadir(a, b, count):
+    from printplan.pareto import PayoffTable
+
+    low, high = min(a, b), max(a, b)
+    grid = epsilon_grid(PayoffTable(0.0, low, 0.0, high), count)
+    assert len(grid) == count
+    assert grid[0] == low
+    assert grid[-1] == high
+    assert list(grid) == sorted(grid)
 
 
 # ------------------------------------------------------------- filter
@@ -221,25 +242,72 @@ def test_every_row_is_the_constrained_optimum(seeded_fronts):
 
 
 def _counting_solves(monkeypatch):
+    """Each ``solve_milp`` call from pareto as (model, its ``lower_bound``, its solution)."""
     calls = []
     real = pareto_module.solve_milp
 
     def counted(model, **kwargs):
-        calls.append(model)
-        return real(model, **kwargs)
+        sol = real(model, **kwargs)
+        calls.append((model, kwargs["lower_bound"], sol))
+        return sol
 
     monkeypatch.setattr(pareto_module, "solve_milp", counted)
     return calls
+
+
+def test_capped_solves_inherit_the_largest_earlier_bound(monkeypatch):
+    # the ideals get no bound; each refine solve gets its unconstrained
+    # solve's bound; each capped solve gets the cost ideal's bound raised
+    # to every earlier capped solve's
+    calls = _counting_solves(monkeypatch)
+    pareto_front(random_instance(9), grid_count=10)
+    (_, lb_z, sol_z), (_, lb_zz, sol_zz), (_, lb_ref_z, _), (_, lb_ref_zz, _), *capped = calls
+    assert (lb_z, lb_zz) == (-math.inf, -math.inf)
+    assert lb_ref_z == sol_zz.bound
+    assert lb_ref_zz == sol_z.bound
+    assert len(capped) >= 3
+    bounds = [sol_z.bound]
+    for _, lower_bound, sol in capped:
+        assert lower_bound == max(bounds)
+        bounds.append(sol.bound)
+
+
+def test_cap_under_an_infeasible_cap_takes_no_node(monkeypatch):
+    # both caps lie under the area ideal: the looser proves the model
+    # infeasible (bound +inf), and the tighter inherits that bound
+    inst = random_instance(2)
+    table = payoff_table(inst)
+    below = table.zz_ideal - max(1.0, 0.5 * abs(table.zz_ideal))
+    monkeypatch.setattr(pareto_module, "epsilon_grid", lambda t, k: (below - 1.0, below))
+    calls = _counting_solves(monkeypatch)
+    front = pareto_front(inst, grid_count=2)
+    (_, _, looser), (_, lower_bound, tighter) = calls[4:]
+    assert looser.status is SolveStatus.Infeasible and looser.bound == math.inf
+    assert lower_bound == math.inf
+    assert tighter.status is SolveStatus.Infeasible and tighter.node_count == 0
+    assert [a.status for a in front.attempts] == [SolveStatus.Infeasible] * 2
+    assert front.points == ()
+
+
+def test_every_front_solve_passes_a_lower_bound():
+    # read, not run: a solve in pareto.py states the bound it starts from
+    tree = ast.parse(Path(pareto_module.__file__).read_text())
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "solve_milp"]
+    assert len(calls) >= 5
+    for call in calls:
+        assert "lower_bound" in {k.arg for k in call.keywords}, call.lineno
 
 
 def test_caps_an_earlier_optimum_fits_are_not_solved(monkeypatch, nine_parts):
     # one-machine nine-part front: the loosest cap's optimum (z = 6) fits
     # no tighter cap, and the next cap's (z = 16 at the area ideal) fits
     # all eight tighter ones, so 2 of the 10 caps are solved after the 4
-    # payoff solves
+    # payoff solves.  The loosest holds the refined cost corner as a seed,
+    # and the cost ideal's proven bound closes it at the root
     calls = _counting_solves(monkeypatch)
     front = pareto_front(with_machine_count(nine_parts, 1), grid_count=10)
-    assert len(calls) == 6
+    assert [sol.node_count for _, _, sol in calls] == [115, 10, 42, 3, 0, 3]
     assert len(front.attempts) == 10
     assert all(a.status is SolveStatus.Optimal for a in front.attempts)
     assert [a.epsilon for a in front.attempts] == sorted(a.epsilon for a in front.attempts)
@@ -282,7 +350,7 @@ def test_time_limited_cap_feeds_no_bypass(monkeypatch, nine_parts, stopped):
     front = pareto_front(with_machine_count(nine_parts, 1), grid_count=10)
     row, next_cap = front.attempts[4 - stopped], front.attempts[3 - stopped]
     assert row.status is SolveStatus.TimeLimit
-    assert calls[stopped].rhs[-1] == next_cap.epsilon
+    assert calls[stopped][0].rhs[-1] == next_cap.epsilon
     assert next_cap.status is SolveStatus.Optimal
     assert len(calls) == stopped + 1
     assert [a.status for a in front.attempts].count(SolveStatus.TimeLimit) == 1

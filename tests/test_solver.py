@@ -286,6 +286,51 @@ def test_epsilon_cap_binds():
     assert zz <= free.objective + 0.5 + 1e-6
 
 
+# a caller's lower bound, and the bound the search proved
+
+
+def test_seed_meeting_the_proven_bound_stops_at_the_root():
+    # seeded with its own optimum and told the cold solve's proven bound,
+    # the incumbent is within the gap of that bound before any node
+    for seed in range(6):
+        model = build_model(random_instance(seed), Objective.Z)
+        cold = solve_milp(model)
+        again = solve_milp(model, warm_values=[cold.values], lower_bound=cold.bound)
+        assert again.status is SolveStatus.Optimal, seed
+        assert again.node_count == 0, seed
+        assert again.objective == pytest.approx(cold.objective, abs=1e-9), seed
+        assert cold.bound <= again.bound <= again.objective, seed
+
+
+def test_infinite_lower_bound_without_incumbent_is_infeasible_at_once():
+    model = build_model(random_instance(0), Objective.Z)
+    sol = solve_milp(model, lower_bound=np.inf)
+    assert sol.status is SolveStatus.Infeasible
+    assert sol.node_count == 0
+    assert sol.values is None
+    assert sol.bound == np.inf
+
+
+def test_nan_lower_bound_is_refused():
+    model = build_model(random_instance(0), Objective.Z)
+    with pytest.raises(ValueError, match="not nan"):
+        solve_milp(model, lower_bound=float("nan"))
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_proven_bound_holds_and_closes_the_gap(seed):
+    # the bound is at most the true optimum (the oracle's), at most the
+    # objective, and within the gap of it
+    inst = random_instance(seed)
+    oracle = brute_force(inst)
+    for objective, best in ((Objective.Z, oracle.min_z.z), (Objective.ZZ, oracle.min_zz.zz)):
+        sol = solve_milp(build_model(inst, objective))
+        assert sol.status is SolveStatus.Optimal, objective
+        assert sol.bound <= best + 1e-9 * max(1.0, abs(best)), objective
+        assert sol.bound <= sol.objective, objective
+        assert sol.objective - sol.bound <= gap_slack(sol.objective), objective
+
+
 @pytest.mark.xfail(strict=True, reason="wrong proven answer at large horizons (ROADMAP item 1)")
 def test_large_horizon_optimum_matches_oracle():
     # up to layer time 1e5 (horizon 2.0e7) solver and oracle agree.  At 3e5
