@@ -6,8 +6,12 @@ completes.  Everything derived from those decisions (job heights,
 processing times, earliness, tardiness, both objective totals) is
 recomputed here from the instance data, so a Big-M leak or a loose
 linearization in the model shows up as a mismatch instead of silently
-propagating into reports.  ``accept`` is that check, and every reported
-solution passes it; ``write_csv`` writes every CSV the package emits.
+propagating into reports.  One audit states schedule feasibility: it
+lists the violated constraint families and recomputes the jobs in the
+same pass.  ``check_feasible`` returns its list, ``evaluate`` prices
+only a schedule it passes, and ``accept``, which every reported
+solution passes, runs it once.  ``write_csv`` writes every CSV the
+package emits.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .instance import ProblemInstance
 from .model import MilpModel, Objective, build_registry
 from .solver import MilpSolution
 
-# slack for reading a binary as set and for every capacity, height and chain test
+# slack for reading a binary as set, for every capacity, height and chain test,
+# for accept's objective match and for pareto_front's cap and cost checks
 TOL = 1e-6
 
 
@@ -150,21 +155,31 @@ def decode(solution: MilpSolution, instance: ProblemInstance) -> Schedule:
     return Schedule(tuple(placements), completions, activated)
 
 
-def _job_pass(schedule: Schedule, machines: dict, parts: dict):
-    """Recompute every job on a known machine, in machine/job order.
+def _job_name(machine_id: str, job_index: int) -> str:
+    return f"job {job_index} on {machine_id}"
 
-    Job height is the true maximum member height (the model only
-    lower-bounds its height column), processing time is layer time times
-    that height plus volumetric time times member volume; a part the
-    instance lacks adds no volume.  Returns the job reports, the jobs
-    whose plate is overfull, and the chain breaks as ``(job, prev_end)``:
-    jobs that complete before the previous job on their machine ends
-    (``prev_end``) plus their own processing time.
+
+def _audit(schedule: Schedule, instance: ProblemInstance) -> tuple[list[Violation], list[JobReport]]:
+    """Check every constraint family and recompute every job, in one pass.
+
+    Returns the violations, one entry per broken family in the order
+    assignment, machine_height, plate_capacity, activation, contiguity,
+    sequencing, and the job reports in machine/job order.  A job's height
+    is the true maximum member height (the model only lower-bounds its
+    height column); its processing time is layer time times that height
+    plus volumetric time times member volume.  A part id the instance
+    lacks, or a part placed on a machine the instance lacks, counts under
+    ``assignment`` and adds no volume; a job on such a machine counts
+    under ``activation``, gets no report, and the height, capacity and
+    sequencing checks skip it.  A job breaks sequencing when it completes
+    before the previous job on its machine ends plus its own processing.
     """
+    machines = {m.id: m for m in instance.machines}
+    parts = {p.id: p for p in instance.parts}
     members: dict[tuple[str, int], list[Placement]] = {}
     for pl in schedule.placements:
         members.setdefault((pl.machine_id, pl.job_index), []).append(pl)
-    reports, overfull, breaks = [], [], []
+    jobs, overfull, breaks = [], [], []
     chain_end: dict[str, float] = {}
     for machine_id, job_index in schedule.jobs_used():
         machine = machines.get(machine_id)
@@ -176,103 +191,23 @@ def _job_pass(schedule: Schedule, machines: dict, parts: dict):
         occupied = sum(pl.orientation.base_area_mm2 for pl in group)
         processing = machine.layer_time_h_per_mm * height
         processing += machine.volumetric_time_h_per_mm3 * volume
-        job = JobReport(
+        completion = schedule.completions.get((machine_id, job_index), 0.0)
+        jobs.append(JobReport(
             machine_id=machine_id,
             job_index=job_index,
             part_ids=tuple(pl.part_id for pl in group),
             height_mm=height,
             processing_h=processing,
-            completion_h=schedule.completions.get((machine_id, job_index), 0.0),
+            completion_h=completion,
             occupied_mm2=occupied,
             utilization=occupied / machine.base_area_mm2,
             activated=(machine_id, job_index) in schedule.activated,
-        )
-        reports.append(job)
+        ))
         if occupied > machine.base_area_mm2 + TOL:
-            overfull.append(job)
-        prev_end = chain_end.get(machine_id, 0.0)
-        if job.completion_h + TOL < prev_end + processing:
-            breaks.append((job, prev_end))
-        chain_end[machine_id] = job.completion_h
-    return reports, overfull, breaks
-
-
-def _job_name(job: JobReport) -> str:
-    return f"job {job.job_index} on {job.machine_id}"
-
-
-def evaluate(schedule: Schedule, instance: ProblemInstance) -> Evaluation:
-    """Recompute every derived quantity of a schedule from scratch.
-
-    Jobs come from the same pass as check_feasible's; earliness and
-    tardiness come from the owning job's completion.  Raises ValueError
-    naming the placement or job when a placement's part or machine, or
-    an activated job's machine, is not in the instance; and on an
-    overfull plate or a broken completion chain (exactly when
-    check_feasible reports ``plate_capacity`` or ``sequencing``).  Use
-    check_feasible for a non-raising report.
-    """
-    machines = {m.id: m for m in instance.machines}
-    parts = {p.id: p for p in instance.parts}
-    for pl in schedule.placements:
-        if pl.part_id not in parts or pl.machine_id not in machines:
-            missing = f"part {pl.part_id}" if pl.part_id not in parts else f"machine {pl.machine_id}"
-            raise ValueError(
-                f"placement of {pl.part_id} in job {pl.job_index} on {pl.machine_id}: "
-                f"the instance has no {missing}"
-            )
-    for mid, j in sorted(schedule.activated):
-        if mid not in machines:
-            raise ValueError(f"activated job {j} on {mid}: the instance has no machine {mid}")
-    job_reports, overfull, breaks = _job_pass(schedule, machines, parts)
-    if overfull:
-        job = overfull[0]
-        raise ValueError(
-            f"capacity violation: {_job_name(job)} occupies "
-            f"{job.occupied_mm2:g} mm2 of {machines[job.machine_id].base_area_mm2:g}"
-        )
-    if breaks:
-        job, prev_end = breaks[0]
-        raise ValueError(
-            f"chain violation: {_job_name(job)} completes at "
-            f"{job.completion_h:g} h but cannot start before {prev_end:g} h "
-            f"and runs {job.processing_h:g} h"
-        )
-
-    lookup = {(job.machine_id, job.job_index): job for job in job_reports}
-    part_reports = []
-    z = 0.0
-    for pl in schedule.placements:
-        part = parts[pl.part_id]
-        completion = lookup[(pl.machine_id, pl.job_index)].completion_h
-        earliness = max(0.0, part.due_h - completion)
-        tardiness = max(0.0, completion - part.due_h)
-        z += instance.penalties.earliness * earliness
-        z += instance.penalties.tardiness * tardiness
-        part_reports.append(
-            PartReport(pl.part_id, completion, part.due_h, earliness, tardiness)
-        )
-
-    plate_total = sum(machines[mid].base_area_mm2 for mid, _ in schedule.activated)
-    occupied_total = sum(pl.orientation.base_area_mm2 for pl in schedule.placements)
-    zz = plate_total - occupied_total
-    return Evaluation(tuple(job_reports), tuple(part_reports), z, zz)
-
-
-def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violation]:
-    """Run the full constraint predicate suite over a schedule.
-
-    Returns one entry per violated constraint family, naming the parts
-    or jobs involved.  A part id the instance lacks, or a part placed on
-    a machine the instance lacks, counts under ``assignment``; a job on
-    such a machine counts under ``activation``, and the height, capacity
-    and sequencing checks skip it.  An empty list means the schedule is
-    feasible.
-    """
-    violations: list[Violation] = []
-    machines = {m.id: m for m in instance.machines}
-    parts = {p.id: p for p in instance.parts}
-    _, overfull, breaks = _job_pass(schedule, machines, parts)
+            overfull.append(_job_name(machine_id, job_index))
+        if completion + TOL < chain_end.get(machine_id, 0.0) + processing:
+            breaks.append(_job_name(machine_id, job_index))
+        chain_end[machine_id] = completion
 
     seen: dict[str, int] = {}
     for pl in schedule.placements:
@@ -280,55 +215,84 @@ def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violat
     stray = {pl.part_id for pl in schedule.placements if pl.machine_id not in machines}
     bad_assign = [p.id for p in instance.parts if seen.get(p.id, 0) != 1 or p.id in stray]
     bad_assign += sorted(seen.keys() - parts.keys())
-    if bad_assign:
-        violations.append(Violation("assignment", tuple(bad_assign)))
-
-    too_tall = []
-    for pl in schedule.placements:
-        machine = machines.get(pl.machine_id)
-        if machine and pl.orientation.height_mm > machine.height_mm + TOL:
-            too_tall.append(pl.part_id)
-    if too_tall:
-        violations.append(Violation("machine_height", tuple(too_tall)))
-
-    if overfull:
-        violations.append(Violation("plate_capacity", tuple(_job_name(job) for job in overfull)))
-
+    too_tall = [
+        pl.part_id for pl in schedule.placements
+        if pl.machine_id in machines and pl.orientation.height_mm > machines[pl.machine_id].height_mm + TOL
+    ]
     orphaned = [
-        f"job {j} on {mid}"
-        for (mid, j) in schedule.jobs_used()
+        _job_name(mid, j) for mid, j in schedule.jobs_used()
         if mid not in machines or (mid, j) not in schedule.activated
     ]
-    if orphaned:
-        violations.append(Violation("activation", tuple(orphaned)))
-
     populated = {(pl.machine_id, pl.job_index) for pl in schedule.placements}
-    gaps = [
-        f"job {j} on {mid}" for mid, j in sorted(populated) if j > 1 and (mid, j - 1) not in populated
-    ]
-    if gaps:
-        violations.append(Violation("contiguity", tuple(gaps)))
+    gaps = [_job_name(mid, j) for mid, j in sorted(populated) if j > 1 and (mid, j - 1) not in populated]
+    families = (
+        ("assignment", bad_assign),
+        ("machine_height", too_tall),
+        ("plate_capacity", overfull),
+        ("activation", orphaned),
+        ("contiguity", gaps),
+        ("sequencing", breaks),
+    )
+    return [Violation(family, tuple(subjects)) for family, subjects in families if subjects], jobs
 
-    if breaks:
-        violations.append(Violation("sequencing", tuple(_job_name(job) for job, _ in breaks)))
 
-    return violations
+def _price(schedule: Schedule, instance: ProblemInstance, jobs: list[JobReport]) -> Evaluation:
+    """Part reports and both objectives of a schedule that passed the audit that made ``jobs``."""
+    parts = {p.id: p for p in instance.parts}
+    completion_of = {(job.machine_id, job.job_index): job.completion_h for job in jobs}
+    part_reports = []
+    z = 0.0
+    for pl in schedule.placements:
+        part = parts[pl.part_id]
+        completion = completion_of[(pl.machine_id, pl.job_index)]
+        earliness = max(0.0, part.due_h - completion)
+        tardiness = max(0.0, completion - part.due_h)
+        z += instance.penalties.earliness * earliness
+        z += instance.penalties.tardiness * tardiness
+        part_reports.append(PartReport(pl.part_id, completion, part.due_h, earliness, tardiness))
+
+    area = {m.id: m.base_area_mm2 for m in instance.machines}
+    plate_total = sum(area[mid] for mid, _ in schedule.activated)
+    occupied_total = sum(pl.orientation.base_area_mm2 for pl in schedule.placements)
+    return Evaluation(tuple(jobs), tuple(part_reports), z, plate_total - occupied_total)
+
+
+def evaluate(schedule: Schedule, instance: ProblemInstance) -> Evaluation:
+    """Recompute every derived quantity of a feasible schedule from scratch.
+
+    Raises ValueError naming every family that check_feasible lists, with
+    its subjects, and so exactly when that list is not empty; otherwise
+    prices the schedule from the audit's job reports.
+    """
+    violations, jobs = _audit(schedule, instance)
+    if violations:
+        listed = "; ".join(f"{v.family} ({', '.join(v.subjects)})" for v in violations)
+        raise ValueError(f"schedule violates {listed}")
+    return _price(schedule, instance, jobs)
+
+
+def check_feasible(schedule: Schedule, instance: ProblemInstance) -> list[Violation]:
+    """The violated constraint families of a schedule, each with the parts
+    or jobs that break it; an empty list means the schedule is feasible.
+    """
+    return _audit(schedule, instance)[0]
 
 
 def accept(solution: MilpSolution, model: MilpModel) -> tuple[Schedule, Evaluation]:
     """The schedule and evaluation of a solution, if both can be reported.
 
-    Decodes ``solution`` for ``model.instance``, raises ValueError if
-    check_feasible reports any family, evaluates the schedule, and raises
-    ValueError if the evaluated ``model.active_objective`` differs from
-    ``solution.objective`` by more than TOL.
+    Decodes ``solution`` for ``model.instance`` and audits the schedule
+    once: raises ValueError if any family is violated, otherwise prices
+    the schedule as ``evaluate`` does, and raises ValueError if the priced
+    ``model.active_objective`` differs from ``solution.objective`` by more
+    than TOL.
     """
     instance = model.instance
     schedule = decode(solution, instance)
-    violations = check_feasible(schedule, instance)
+    violations, jobs = _audit(schedule, instance)
     if violations:
         raise ValueError(f"solution violates {', '.join(v.family for v in violations)}")
-    ev = evaluate(schedule, instance)
+    ev = _price(schedule, instance, jobs)
     value = ev.z if model.active_objective is Objective.Z else ev.zz
     if not abs(value - solution.objective) <= TOL:  # a NaN objective fails too
         raise ValueError(

@@ -64,13 +64,6 @@ def orientations(part: Part) -> tuple[Orientation, Orientation, Orientation]:
     )
 
 
-def orientation_for(part: Part, kind: OrientationKind) -> Orientation:
-    for cand in orientations(part):
-        if cand.kind is kind:
-            return cand
-    raise ValueError(f"unknown orientation kind {kind!r}")
-
-
 def feasible_orientations(part: Part, machine: MachineSpec) -> tuple[Orientation, ...]:
     """Orientations whose build height and footprint fit the machine.
 

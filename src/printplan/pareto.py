@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .evaluate import Evaluation, Schedule, accept, evaluate, write_csv, write_schedule_csv
+from .evaluate import TOL, Evaluation, Schedule, accept, evaluate, write_csv, write_schedule_csv
 from .instance import ProblemInstance
 from .model import MilpModel, Objective, build_model, cap_objective, inject_epsilon
 from .solver import MilpSolution, SolveStatus, gap_slack, solve_milp
@@ -169,7 +169,7 @@ def filter_dominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
     """Keep the nondominated points, deduplicated and sorted by zz.
 
     A point falls if another is at least as good in both objectives and
-    strictly better in one; exact repeats within 1e-6 collapse to one.
+    strictly better in one; exact repeats within ``evaluate.TOL`` collapse to one.
     Sorted by (zz, z), a point's dominators all come first, so one sweep
     drops it when an earlier point has a lower z, or the same z at a lower zz.
     """
@@ -182,7 +182,7 @@ def filter_dominated(points: list[ParetoPoint]) -> list[ParetoPoint]:
             continue
         if best is None or p.z < best.z:
             best = p
-        if out and abs(p.z - out[-1].z) <= 1e-6 and abs(p.zz - out[-1].zz) <= 1e-6:
+        if out and abs(p.z - out[-1].z) <= TOL and abs(p.zz - out[-1].zz) <= TOL:
             continue
         out.append(p)
     return out
@@ -213,8 +213,9 @@ def pareto_front(
     Time-limited attempts are flagged in the log
     rather than dropped, infeasible caps appear the same way, and neither
     feeds a skip or a back-fill.  Every solve that returns a schedule,
-    optimal or time-limited, must pass `accept` and keep within its cap
-    (absolute 1e-6); optimal cost must never fall as the cap tightens.
+    optimal or time-limited, must pass `accept` and keep within its cap;
+    optimal cost must never fall as the cap tightens.  Both checks allow
+    ``evaluate.TOL``, the absolute slack that `accept` uses.
     ``attempts`` is in ascending cap order.  A ``grid_count`` below 1
     raises ``ValueError`` before any solve.
     """
@@ -250,14 +251,14 @@ def pareto_front(
             raise FrontError(f"{exc}; at eps={eps:g}") from None
         point = ParetoPoint(eps, ev.z, ev.zz, sol.status, schedule, ev)
         warm.append(sol.values)
-        if ev.zz > eps + 1e-6:
+        if ev.zz > eps + TOL:
             raise FrontError(
                 f"solution breaches its own cap at eps={eps:g}: zz={ev.zz:g}"
             )
         if sol.status is not SolveStatus.Optimal:
             rows.append((point, None))
             continue
-        if last is not None and ev.z < last[0].z - 1e-6:
+        if last is not None and ev.z < last[0].z - TOL:
             raise FrontError(
                 f"cost fell from {last[0].z:g} to {ev.z:g} as the cap "
                 f"tightened to {eps:g}"

@@ -363,7 +363,7 @@ def _dive_column(x: np.ndarray) -> int | None:
 
 
 def _is_feasible(values, stack: _Propagator, lo, up) -> bool:
-    """Finite, within bounds, binaries integral, rows held within 1e-6 * max(1, |rhs|).
+    """Finite, within bounds up to `bound_slack`, binaries integral, rows held within 1e-6 * max(1, |rhs|).
 
     The rows are the propagator's ``<=`` stack, so an ``=`` row is checked
     from both sides and a ``>`` row negated; negation is exact, so the
@@ -371,7 +371,7 @@ def _is_feasible(values, stack: _Propagator, lo, up) -> bool:
     """
     if not np.isfinite(values).all():
         return False
-    if np.any(values < lo - 1e-9) or np.any(values > up + 1e-9):
+    if np.any(values < lo - bound_slack(lo)) or np.any(values > up + bound_slack(up)):
         return False
     binaries = values[: stack.n_bin]
     if np.any(np.minimum(binaries, 1.0 - binaries) > INTEGRALITY_TOLERANCE):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import ast
+import inspect
 from dataclasses import replace
 from functools import cache
 
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 
 from printplan.datasets import load_builtin, random_instance
 from printplan.evaluate import (
-    _job_pass,
+    _audit,
     Placement,
     accept,
     Schedule,
@@ -20,7 +22,7 @@ from printplan.evaluate import (
     evaluate,
     write_schedule_csv,
 )
-from printplan.geometry import OrientationKind, orientation_for, orientations
+from printplan.geometry import OrientationKind, orientations
 from printplan.instance import MachineSpec, Part, PenaltyCoefficients, ProblemInstance, instance_hash
 from printplan.model import Objective, build_model, build_registry
 from printplan.solver import MilpSolution, SolveStatus, solve_milp
@@ -50,10 +52,14 @@ def max_footprint(part: Part):
     return max(orientations(part), key=lambda o: o.base_area_mm2)
 
 
+def flat_pose(part: Part):
+    return orientations(part)[0]  # orientations lists flat, length-up, width-up
+
+
 def flat_single_job(instance: ProblemInstance, completion: float) -> Schedule:
     mid = instance.machines[0].id
     placements = tuple(
-        Placement(p.id, mid, 1, orientation_for(p, OrientationKind.FLAT))
+        Placement(p.id, mid, 1, flat_pose(p))
         for p in instance.parts
     )
     return Schedule(placements, {(mid, 1): completion}, frozenset({(mid, 1)}))
@@ -65,9 +71,10 @@ def flat_single_job(instance: ProblemInstance, completion: float) -> Schedule:
 def test_processing_time_single_part():
     # benchmark part 2 at its widest pose: height 8, footprint 361,
     # volume 2888 -> 0.00006*8 + 0.000003*2888 = 0.009144 h
-    inst = load_builtin("nine_parts")
+    nine = load_builtin("nine_parts")
+    part = nine.parts[1]
+    inst = replace(nine, parts=(part,))
     mid = inst.machines[0].id
-    part = inst.parts[1]
     ori = max_footprint(part)
     assert ori.height_mm == 8.0
     assert ori.base_area_mm2 == 361.0
@@ -130,7 +137,7 @@ def test_empty_activated_job_counts_plate_only():
     mid = inst.machines[0].id
     part = inst.parts[0]
     sched = Schedule(
-        (Placement(part.id, mid, 1, orientation_for(part, OrientationKind.FLAT)),),
+        (Placement(part.id, mid, 1, flat_pose(part)),),
         {(mid, 1): 1.0, (mid, 2): 1.0},
         frozenset({(mid, 1), (mid, 2)}),
     )
@@ -146,7 +153,7 @@ def test_empty_activated_job_counts_plate_only():
 def test_evaluate_raises_on_chain_violation():
     inst = one_part_instance()
     sched = flat_single_job(inst, 0.001)  # processing alone takes 0.0036 h
-    with pytest.raises(ValueError, match="chain violation"):
+    with pytest.raises(ValueError, match=r"^schedule violates sequencing \(job 1 on m1\)$"):
         evaluate(sched, inst)
 
 
@@ -158,7 +165,7 @@ def test_evaluate_raises_on_capacity_violation():
         jobs_per_machine=1,
     )
     sched = flat_single_job(inst, 1.0)
-    with pytest.raises(ValueError, match="capacity violation"):
+    with pytest.raises(ValueError, match=r"^schedule violates plate_capacity \(job 1 on m1\)$"):
         evaluate(sched, inst)
 
 
@@ -328,8 +335,8 @@ def test_check_feasible_sequencing_entry():
     )
     mid = "m1"
     placements = (
-        Placement("p1", mid, 1, orientation_for(inst.parts[0], OrientationKind.FLAT)),
-        Placement("p2", mid, 2, orientation_for(inst.parts[1], OrientationKind.FLAT)),
+        Placement("p1", mid, 1, flat_pose(inst.parts[0])),
+        Placement("p2", mid, 2, flat_pose(inst.parts[1])),
     )
     # job 2 completes before job 1 plus its own processing time
     sched = Schedule(
@@ -348,7 +355,7 @@ def test_check_feasible_assignment_and_activation():
         parts=(Part("p1", 10.0, 10.0, 10.0, 1.0), Part("p2", 10.0, 10.0, 10.0, 1.0)),
         jobs_per_machine=2,
     )
-    ori = orientation_for(inst.parts[0], OrientationKind.FLAT)
+    ori = flat_pose(inst.parts[0])
     # p2 missing, p1 placed in a job that was never activated
     sched = Schedule(
         (Placement("p1", "m1", 1, ori),), {("m1", 1): 1.0}, frozenset()
@@ -375,15 +382,14 @@ def test_check_feasible_reports_unknown_part():
     ]
     extra = replace(sched, activated=sched.activated | {("ghost_m", 1)})
     assert check_feasible(extra, inst) == [Violation("activation", ("job 1 on ghost_m",))]
-    # evaluate names the placement or job instead
+    # evaluate raises naming the same families and subjects
     ghostly = replace(sched, placements=sched.placements + (ghost,))
-    with pytest.raises(ValueError, match=f"placement of ghost in job {ghost.job_index} on "
-                                         f"{ghost.machine_id}: the instance has no part ghost$"):
+    with pytest.raises(ValueError, match=r"^schedule violates assignment \(ghost\)$"):
         evaluate(ghostly, inst)
-    with pytest.raises(ValueError, match=f"placement of {moved.part_id} in job {moved.job_index} "
-                                         "on ghost_m: the instance has no machine ghost_m$"):
+    with pytest.raises(ValueError, match=rf"^schedule violates assignment \({moved.part_id}\); "
+                                         r"activation \(job 1 on ghost_m\)$"):
         evaluate(astray, inst)
-    with pytest.raises(ValueError, match="activated job 1 on ghost_m: the instance has no machine ghost_m$"):
+    with pytest.raises(ValueError, match=r"^schedule violates activation \(job 1 on ghost_m\)$"):
         evaluate(extra, inst)
 
 
@@ -393,7 +399,7 @@ def test_check_feasible_contiguity_entry():
         parts=(Part("p1", 10.0, 10.0, 10.0, 1.0),),
         jobs_per_machine=2,
     )
-    ori = orientation_for(inst.parts[0], OrientationKind.FLAT)
+    ori = flat_pose(inst.parts[0])
     sched = Schedule(
         (Placement("p1", "m1", 2, ori),),
         {("m1", 2): 1.0},
@@ -431,6 +437,65 @@ def test_accept_refuses_a_non_finite_objective(objective):
         accept(replace(sol, objective=objective), model)
 
 
+@cache
+def solved_z0() -> tuple[ProblemInstance, Schedule]:
+    inst = random_instance(0)
+    return inst, decode(solve_milp(build_model(inst, Objective.Z)), inst)
+
+
+def broken(family: str) -> tuple[ProblemInstance, Schedule, tuple[str, ...]]:
+    """The time-optimal random_instance(0) plan with exactly ``family``
+    broken, and the subjects check_feasible should name."""
+    inst, sched = solved_z0()
+    pl = max(sched.placements, key=lambda p: p.orientation.height_mm)
+    key = (pl.machine_id, pl.job_index)
+    job = f"job {pl.job_index} on {pl.machine_id}"
+    mates = [p for p in sched.placements if (p.machine_id, p.job_index) == key]
+    assert len(mates) >= 2 and pl.job_index == 1  # the cases below rely on both
+    if family == "assignment":  # drop a part from a job that keeps others
+        return inst, replace(sched, placements=tuple(p for p in sched.placements if p is not pl)), (pl.part_id,)
+    if family == "machine_height":  # the machine loses the tallest part's headroom
+        lowered = pl.orientation.height_mm - 0.5
+        assert all(p.orientation.height_mm < lowered for p in mates if p is not pl)
+        machines = tuple(replace(m, height_mm=lowered) if m.id == pl.machine_id else m for m in inst.machines)
+        return replace(inst, machines=machines), sched, (pl.part_id,)
+    if family == "plate_capacity":  # a footprint wider than the plate, same height
+        plate = next(m.base_area_mm2 for m in inst.machines if m.id == pl.machine_id)
+        wide = replace(pl, orientation=replace(pl.orientation, base_area_mm2=plate))
+        return inst, replace(sched, placements=tuple(wide if p is pl else p for p in sched.placements)), (job,)
+    if family == "activation":
+        return inst, replace(sched, activated=sched.activated - {key}), (job,)
+    if family == "contiguity":  # every job on the machine moves up one index
+        def shift(k):
+            return (k[0], k[1] + 1) if k[0] == pl.machine_id else k
+        moved = tuple(replace(p, job_index=shift((p.machine_id, p.job_index))[1]) for p in sched.placements)
+        return inst, Schedule(moved, {shift(k): c for k, c in sched.completions.items()},
+                              frozenset(map(shift, sched.activated))), (f"job 2 on {pl.machine_id}",)
+    assert family == "sequencing"  # the job completes before it can have run
+    return inst, replace(sched, completions={**sched.completions, key: 0.0}), (job,)
+
+
+@pytest.mark.parametrize("family", ["assignment", "machine_height", "plate_capacity",
+                                    "activation", "contiguity", "sequencing"])
+def test_each_family_alone_is_listed_and_raised(family):
+    inst, sched, subjects = broken(family)
+    assert check_feasible(sched, inst) == [Violation(family, subjects)]
+    with pytest.raises(ValueError) as err:
+        evaluate(sched, inst)
+    assert str(err.value) == f"schedule violates {family} ({', '.join(subjects)})"
+
+
+def test_accept_audits_once():
+    # accept runs the one audit itself, never check_feasible or evaluate
+    tree = ast.parse(inspect.getsource(accept))
+    called = [
+        node.func.id for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert called.count("_audit") == 1
+    assert "check_feasible" not in called and "evaluate" not in called
+
+
 # ---------------------------------------------------------------- CSV
 
 
@@ -463,25 +528,25 @@ def perturbed_schedules(draw):
         pl = replace(pl, machine_id=machine, job_index=draw(st.integers(1, inst.jobs_per_machine)))
     else:
         part = next(p for p in inst.parts if p.id == pl.part_id)
-        pl = replace(pl, orientation=orientation_for(part, draw(st.sampled_from(OrientationKind))))
+        pl = replace(pl, orientation=draw(st.sampled_from(orientations(part))))
     return inst, replace(sched, placements=sched.placements[:k] + (pl,) + sched.placements[k + 1:])
 
 
 @settings(max_examples=150, deadline=None)
 @given(perturbed_schedules())
 def test_evaluate_and_check_feasible_agree(case):
+    # evaluate raises exactly when check_feasible lists anything, and
+    # otherwise reports the audit's jobs
     inst, sched = case
-    families = {v.family for v in check_feasible(sched, inst)}
-    breaks = families & {"plate_capacity", "sequencing"}
+    violations, jobs = _audit(sched, inst)
+    assert check_feasible(sched, inst) == violations
     try:
         ev = evaluate(sched, inst)
     except ValueError:
-        assert breaks
+        assert violations
         return
-    assert not breaks
-    machines = {m.id: m for m in inst.machines}
-    parts = {p.id: p for p in inst.parts}
-    assert ev.jobs == tuple(_job_pass(sched, machines, parts)[0])
+    assert not violations
+    assert ev.jobs == tuple(jobs)
 
 
 def test_schedule_csv_round_trip(tmp_path):

@@ -14,7 +14,7 @@ from printplan import oracle
 
 from printplan.datasets import random_instance
 from printplan.evaluate import Placement, Schedule, evaluate
-from printplan.geometry import OrientationKind, orientation_for
+from printplan.geometry import orientations
 from printplan.instance import MachineSpec, Part, ProblemInstance
 from printplan.model import Objective, build_model, inject_epsilon
 from printplan.oracle import TimingJob, TimingPart, _chain_timing, brute_force, single_batch_oracle
@@ -278,7 +278,7 @@ def test_oracle_beats_handmade_feasible_schedule():
     )
     # everything flat in one job, completing at the latest due date
     placements = tuple(
-        Placement(p.id, "m1", 1, orientation_for(p, OrientationKind.FLAT))
+        Placement(p.id, "m1", 1, orientations(p)[0])
         for p in inst.parts
     )
     sched = Schedule(placements, {("m1", 1): 9.0}, frozenset({("m1", 1)}))

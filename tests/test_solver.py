@@ -605,9 +605,11 @@ def _row_sums(a, values):
 
 
 def _reference_is_feasible(values, a, senses, rhs, lo, up, binary_cols, int_tol=1e-6, row_tol=1e-6):
-    # the per-binary, per-row loop that _is_feasible replaced
-    if np.any(values < lo - 1e-9) or np.any(values > up + 1e-9):
-        return False
+    # the per-column, per-binary, per-row loop that _is_feasible replaced;
+    # a bound holds within 1e-9 * max(1, |bound|), as in the simplex
+    for c, value in enumerate(values):
+        if value < lo[c] - 1e-9 * max(1.0, abs(lo[c])) or value > up[c] + 1e-9 * max(1.0, abs(up[c])):
+            return False
     for col in binary_cols:
         if min(values[col], 1.0 - values[col]) > int_tol:
             return False
@@ -644,6 +646,15 @@ def test_vector_feasibility_check_matches_loop_reference(case):
     assert _is_feasible(values, _Propagator(coords, senses, rhs, n_bin), lo, up) == _reference_is_feasible(
         values, a, senses, rhs, lo, up, range(n_bin)
     )
+
+
+def test_is_feasible_allows_the_simplex_bound_slack():
+    # one continuous column with upper bound 1e3 in one slack row: a value
+    # counts as past the bound only beyond bound_slack(1e3) = 1e-6
+    stack = _Propagator((np.array([0]), np.array([0]), np.array([1.0])), ["<"], np.array([2e3]), 0)
+    lo, up = np.zeros(1), np.array([1e3])
+    assert _is_feasible(np.array([1e3 + 5e-7]), stack, lo, up)
+    assert not _is_feasible(np.array([1e3 + 2e-6]), stack, lo, up)
 
 
 # metamorphic checks: the optimum ignores row order, row scale and machine order
